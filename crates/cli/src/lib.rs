@@ -80,10 +80,6 @@ USAGE:
 
 SYNTH OPTIONS:
   --pruning greedy|exhaustive|topN   substitution pruning (default exhaustive)
-  --threads N                        search threads inside the job
-                                     (default: available parallelism;
-                                     1 = serial; output is byte-identical
-                                     for any value)
   --time-limit SECONDS               wall-clock budget
   --max-gates N                      circuit size cap
   --bidi                             synthesize f and f^-1, keep the smaller
@@ -113,10 +109,6 @@ SYNTH OPTIONS:
 
 BATCH OPTIONS:
   --jobs N            worker threads (default: available parallelism)
-  --threads N         search threads inside each job (default 1; results
-                      are byte-identical for any value, but workers ×
-                      threads is checked against the core count and
-                      oversubscription draws a warning)
   --deadline-ms M     per-job wall-clock deadline in milliseconds
   --cache-size K      canonical-form result cache capacity (default 1024)
   --no-cache          disable the result cache
@@ -159,7 +151,6 @@ SERVE OPTIONS:
                       a free port, announced on stderr)
   --jobs N            worker threads executing requests (default:
                       available parallelism)
-  --threads N         search threads inside each request (default 1)
   --queue N           admission-queue depth; beyond it new requests are
                       shed with 429 + Retry-After (default 16)
   --deadline-ms M     default per-request deadline for requests that do
@@ -275,8 +266,6 @@ pub enum Command {
         source: SpecSource,
         /// Pruning strategy.
         pruning: Pruning,
-        /// Intra-job search threads (`None` = available parallelism).
-        threads: Option<usize>,
         /// Wall-clock budget.
         time_limit: Option<Duration>,
         /// Gate cap.
@@ -318,9 +307,6 @@ pub enum Command {
         source: BatchSource,
         /// Worker threads (`None` = available parallelism).
         jobs: Option<usize>,
-        /// Intra-job search threads (`None` = the batch default of 1;
-        /// batch parallelism comes from `jobs` unless asked otherwise).
-        threads: Option<usize>,
         /// Per-job wall-clock deadline.
         deadline: Option<Duration>,
         /// Result-cache capacity (`None` disables the cache).
@@ -357,9 +343,6 @@ pub enum Command {
         /// Worker threads executing requests (`None` = available
         /// parallelism).
         jobs: Option<usize>,
-        /// Intra-request search threads (`None` = the serve default of
-        /// 1; concurrency comes from `jobs` unless asked otherwise).
-        threads: Option<usize>,
         /// Admission-queue depth; beyond it requests are shed with 429.
         queue: usize,
         /// Default deadline for requests without their own
@@ -504,7 +487,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Cl
     let mut manifest = None;
     let mut suite = None;
     let mut jobs = None;
-    let mut threads = None;
     let mut deadline_ms = None;
     let mut cache_size = None;
     let mut no_cache = false;
@@ -586,14 +568,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Cl
                 }
                 jobs = Some(n);
             }
-            "--threads" => {
-                let v = take_value(&mut args, "--threads")?;
-                let n: usize = v.parse().map_err(|_| err("bad --threads"))?;
-                if n == 0 {
-                    return Err(err("--threads must be at least 1"));
-                }
-                threads = Some(n);
-            }
             "--deadline-ms" => {
                 let v = take_value(&mut args, "--deadline-ms")?;
                 let ms: u64 = v.parse().map_err(|_| err("bad --deadline-ms"))?;
@@ -666,11 +640,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Cl
     if (dump.is_some() || chrome_out.is_some()) && cmd != "trace" {
         return Err(err("--dump and --chrome-out apply only to 'trace'"));
     }
-    if threads.is_some() && cmd != "synth" && cmd != "batch" && cmd != "serve" {
-        return Err(err(
-            "--threads applies only to 'synth', 'batch', and 'serve'",
-        ));
-    }
     if (addr.is_some() || queue.is_some() || max_body_bytes.is_some() || journal.is_some())
         && cmd != "serve"
     {
@@ -703,7 +672,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Cl
             Ok(Command::Synth {
                 source: parse_source(spec, benchmark, tfc_path, spec_file)?,
                 pruning,
-                threads,
                 time_limit,
                 max_gates,
                 bidirectional,
@@ -734,7 +702,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Cl
             Ok(Command::Batch {
                 source,
                 jobs,
-                threads,
                 deadline: deadline_ms,
                 cache_size: if no_cache {
                     None
@@ -761,7 +728,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Cl
             Ok(Command::Serve {
                 addr: addr.unwrap_or_else(|| "127.0.0.1:0".to_string()),
                 jobs,
-                threads,
                 queue: queue.unwrap_or(16),
                 deadline: deadline_ms,
                 cache_size: if no_cache {
@@ -848,7 +814,6 @@ pub fn run(command: Command, out: &mut impl fmt::Write) -> Result<(), CliError> 
         Command::Synth {
             source,
             pruning,
-            threads,
             time_limit,
             max_gates,
             bidirectional,
@@ -871,9 +836,6 @@ pub fn run(command: Command, out: &mut impl fmt::Write) -> Result<(), CliError> 
                 .with_pruning(pruning)
                 .with_fredkin_substitutions(fredkin)
                 .with_profile(profile);
-            if let Some(n) = threads {
-                opts = opts.with_threads(n);
-            }
             if let Some(t) = time_limit {
                 opts = opts.with_time_limit(t);
             }
@@ -1093,7 +1055,6 @@ pub fn run(command: Command, out: &mut impl fmt::Write) -> Result<(), CliError> 
         Command::Batch {
             source,
             jobs,
-            threads,
             deadline,
             cache_size,
             canon_limit,
@@ -1142,9 +1103,6 @@ pub fn run(command: Command, out: &mut impl fmt::Write) -> Result<(), CliError> 
             if profile {
                 options.synthesis = options.synthesis.with_profile(true);
             }
-            if let Some(n) = threads {
-                options.synthesis = options.synthesis.clone().with_threads(n);
-            }
             // An unopenable store degrades to a store-less run: the
             // batch still produces correct results, it merely won't
             // remember them. The warning is the only difference.
@@ -1177,24 +1135,6 @@ pub fn run(command: Command, out: &mut impl fmt::Write) -> Result<(), CliError> 
                 }
                 options.store = Some(s.clone());
             }
-            // workers × per-job search threads is the real concurrency;
-            // oversubscribing cores costs throughput without changing
-            // results (the parallel search is deterministic), so it is
-            // a warning, not an error.
-            let per_job_threads = options.synthesis.resolved_threads();
-            let cores = std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1);
-            if workers * per_job_threads > cores {
-                let suggested = (cores / workers).max(1);
-                writeln!(
-                    out,
-                    "warning: {workers} workers x {per_job_threads} search threads \
-                     oversubscribes {cores} available cores; try --threads {suggested}"
-                )
-                .map_err(|e| err(e.to_string()))?;
-            }
-
             // Live telemetry: per-job status board, latency histograms,
             // and sampled gauges served over HTTP for the whole run.
             // Deliberately excluded from the options fingerprint — a
@@ -1406,7 +1346,6 @@ pub fn run(command: Command, out: &mut impl fmt::Write) -> Result<(), CliError> 
         Command::Serve {
             addr,
             jobs,
-            threads,
             queue,
             deadline,
             cache_size,
@@ -1430,9 +1369,6 @@ pub fn run(command: Command, out: &mut impl fmt::Write) -> Result<(), CliError> 
                 fallback,
                 ..rmrls_engine::BatchOptions::default()
             };
-            if let Some(n) = threads {
-                batch.synthesis = batch.synthesis.clone().with_threads(n);
-            }
             // The warm cache persists across restarts: circuits solved
             // by earlier incarnations are re-verified on open and served
             // as cache hits. An unopenable store degrades to warning.
@@ -1841,18 +1777,15 @@ mod tests {
     }
 
     #[test]
-    fn threads_flag_parses_and_is_scoped() {
-        match parse(&["synth", "--spec", "0,1", "--threads", "4"]).unwrap() {
-            Command::Synth { threads, .. } => assert_eq!(threads, Some(4)),
-            other => panic!("{other:?}"),
+    fn threads_flag_is_an_unknown_argument() {
+        for args in [
+            &["synth", "--spec", "0,1", "--threads", "2"][..],
+            &["batch", "--suite", "table4", "--threads", "2"][..],
+            &["serve", "--threads", "2"][..],
+        ] {
+            let e = parse(args).unwrap_err();
+            assert_eq!(e.to_string(), "unknown argument '--threads'", "{args:?}");
         }
-        match parse(&["synth", "--spec", "0,1"]).unwrap() {
-            Command::Synth { threads, .. } => assert_eq!(threads, None),
-            other => panic!("{other:?}"),
-        }
-        assert!(parse(&["synth", "--spec", "0,1", "--threads", "0"]).is_err());
-        assert!(parse(&["mmd", "--spec", "0,1", "--threads", "2"]).is_err());
-        assert!(parse(&["trace", "--dump", "d.json", "--threads", "2"]).is_err());
     }
 
     #[test]
@@ -1933,7 +1866,6 @@ mod tests {
         assert!(parse(&["serve", "--no-cache", "--cache-size", "8"]).is_err());
         assert!(parse(&["batch", "--suite", "table4", "--addr", "x:1"]).is_err());
         assert!(parse(&["synth", "--spec", "0,1", "--journal", "j.jsonl"]).is_err());
-        assert!(parse(&["serve", "--threads", "2"]).is_ok());
     }
 
     #[test]
@@ -1988,64 +1920,6 @@ mod tests {
         let mut out = String::new();
         run(cmd, &mut out).expect("ex1 should synthesize");
         assert!(out.contains("gates:"), "{out}");
-    }
-
-    #[test]
-    fn run_synth_output_identical_across_threads() {
-        let mut serial = String::new();
-        run(
-            parse(&["synth", "--benchmark", "ex2", "--threads", "1"]).unwrap(),
-            &mut serial,
-        )
-        .expect("serial synth");
-        let mut parallel = String::new();
-        run(
-            parse(&["synth", "--benchmark", "ex2", "--threads", "4"]).unwrap(),
-            &mut parallel,
-        )
-        .expect("parallel synth");
-        // The "search:" stats line embeds the wall-clock time, which
-        // differs between any two runs; everything else (the circuit,
-        // its rendering, the counts) must be byte-identical.
-        let deterministic = |s: &str| {
-            s.lines()
-                .filter(|l| !l.starts_with("search:"))
-                .collect::<Vec<_>>()
-                .join("\n")
-        };
-        assert_eq!(
-            deterministic(&serial),
-            deterministic(&parallel),
-            "output must not depend on --threads"
-        );
-    }
-
-    #[test]
-    fn run_batch_warns_on_thread_oversubscription() {
-        // workers x threads guaranteed to exceed this machine's cores.
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        let threads = (cores * 2).to_string();
-        let cmd = parse(&[
-            "batch",
-            "--suite",
-            "examples",
-            "--jobs",
-            "2",
-            "--threads",
-            &threads,
-        ])
-        .unwrap();
-        let mut out = String::new();
-        run(cmd, &mut out).expect("batch runs despite oversubscription");
-        assert!(
-            out.contains("warning") && out.contains("oversubscribes"),
-            "{out}"
-        );
-        // The warning suggests a per-job thread count that fits.
-        let suggested = (cores / 2).max(1);
-        assert!(out.contains(&format!("try --threads {suggested}")), "{out}");
     }
 
     #[test]
@@ -2575,7 +2449,7 @@ mod tests {
 
         let text = std::fs::read_to_string(&path).unwrap();
         let json = rmrls_obs::Json::parse(&text).expect("report is valid JSON");
-        assert_eq!(json.get("schema_version").unwrap().as_u64(), Some(1));
+        assert_eq!(json.get("schema_version").unwrap().as_u64(), Some(2));
         assert_eq!(json.get("solved").unwrap().as_bool(), Some(true));
         // The report's gate count agrees with the human-readable output.
         let gates = json
@@ -2678,15 +2552,12 @@ mod tests {
             "--trace",
             "traces",
             "--profile",
-            "--threads",
-            "2",
         ])
         .unwrap()
         {
             Command::Batch {
                 source,
                 jobs,
-                threads,
                 deadline,
                 cache_size,
                 canon_limit,
@@ -2705,7 +2576,6 @@ mod tests {
                 assert_eq!(store, None);
                 assert_eq!(source, BatchSource::Suite("examples".into()));
                 assert_eq!(jobs, Some(4));
-                assert_eq!(threads, Some(2));
                 assert_eq!(deadline, Some(Duration::from_millis(250)));
                 assert_eq!(cache_size, Some(64));
                 assert_eq!(canon_limit, 6);
@@ -2728,7 +2598,6 @@ mod tests {
             Command::Batch {
                 source,
                 jobs,
-                threads,
                 cache_size,
                 canon_limit,
                 verify,
@@ -2739,7 +2608,6 @@ mod tests {
             } => {
                 assert_eq!(source, BatchSource::Manifest("jobs.txt".into()));
                 assert_eq!(jobs, None);
-                assert_eq!(threads, None);
                 assert_eq!(cache_size, Some(1024));
                 assert_eq!(canon_limit, 8);
                 assert!(verify);
@@ -2753,7 +2621,6 @@ mod tests {
         assert!(parse(&["batch"]).is_err());
         assert!(parse(&["batch", "--manifest", "a", "--suite", "table4"]).is_err());
         assert!(parse(&["batch", "--suite", "table4", "--jobs", "0"]).is_err());
-        assert!(parse(&["batch", "--suite", "table4", "--threads", "0"]).is_err());
         assert!(parse(&[
             "batch",
             "--suite",

@@ -39,7 +39,6 @@ mod budget;
 mod embedding_search;
 mod observe;
 mod options;
-mod parallel;
 mod portfolio;
 mod report;
 mod search;

@@ -65,11 +65,6 @@ struct ObserverMetrics {
     queue_depth: Gauge,
     candidates_scored: Counter,
     candidates_materialized: Counter,
-    par_steals: Counter,
-    par_shard_contention: Counter,
-    par_dup_races_lost: Counter,
-    par_spec_hits: Counter,
-    par_spec_misses: Counter,
 }
 
 impl ObserverMetrics {
@@ -80,11 +75,6 @@ impl ObserverMetrics {
         let queue_depth = registry.gauge("queue_depth");
         let candidates_scored = registry.counter("candidates_scored");
         let candidates_materialized = registry.counter("candidates_materialized");
-        let par_steals = registry.counter("parallel_steals");
-        let par_shard_contention = registry.counter("parallel_shard_contention_retries");
-        let par_dup_races_lost = registry.counter("parallel_dup_races_lost");
-        let par_spec_hits = registry.counter("parallel_spec_hits");
-        let par_spec_misses = registry.counter("parallel_spec_misses");
         ObserverMetrics {
             registry,
             priority_hist,
@@ -92,11 +82,6 @@ impl ObserverMetrics {
             queue_depth,
             candidates_scored,
             candidates_materialized,
-            par_steals,
-            par_shard_contention,
-            par_dup_races_lost,
-            par_spec_hits,
-            par_spec_misses,
         }
     }
 }
@@ -345,36 +330,6 @@ impl Observer {
         if let Some(m) = &self.metrics {
             m.candidates_scored.add(scored);
             m.candidates_materialized.add(materialized);
-        }
-    }
-
-    /// Records the parallel-search totals (steals, shard contention,
-    /// dedup races lost, speculation hit/miss). Called once at the end
-    /// of the run, after the worker pool has been joined; all zeros on
-    /// serial runs, so the exported counters stay present but inert.
-    pub(crate) fn on_parallel_totals(&mut self, stats: &crate::SearchStats) {
-        if let Some(m) = &self.metrics {
-            m.par_steals.add(stats.steals);
-            m.par_shard_contention.add(stats.shard_contention_retries);
-            m.par_dup_races_lost.add(stats.dup_races_lost);
-            m.par_spec_hits.add(stats.spec_hits);
-            m.par_spec_misses.add(stats.spec_misses);
-        }
-        if self.sink_enabled && stats.threads_used > 1 {
-            self.sink.emit(Event::new(
-                "parallel_totals",
-                vec![
-                    ("threads", Value::from(stats.threads_used)),
-                    ("spec_hits", Value::from(stats.spec_hits)),
-                    ("spec_misses", Value::from(stats.spec_misses)),
-                    ("steals", Value::from(stats.steals)),
-                    (
-                        "shard_contention_retries",
-                        Value::from(stats.shard_contention_retries),
-                    ),
-                    ("dup_races_lost", Value::from(stats.dup_races_lost)),
-                ],
-            ));
         }
     }
 

@@ -220,15 +220,6 @@ pub struct SynthesisOptions {
     /// dedup) into [`SearchStats::profile`](crate::SearchStats::profile).
     /// Off by default: the disabled profiler costs one branch per span.
     pub profile: bool,
-    /// Worker threads for the intra-job parallel search. `0` (the
-    /// default) resolves to [`std::thread::available_parallelism`] when
-    /// the run starts; `1` is today's serial path. The parallel search
-    /// is *speculative*: workers pre-score and pre-materialize frontier
-    /// nodes while a single commit thread replays the exact serial
-    /// algorithm from their results, so the output circuit — and every
-    /// deterministic counter — is byte-identical for any thread count
-    /// (see DESIGN.md §5f).
-    pub threads: usize,
 }
 
 impl SynthesisOptions {
@@ -255,7 +246,6 @@ impl SynthesisOptions {
             stop_at_first: false,
             trace: false,
             profile: false,
-            threads: 0,
         }
     }
 
@@ -396,24 +386,17 @@ impl SynthesisOptions {
         self
     }
 
-    /// Sets the worker-thread count for the parallel search (`0` =
-    /// auto-detect, `1` = serial). The result is byte-identical for any
-    /// value; see [`SynthesisOptions::threads`].
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
+    /// Returns `self` unchanged: the search is serial. Kept only so the
+    /// `perfbench` benchmark package builds; goes with the next
+    /// benchmark change.
+    pub fn with_threads(self, _threads: usize) -> Self {
         self
     }
 
-    /// The effective thread count: `threads`, with `0` resolved to
-    /// [`std::thread::available_parallelism`].
+    /// Always `1`: the search is serial. Kept only so the `perfbench`
+    /// benchmark package builds; goes with the next benchmark change.
     pub fn resolved_threads(&self) -> usize {
-        if self.threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            self.threads
-        }
+        1
     }
 }
 
@@ -468,15 +451,6 @@ mod tests {
         assert_eq!(o.max_nodes, Some(5));
         assert!(o.stop_at_first);
         assert!(!o.additional_substitutions);
-    }
-
-    #[test]
-    fn threads_default_to_auto_and_resolve() {
-        let o = SynthesisOptions::new();
-        assert_eq!(o.threads, 0, "default is auto-detect");
-        assert!(o.resolved_threads() >= 1);
-        let pinned = o.with_threads(3);
-        assert_eq!(pinned.resolved_threads(), 3);
     }
 
     #[test]

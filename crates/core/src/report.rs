@@ -16,7 +16,7 @@ use crate::{FredkinMode, PriorityMode, Pruning, SearchStats, SynthesisOptions};
 /// Version of the run-report JSON schema. Bumped whenever a field is
 /// renamed, removed, or changes meaning; additions are backwards
 /// compatible and do not bump it.
-pub const RUN_REPORT_SCHEMA_VERSION: u64 = 1;
+pub const RUN_REPORT_SCHEMA_VERSION: u64 = 2;
 
 fn opt_uint<T: Into<u64>>(v: Option<T>) -> Json {
     v.map(|x| Json::uint(x.into())).unwrap_or(Json::Null)
@@ -109,9 +109,6 @@ pub fn options_to_json(options: &SynthesisOptions) -> Json {
         ),
         ("trace".to_string(), Json::Bool(options.trace)),
         ("profile".to_string(), Json::Bool(options.profile)),
-        // The configured value (0 = auto); the resolved count the run
-        // actually used is in stats.threads_used.
-        ("threads".to_string(), Json::uint(options.threads as u64)),
     ])
 }
 
@@ -193,35 +190,6 @@ pub fn stats_to_json(stats: &SearchStats) -> Json {
                 .unwrap_or(Json::Null),
         ),
         ("restart_spans".to_string(), Json::Arr(spans)),
-        // Parallel-search counters. threads_used is the resolved thread
-        // count (1 = serial); every counter above is replay-derived and
-        // byte-identical across thread counts, while the spec_*/steal/
-        // shard/race counters below are scheduling-dependent and all
-        // zero on serial runs.
-        ("threads_used".to_string(), Json::uint(stats.threads_used)),
-        ("spec_hits".to_string(), Json::uint(stats.spec_hits)),
-        ("spec_misses".to_string(), Json::uint(stats.spec_misses)),
-        ("steals".to_string(), Json::uint(stats.steals)),
-        (
-            "shard_contention_retries".to_string(),
-            Json::uint(stats.shard_contention_retries),
-        ),
-        (
-            "dup_races_lost".to_string(),
-            Json::uint(stats.dup_races_lost),
-        ),
-        (
-            "shared_seen_hits".to_string(),
-            Json::uint(stats.shared_seen_hits),
-        ),
-        (
-            "spec_scored_wasted".to_string(),
-            Json::uint(stats.spec_scored_wasted),
-        ),
-        (
-            "spec_materialized_wasted".to_string(),
-            Json::uint(stats.spec_materialized_wasted),
-        ),
         // The phase profile is null (not an empty array) when profiling
         // was off, so consumers can tell "not measured" from "measured
         // nothing".
@@ -302,7 +270,7 @@ mod tests {
         let text = report.to_string();
         let parsed = Json::parse(&text).expect("report is valid JSON");
 
-        assert_eq!(parsed.get("schema_version").unwrap().as_u64(), Some(1));
+        assert_eq!(parsed.get("schema_version").unwrap().as_u64(), Some(2));
         assert_eq!(parsed.get("solved").unwrap().as_bool(), Some(true));
         let circuit = parsed.get("circuit").unwrap();
         assert_eq!(
@@ -321,15 +289,6 @@ mod tests {
             ("restarts", result.stats.restarts),
             ("dedup_hits", result.stats.dedup_hits),
             ("queue_peak", result.stats.queue_peak),
-            ("threads_used", result.stats.threads_used),
-            ("spec_hits", result.stats.spec_hits),
-            ("spec_misses", result.stats.spec_misses),
-            ("steals", result.stats.steals),
-            (
-                "shard_contention_retries",
-                result.stats.shard_contention_retries,
-            ),
-            ("dup_races_lost", result.stats.dup_races_lost),
         ] {
             assert_eq!(
                 stats.get(field).unwrap().as_u64(),
@@ -370,12 +329,26 @@ mod tests {
     fn options_json_reflects_configuration() {
         let options = crate::SynthesisOptions::new()
             .with_pruning(crate::Pruning::TopK(4))
-            .with_max_gates(40)
-            .with_threads(4);
+            .with_max_gates(40);
         let json = options_to_json(&options);
         assert_eq!(json.get("pruning").unwrap().as_str(), Some("top-4"));
         assert_eq!(json.get("max_gates").unwrap().as_u64(), Some(40));
-        assert_eq!(json.get("threads").unwrap().as_u64(), Some(4));
+        // Schema version 2 dropped the intra-job parallel search keys.
+        assert!(json.get("threads").is_none());
+        let stats = stats_to_json(&crate::synthesize(&fig1(), &options).unwrap().stats);
+        for removed in [
+            "threads_used",
+            "spec_hits",
+            "spec_misses",
+            "steals",
+            "shard_contention_retries",
+            "dup_races_lost",
+            "shared_seen_hits",
+            "spec_scored_wasted",
+            "spec_materialized_wasted",
+        ] {
+            assert!(stats.get(removed).is_none(), "stats.{removed} is gone");
+        }
         assert!(matches!(json.get("time_limit_seconds"), Some(Json::Null)));
         assert_eq!(json.get("priority_mode").unwrap().as_str(), Some("astar"));
     }

@@ -16,7 +16,6 @@ use std::collections::{BinaryHeap, HashMap};
 use std::error::Error;
 use std::fmt;
 use std::rc::Rc;
-use std::sync::Arc;
 use std::time::Instant;
 
 use rmrls_circuit::{Circuit, Gate};
@@ -25,7 +24,6 @@ use rmrls_pprm::{MultiPprm, SubstCount, SubstScratch, Term};
 use rmrls_spec::Permutation;
 
 use crate::observe::{Observer, Progress};
-use crate::parallel::{ParEngine, SpecReplay, WorkItem};
 use crate::stats::RestartSpan;
 use crate::{SearchStats, StopReason, SynthesisOptions, TraceEvent};
 
@@ -95,18 +93,17 @@ fn path_to_gates(leaf: &Option<Rc<PathNode>>) -> Vec<Gate> {
     gates
 }
 
-/// A queued search-tree leaf. The state is shared (`Arc`) so restart
-/// reseeds and speculative work items reference it without copying; the
-/// expansions themselves are immutable once built.
+/// A queued search-tree leaf. The state is shared (`Rc`) so restart
+/// reseeds reference it without copying; the expansions themselves are
+/// immutable once built.
 struct QueueEntry {
     priority: f64,
     /// FIFO tiebreak: earlier-generated entries win among equal
     /// priorities, keeping runs deterministic. Unique per pushed entry,
-    /// so `(priority, seq)` is a total order and `seq` alone keys the
-    /// speculative result for this exact state.
+    /// so `(priority, seq)` is a total order.
     seq: u64,
     depth: u32,
-    state: Arc<MultiPprm>,
+    state: Rc<MultiPprm>,
     path: Option<Rc<PathNode>>,
 }
 
@@ -132,7 +129,7 @@ impl Ord for QueueEntry {
 /// The substitution a candidate would apply — enough to re-derive the
 /// child state from the parent during materialization.
 #[derive(Clone, Copy)]
-pub(crate) enum Move {
+enum Move {
     /// `v := v ⊕ factor` (a Toffoli gate).
     Toffoli { var: usize, factor: Term },
     /// Swap `a`/`b` under `control` (a Fredkin gate, §VI).
@@ -141,30 +138,21 @@ pub(crate) enum Move {
 
 /// One enumerated substitution with everything derived from the move
 /// alone (gate, literal count, growth exemption).
-pub(crate) struct EnumMove {
-    pub(crate) mv: Move,
-    pub(crate) gate: Gate,
-    pub(crate) lits: u32,
-    pub(crate) allow_growth: bool,
+struct EnumMove {
+    mv: Move,
+    gate: Gate,
+    lits: u32,
+    allow_growth: bool,
 }
 
-/// The candidate moves of one pruning group: one group per target
-/// variable (substitution types 1–3), then one per Fredkin pair.
-pub(crate) struct MoveGroup {
-    pub(crate) moves: Vec<EnumMove>,
-}
-
-/// Enumerates every candidate substitution of a node in the exact order
-/// the serial expansion considers them. This is a pure function of
-/// `(state, options, parent_gate)` and is shared by the commit-thread
-/// expansion and the speculative workers, so the two can never disagree
-/// about which move the i-th score belongs to — the speculative replay
-/// (see [`crate::parallel`]) is keyed by this enumeration index.
-pub(crate) fn enumerate_move_groups(
+/// Enumerates every candidate substitution of a node, in the order the
+/// expansion considers them, split into pruning groups: one group per
+/// target variable (substitution types 1–3), then one per Fredkin pair.
+fn enumerate_move_groups(
     state: &MultiPprm,
     options: &SynthesisOptions,
     parent_gate: Option<Gate>,
-) -> Vec<MoveGroup> {
+) -> Vec<Vec<EnumMove>> {
     let n = state.num_vars();
     let mut groups = Vec::with_capacity(n);
     for var in 0..n {
@@ -211,7 +199,7 @@ pub(crate) fn enumerate_move_groups(
                 allow_growth: true,
             });
         }
-        groups.push(MoveGroup { moves });
+        groups.push(moves);
     }
 
     // §VI future work: Fredkin substitutions — swap a variable pair
@@ -244,28 +232,23 @@ pub(crate) fn enumerate_move_groups(
                         allow_growth: false,
                     })
                     .collect();
-                groups.push(MoveGroup { moves });
+                groups.push(moves);
             }
         }
     }
     groups
 }
 
-/// Applies a move to a state, producing the child expansion. Shared by
-/// the commit thread's materialization and the speculative workers.
-pub(crate) fn apply_move(
-    state: &MultiPprm,
-    mv: Move,
-    scratch: &mut SubstScratch,
-) -> (MultiPprm, i64) {
+/// Applies a move to a state, producing the child expansion.
+fn apply_move(state: &MultiPprm, mv: Move, scratch: &mut SubstScratch) -> (MultiPprm, i64) {
     match mv {
         Move::Toffoli { var, factor } => state.substitute_with(var, factor, scratch),
         Move::Fredkin { a, b, control } => state.substitute_fredkin_with(a, b, control, scratch),
     }
 }
 
-/// Scores a move without materializing it. Shared like [`apply_move`].
-pub(crate) fn score_move(state: &MultiPprm, mv: Move, scratch: &mut SubstScratch) -> SubstCount {
+/// Scores a move without materializing it.
+fn score_move(state: &MultiPprm, mv: Move, scratch: &mut SubstScratch) -> SubstCount {
     match mv {
         Move::Toffoli { var, factor } => state.count_substitute(var, factor, scratch),
         Move::Fredkin { a, b, control } => state.count_substitute_fredkin(a, b, control, scratch),
@@ -273,10 +256,8 @@ pub(crate) fn score_move(state: &MultiPprm, mv: Move, scratch: &mut SubstScratch
 }
 
 /// The queue priority a scored candidate would receive, or `None` when
-/// the monotone filter discards it. A pure function shared by the
-/// commit thread and the workers (identical expression order, so the
-/// floating-point result is bit-identical on both sides).
-pub(crate) fn candidate_priority(
+/// the monotone filter discards it.
+fn candidate_priority(
     options: &SynthesisOptions,
     init_terms: usize,
     num_vars: usize,
@@ -323,11 +304,6 @@ pub(crate) fn candidate_priority(
 struct Candidate {
     gate: Gate,
     mv: Move,
-    /// Enumeration index of the move within its node (the speculative
-    /// premat key — an index, not the fingerprint, so a fingerprint
-    /// collision between two candidates of one node can never swap in
-    /// the wrong pre-built state).
-    idx: usize,
     eliminated: i64,
     priority: f64,
     /// Predicted total PPRM terms of the child (exact; reused by dedup
@@ -336,25 +312,6 @@ struct Candidate {
     /// Predicted state fingerprint of the child (exact; consulted by
     /// dedup *before* any allocation happens).
     fp: u64,
-}
-
-/// Commit-thread bookkeeping for the speculative worker pool
-/// (`threads > 1` only). `pending` holds frontier entries whose scoring
-/// has been submitted to the workers, kept sorted best-first by the
-/// serial comparator; the union `heap ∪ pending` is exactly the serial
-/// queue, so popping `max(heap.peek(), pending[0])` reproduces the
-/// serial pop sequence.
-struct ParCtl {
-    engine: ParEngine,
-    pending: Vec<QueueEntry>,
-    /// Speculation window: how many of the best frontier entries to
-    /// keep in flight with the workers.
-    lookahead: usize,
-    /// Worker-produced scores consumed by replay (for waste accounting).
-    scores_consumed: u64,
-    /// Worker-built child states actually used (premat + identity
-    /// confirmations).
-    materialized_consumed: u64,
 }
 
 struct Search<'a> {
@@ -410,9 +367,6 @@ struct Search<'a> {
     /// Per-phase timing (scoring / materialize / dedup), enabled by
     /// `options.profile`; disabled it costs one branch per span site.
     profiler: Profiler,
-    /// Speculative worker pool (`None` on the serial path, i.e. when
-    /// the resolved thread count is 1).
-    par: Option<ParCtl>,
 }
 
 impl<'a> Search<'a> {
@@ -424,7 +378,10 @@ impl<'a> Search<'a> {
     ) -> Self {
         Search {
             options,
-            stats: SearchStats::default(),
+            stats: SearchStats {
+                threads_used: 1,
+                ..SearchStats::default()
+            },
             start: Instant::now(),
             obs,
             seq: 0,
@@ -444,7 +401,6 @@ impl<'a> Search<'a> {
             } else {
                 Profiler::disabled()
             },
-            par: None,
         }
     }
 
@@ -473,38 +429,6 @@ impl<'a> Search<'a> {
         span
     }
 
-    /// The logical frontier size: the heap plus any entries currently
-    /// out with the speculative workers. This is exactly the serial
-    /// queue length at the same program point, so every length-driven
-    /// decision (beam trim, observer gauges, peaks) stays
-    /// thread-count-independent.
-    fn frontier_len(&self) -> usize {
-        self.queue.len() + self.par.as_ref().map_or(0, |p| p.pending.len())
-    }
-
-    /// Drains the whole logical frontier (heap ∪ pending) into a vector
-    /// for a bulk rebuild, telling the worker pool nothing — callers
-    /// re-push survivors and discard the rest via
-    /// [`Search::discard_speculation`].
-    fn drain_frontier(&mut self) -> Vec<QueueEntry> {
-        let mut entries: Vec<QueueEntry> = std::mem::take(&mut self.queue).into_vec();
-        if let Some(par) = self.par.as_mut() {
-            entries.append(&mut par.pending);
-        }
-        entries
-    }
-
-    /// Tells the worker pool the speculative results for these entries
-    /// will never be consumed (the entries were trimmed, shed, or
-    /// dropped by a restart).
-    fn discard_speculation(&self, dropped: &[QueueEntry]) {
-        if let Some(par) = self.par.as_ref() {
-            for e in dropped {
-                par.engine.discard(e.seq);
-            }
-        }
-    }
-
     /// Recomputes the memory accounting from the queue contents. Called
     /// after every bulk queue rebuild (beam trim, memory shed, restart
     /// reseed) where incremental bookkeeping would be error-prone.
@@ -513,12 +437,6 @@ impl<'a> Search<'a> {
         for e in self.queue.iter() {
             terms += e.state.total_terms() as u64;
             bytes += e.state.approx_heap_bytes() as u64;
-        }
-        if let Some(par) = self.par.as_ref() {
-            for e in &par.pending {
-                terms += e.state.total_terms() as u64;
-                bytes += e.state.approx_heap_bytes() as u64;
-            }
         }
         self.live_terms = terms;
         self.queue_bytes = bytes;
@@ -532,11 +450,10 @@ impl<'a> Search<'a> {
     /// Mirrors the beam trim of `push_child` but is driven by the
     /// [`Budget`](crate::Budget) memory caps rather than `max_queue`.
     fn shed_for_memory(&mut self) {
-        let mut entries = self.drain_frontier();
+        let mut entries = std::mem::take(&mut self.queue).into_vec();
         entries.sort_by(|a, b| b.cmp(a));
         let keep = (entries.len() / 2).max(1);
         let dropped = entries.len().saturating_sub(keep);
-        self.discard_speculation(&entries[keep.min(entries.len())..]);
         entries.truncate(keep);
         self.stats.memory_sheds += 1;
         self.stats.memory_shed_dropped += dropped as u64;
@@ -548,65 +465,6 @@ impl<'a> Search<'a> {
                 live_terms: self.live_terms,
             });
             r.anomaly("memory_shed", "core/search/shed");
-        }
-    }
-
-    /// Pops the next node to expand — the maximum of the heap and the
-    /// speculation window under the exact serial comparator — together
-    /// with its speculative result, if one was produced in time.
-    ///
-    /// In parallel mode this first tops up the speculation window: the
-    /// best `lookahead` frontier entries are handed to the workers,
-    /// which pre-score (and pre-materialize) their candidate moves
-    /// while the commit thread is busy with earlier nodes. Because
-    /// `heap ∪ pending` is always exactly the serial queue and the
-    /// winner is chosen by the serial comparator, the sequence of
-    /// popped nodes is byte-identical to the serial search; the only
-    /// difference is whether the pop arrives with a replayable result
-    /// (`spec_hits`) or has to be expanded live (`spec_misses`, e.g. a
-    /// freshly pushed child that outranks everything in flight).
-    fn pop_next(&mut self) -> Option<(QueueEntry, Option<SpecReplay>)> {
-        if self.par.is_none() {
-            return self.queue.pop().map(|e| (e, None));
-        }
-        loop {
-            let par = self.par.as_mut().expect("checked above");
-            if par.pending.len() >= par.lookahead {
-                break;
-            }
-            let Some(e) = self.queue.pop() else { break };
-            par.engine.submit(WorkItem {
-                seq: e.seq,
-                depth: e.depth,
-                parent_gate: e.path.as_ref().map(|p| p.gate),
-                state: Arc::clone(&e.state),
-            });
-            let pos = par
-                .pending
-                .partition_point(|p| p.cmp(&e) == Ordering::Greater);
-            par.pending.insert(pos, e);
-        }
-        let par = self.par.as_mut().expect("checked above");
-        let from_heap = match (self.queue.peek(), par.pending.first()) {
-            (Some(h), Some(p)) => h.cmp(p) == Ordering::Greater,
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (None, None) => return None,
-        };
-        if from_heap {
-            self.stats.spec_misses += 1;
-            return self.queue.pop().map(|e| (e, None));
-        }
-        let entry = par.pending.remove(0);
-        match par.engine.take(entry.seq) {
-            Some(replay) => {
-                self.stats.spec_hits += 1;
-                Some((entry, Some(replay)))
-            }
-            None => {
-                self.stats.spec_misses += 1;
-                Some((entry, None))
-            }
         }
     }
 
@@ -633,14 +491,7 @@ impl<'a> Search<'a> {
     /// variable (types 1–3), records solutions, prunes per §IV-E, and
     /// pushes survivors. Returns `true` if a first solution was found
     /// and `stop_at_first` is set.
-    ///
-    /// With a `replay` (speculative worker result for this exact node)
-    /// the scores come from the replay instead of the counting kernels
-    /// and surviving children reuse the pre-materialized states; the
-    /// control flow — including the exact stop point after a
-    /// `stop_at_first` solution — is identical either way, so every
-    /// deterministic counter advances identically.
-    fn expand(&mut self, entry: &QueueEntry, mut replay: Option<SpecReplay>) -> bool {
+    fn expand(&mut self, entry: &QueueEntry) -> bool {
         let state = &entry.state;
         let child_depth = entry.depth + 1;
         let parent_gate = entry.path.as_ref().map(|p| p.gate);
@@ -657,15 +508,13 @@ impl<'a> Search<'a> {
         let groups = enumerate_move_groups(state, self.options, parent_gate);
         self.profiler.stop("scoring", t_enum);
 
-        let mut cursor = 0usize;
         for group in &groups {
             let mut candidates: Vec<Candidate> = Vec::new();
             let mut solved = false;
             let t_score = self.profiler.start();
-            for em in &group.moves {
-                let idx = cursor;
-                cursor += 1;
-                if self.consider_enum(entry, em, idx, child_depth, &mut candidates, &mut replay) {
+            for em in group {
+                let score = score_move(&entry.state, em.mv, &mut self.scratch);
+                if self.consider_scored(entry, em, score, child_depth, &mut candidates) {
                     solved = true;
                     break;
                 }
@@ -679,15 +528,15 @@ impl<'a> Search<'a> {
                 candidates.truncate(keep);
             }
             for c in candidates {
-                self.push_child(entry, c, child_depth, &mut replay);
+                self.push_child(entry, c, child_depth);
             }
         }
         false
     }
 
     /// Materializes a scored move into the real child state. The only
-    /// place (besides the root and the workers) where a `MultiPprm` is
-    /// built during the search.
+    /// place (besides the root) where a `MultiPprm` is built during the
+    /// search.
     fn materialize(&mut self, entry: &QueueEntry, mv: Move) -> (MultiPprm, i64) {
         self.stats.candidates_materialized += 1;
         let t = self.profiler.start();
@@ -696,53 +545,19 @@ impl<'a> Search<'a> {
         out
     }
 
-    /// Evaluates one enumerated substitution: obtains the score (from
-    /// the replay when available, else the counting kernel) and runs the
-    /// shared candidate evaluation. Returns `true` when a solution was
-    /// found and the caller should stop immediately (`stop_at_first`).
-    fn consider_enum(
-        &mut self,
-        entry: &QueueEntry,
-        em: &EnumMove,
-        idx: usize,
-        child_depth: u32,
-        candidates: &mut Vec<Candidate>,
-        replay: &mut Option<SpecReplay>,
-    ) -> bool {
-        let (score, spec_identity) = match replay.as_mut().and_then(|r| r.next_score()) {
-            Some(s) => {
-                if let Some(par) = self.par.as_mut() {
-                    par.scores_consumed += 1;
-                }
-                (s.score, s.identity)
-            }
-            None => (score_move(&entry.state, em.mv, &mut self.scratch), None),
-        };
-        self.consider_scored(
-            entry,
-            em,
-            idx,
-            score,
-            child_depth,
-            spec_identity,
-            candidates,
-        )
-    }
-
-    /// Shared candidate evaluation over the *score* alone: solution
+    /// Candidate evaluation over the *score* alone: solution
     /// check, priority, pruning eligibility. No child state exists yet —
     /// a candidate is only materialized if it turns out to be a solution
     /// (confirmed against the real state, so a fingerprint collision can
     /// never fabricate one) or later survives pruning in `push_child`.
-    #[allow(clippy::too_many_arguments)]
+    /// Returns `true` when a solution was found and the caller should
+    /// stop immediately (`stop_at_first`).
     fn consider_scored(
         &mut self,
         entry: &QueueEntry,
         em: &EnumMove,
-        idx: usize,
         score: SubstCount,
         child_depth: u32,
-        spec_identity: Option<bool>,
         candidates: &mut Vec<Candidate>,
     ) -> bool {
         self.stats.children_generated += 1;
@@ -762,25 +577,12 @@ impl<'a> Search<'a> {
         // Identity test on the score: the fingerprint is deterministic,
         // so a true identity always matches (no false negatives); a
         // match is confirmed on the materialized state before being
-        // recorded as a solution. A speculative worker runs the same
-        // confirmation ahead of time (`spec_identity`), in which case
-        // only the materialization *counter* advances here.
+        // recorded as a solution.
         let n = entry.state.num_vars();
-        if terms == n && fingerprint == self.identity_fp && {
-            match spec_identity {
-                Some(confirmed) => {
-                    self.stats.candidates_materialized += 1;
-                    if let Some(par) = self.par.as_mut() {
-                        par.materialized_consumed += 1;
-                    }
-                    confirmed
-                }
-                None => {
-                    let (new_state, _) = self.materialize(entry, mv);
-                    new_state.is_identity()
-                }
-            }
-        } {
+        if terms == n
+            && fingerprint == self.identity_fp
+            && self.materialize(entry, mv).0.is_identity()
+        {
             self.stats.solutions_seen += 1;
             let path = Some(Rc::new(PathNode {
                 parent: entry.path.as_ref().map(Rc::clone),
@@ -817,14 +619,6 @@ impl<'a> Search<'a> {
             if improved && within_cap {
                 self.best = Some((child_depth, cost, path));
                 self.steps_since_restart = 0;
-                // Publish the tightened bound to the workers so they
-                // stop pre-materializing children past the new cutoff
-                // (a perf hint; the authoritative cutoff check stays on
-                // the commit thread).
-                let cutoff = self.depth_cutoff();
-                if let Some(par) = self.par.as_ref() {
-                    par.engine.set_cutoff(cutoff);
-                }
                 if self.options.stop_at_first {
                     self.stats.stop_reason = Some(StopReason::FirstSolution);
                     return true;
@@ -845,7 +639,6 @@ impl<'a> Search<'a> {
             candidates.push(Candidate {
                 gate,
                 mv,
-                idx,
                 eliminated,
                 priority,
                 terms,
@@ -859,17 +652,10 @@ impl<'a> Search<'a> {
     /// against the candidate's *predicted* term count and fingerprint,
     /// and only then is the child state materialized and queued — a
     /// rejected candidate never allocates.
-    fn push_child(
-        &mut self,
-        entry: &QueueEntry,
-        candidate: Candidate,
-        child_depth: u32,
-        replay: &mut Option<SpecReplay>,
-    ) {
+    fn push_child(&mut self, entry: &QueueEntry, candidate: Candidate, child_depth: u32) {
         let Candidate {
             gate,
             mv,
-            idx,
             eliminated,
             priority,
             terms,
@@ -889,7 +675,7 @@ impl<'a> Search<'a> {
                     // the candidate (never prune on a collision) and
                     // record the newcomer.
                     self.stats.dedup_collisions += 1;
-                    self.note_visited(fp, child_depth, terms32);
+                    self.visited.insert(fp, (child_depth, terms32));
                     false
                 }
                 Some(&(seen_depth, _)) if seen_depth <= child_depth => {
@@ -897,49 +683,23 @@ impl<'a> Search<'a> {
                     true
                 }
                 _ => {
-                    self.note_visited(fp, child_depth, terms32);
+                    self.visited.insert(fp, (child_depth, terms32));
                     false
                 }
             };
             self.profiler.stop("dedup", t_dedup);
             if duplicate {
-                // A worker may have pre-built this child before the
-                // commit thread recorded the state as visited: the
-                // speculation lost the dedup race and the work is
-                // discarded.
-                if replay
-                    .as_mut()
-                    .is_some_and(|r| r.take_premat(idx).is_some())
-                {
-                    self.stats.dup_races_lost += 1;
-                }
                 return;
             }
         }
-        let state = match replay.as_mut().and_then(|r| r.take_premat(idx)) {
-            Some(premat) => {
-                // The worker already built this child; only the counter
-                // advances (the serial path would materialize here).
-                self.stats.candidates_materialized += 1;
-                if let Some(par) = self.par.as_mut() {
-                    par.materialized_consumed += 1;
-                }
-                debug_assert_eq!(premat.total_terms(), terms, "premat term mismatch");
-                debug_assert_eq!(premat.fingerprint(), fp, "premat fp mismatch");
-                premat
-            }
-            None => {
-                let (state, mat_elim) = self.materialize(entry, mv);
-                debug_assert_eq!(mat_elim, eliminated, "score/materialize elim mismatch");
-                debug_assert_eq!(
-                    state.total_terms(),
-                    terms,
-                    "score/materialize term mismatch"
-                );
-                debug_assert_eq!(state.fingerprint(), fp, "score/materialize fp mismatch");
-                state
-            }
-        };
+        let (state, mat_elim) = self.materialize(entry, mv);
+        debug_assert_eq!(mat_elim, eliminated, "score/materialize elim mismatch");
+        debug_assert_eq!(
+            state.total_terms(),
+            terms,
+            "score/materialize term mismatch"
+        );
+        debug_assert_eq!(state.fingerprint(), fp, "score/materialize fp mismatch");
         self.trace(TraceEvent::Push {
             gate,
             depth: child_depth,
@@ -956,44 +716,33 @@ impl<'a> Search<'a> {
             priority,
             seq: self.seq,
             depth: child_depth,
-            state: Arc::new(state),
+            state: Rc::new(state),
             path: Some(Rc::new(PathNode {
                 parent: entry.path.as_ref().map(Rc::clone),
                 gate,
             })),
         });
-        if self.frontier_len() as u64 > self.stats.queue_peak {
-            self.stats.queue_peak = self.frontier_len() as u64;
+        if self.queue.len() as u64 > self.stats.queue_peak {
+            self.stats.queue_peak = self.queue.len() as u64;
         }
         if self.obs.is_active() {
-            let queue_depth = self.frontier_len();
+            let queue_depth = self.queue.len();
             self.obs
                 .on_push(gate, child_depth, eliminated, priority, terms, queue_depth);
         }
         if let Some(cap) = self.options.max_queue {
-            if self.frontier_len() > cap {
+            if self.queue.len() > cap {
                 // Beam trim: keep the better half, drop the rest.
-                let mut entries = self.drain_frontier();
+                let mut entries = std::mem::take(&mut self.queue).into_vec();
                 entries.sort_by(|a, b| b.cmp(a));
                 let keep = cap / 2;
                 let dropped = entries.len().saturating_sub(keep);
-                self.discard_speculation(&entries[keep.min(entries.len())..]);
                 entries.truncate(keep);
                 self.stats.beam_trims += 1;
                 self.stats.beam_dropped += dropped as u64;
                 self.queue = BinaryHeap::from(entries);
                 self.recount_memory();
             }
-        }
-    }
-
-    /// Records a fingerprint in the authoritative visited table and
-    /// mirrors it into the shared hint table the workers consult before
-    /// pre-materializing (parallel mode only).
-    fn note_visited(&mut self, fp: u64, depth: u32, terms32: u32) {
-        self.visited.insert(fp, (depth, terms32));
-        if let Some(par) = self.par.as_ref() {
-            par.engine.seen_insert(fp);
         }
     }
 
@@ -1048,19 +797,6 @@ impl<'a> Search<'a> {
         self.stats.elapsed = self.start.elapsed();
         self.end_segment();
         self.stats.profile = self.profiler.finish(self.stats.elapsed);
-        if let Some(par) = self.par.take() {
-            // Shut the workers down (ParEngine::drop joins them) and
-            // fold their totals into the scheduling-dependent counters.
-            let totals = par.engine.totals();
-            self.stats.steals = totals.steals;
-            self.stats.shard_contention_retries = totals.contention_retries;
-            self.stats.shared_seen_hits = totals.seen_hits;
-            self.stats.spec_scored_wasted = totals.scored.saturating_sub(par.scores_consumed);
-            self.stats.spec_materialized_wasted = totals
-                .materialized
-                .saturating_sub(par.materialized_consumed);
-            drop(par.engine);
-        }
         if self.obs.is_active() {
             let reason = self
                 .stats
@@ -1072,7 +808,6 @@ impl<'a> Search<'a> {
                 self.stats.candidates_scored,
                 self.stats.candidates_materialized,
             );
-            self.obs.on_parallel_totals(&self.stats);
             self.obs
                 .on_run_end(&reason, self.stats.nodes_expanded, gates);
         }
@@ -1208,9 +943,7 @@ pub fn synthesize_with_observer(
     let n = spec.num_vars();
     let init_terms = spec.total_terms();
     let identity_fp = MultiPprm::identity(n).fingerprint();
-    let threads = options.resolved_threads();
     let mut search = Search::new(options, init_terms, identity_fp, obs);
-    search.stats.threads_used = threads as u64;
     if search.obs.is_active() {
         search.obs.on_run_start(n, init_terms);
     }
@@ -1268,13 +1001,13 @@ pub fn synthesize_with_observer(
         priority: f64::INFINITY,
         seq: 0,
         depth: 0,
-        state: Arc::new(spec.clone()),
+        state: Rc::new(spec.clone()),
         path: None,
     };
     search
         .visited
         .insert(spec.fingerprint(), (0, init_terms as u32));
-    if search.expand(&root, None) {
+    if search.expand(&root) {
         return search.finish(n);
     }
     let mut root_children: Vec<QueueEntry> = search.queue.drain().collect();
@@ -1286,11 +1019,7 @@ pub fn synthesize_with_observer(
     let mut restarts_left = root_children.len().saturating_sub(1);
     let mut next_restart_child = 0usize;
     let reseed = |search: &mut Search, children: &[QueueEntry]| {
-        // Drop in-flight speculation for the abandoned frontier; the
-        // reseeded entries get re-submitted on the next pop.
-        let stale = search.drain_frontier();
-        search.discard_speculation(&stale);
-        drop(stale);
+        search.queue.clear();
         search.visited.clear();
         search
             .visited
@@ -1312,30 +1041,6 @@ pub fn synthesize_with_observer(
     };
     reseed(&mut search, &root_children);
 
-    // Spin up the speculative worker pool. The commit thread (this one)
-    // keeps running the exact serial algorithm; `threads` workers
-    // pre-score the frontier for it. Workers see the visited roots via
-    // the shared hint table.
-    if threads > 1 {
-        let engine = ParEngine::new(
-            threads,
-            options,
-            init_terms,
-            identity_fp,
-            search.depth_cutoff(),
-        );
-        for &fp in search.visited.keys() {
-            engine.seen_insert(fp);
-        }
-        search.par = Some(ParCtl {
-            engine,
-            pending: Vec::new(),
-            lookahead: (threads * 4).max(8),
-            scores_consumed: 0,
-            materialized_consumed: 0,
-        });
-    }
-
     loop {
         // Memory budget (polled before the clock checks: it needs no
         // syscall). First breach degrades — shed the worst half of the
@@ -1351,7 +1056,7 @@ pub fn synthesize_with_observer(
                 break;
             }
         }
-        let Some((entry, replay)) = search.pop_next() else {
+        let Some(entry) = search.queue.pop() else {
             search.stats.stop_reason = Some(StopReason::QueueExhausted);
             break;
         };
@@ -1377,7 +1082,7 @@ pub fn synthesize_with_observer(
             if search.obs.is_active() {
                 let progress = Progress {
                     nodes_expanded: search.stats.nodes_expanded,
-                    queue_depth: search.frontier_len(),
+                    queue_depth: search.queue.len(),
                     best_gates: search.best.as_ref().map(|&(d, _, _)| d),
                     restarts: search.stats.restarts,
                     live_terms: search.live_terms,
@@ -1399,7 +1104,7 @@ pub fn synthesize_with_observer(
             }
         }
 
-        if search.expand(&entry, replay) {
+        if search.expand(&entry) {
             break; // first solution, stop_at_first
         }
 

@@ -133,36 +133,14 @@ pub struct SearchStats {
     /// [`SynthesisOptions::profile`](crate::SynthesisOptions::profile)
     /// is set; empty otherwise. Its phases sum to `elapsed`.
     pub profile: PhaseProfile,
-    /// Effective thread count of the run (`1` = serial path). All the
-    /// counters above are *replay-derived* and byte-identical for any
-    /// thread count; the `spec_*`/`steals`/`shard_*`/`dup_races_lost`/
-    /// `shared_seen_hits` counters below describe speculative work and
-    /// depend on scheduling (they are all zero on serial runs).
+    /// `1` for every search run: the search is serial. Kept only so
+    /// the `perfbench` benchmark package builds; goes with the next
+    /// benchmark change.
     pub threads_used: u64,
-    /// Expansions whose scores were replayed from a speculative worker
-    /// result instead of being recomputed on the commit thread.
-    pub spec_hits: u64,
-    /// Parallel-mode expansions the commit thread had to compute live —
-    /// the popped node out-prioritized every in-flight speculation.
-    pub spec_misses: u64,
-    /// Work items a worker took from another worker's deque.
-    pub steals: u64,
-    /// CAS retries lost in the sharded shared seen-fingerprint table
-    /// (another thread claimed the slot first).
-    pub shard_contention_retries: u64,
-    /// Speculatively materialized children that commit-side dedup then
-    /// rejected: the worker lost the race against the authoritative
-    /// visited table.
-    pub dup_races_lost: u64,
-    /// Worker materializations skipped because the shared seen table
-    /// already hinted the child fingerprint as visited.
-    pub shared_seen_hits: u64,
-    /// Candidates scored by workers whose results were never consumed
-    /// (the node was trimmed, shed, or superseded before its turn).
+    /// Always `0`: there is no speculative scoring. Kept only so the
+    /// `perfbench` benchmark package builds; goes with the next
+    /// benchmark change.
     pub spec_scored_wasted: u64,
-    /// Speculative child states built by workers and then discarded
-    /// unused.
-    pub spec_materialized_wasted: u64,
 }
 
 impl SearchStats {

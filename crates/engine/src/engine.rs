@@ -165,12 +165,7 @@ pub struct BatchOptions {
 impl Default for BatchOptions {
     /// One worker, 1024-entry cache, canonicalization up to 8 wires,
     /// verification on, and a 200k-node search budget so a batch
-    /// without a deadline still terminates. Per-job search threads are
-    /// pinned to 1: batch parallelism comes from `workers`, and letting
-    /// every worker also auto-spawn `available_parallelism` search
-    /// threads would oversubscribe the machine quadratically. Callers
-    /// wanting intra-job parallelism set `synthesis.threads` (the CLI's
-    /// `--threads`) explicitly.
+    /// without a deadline still terminates.
     fn default() -> BatchOptions {
         BatchOptions {
             workers: 1,
@@ -184,9 +179,7 @@ impl Default for BatchOptions {
             shared_cache: None,
             store: None,
             store_provenance: "batch".to_string(),
-            synthesis: SynthesisOptions::new()
-                .with_max_nodes(200_000)
-                .with_threads(1),
+            synthesis: SynthesisOptions::new().with_max_nodes(200_000),
         }
     }
 }
@@ -490,11 +483,6 @@ pub(crate) struct RunCounters {
     anomaly_dumps: Arc<SyncCounter>,
     trace_records_dropped: Arc<SyncCounter>,
     trace_write_errors: Arc<SyncCounter>,
-    /// Spec-expansion memo hits across all searches (live-only series;
-    /// not part of [`BatchCounters`]).
-    spec_hits: Arc<SyncCounter>,
-    /// Spec-expansion memo misses across all searches (live-only).
-    spec_misses: Arc<SyncCounter>,
 }
 
 impl RunCounters {
@@ -527,8 +515,6 @@ impl RunCounters {
             anomaly_dumps: r.counter("anomaly_dumps"),
             trace_records_dropped: r.counter("trace_records_dropped"),
             trace_write_errors: r.counter("trace_write_errors"),
-            spec_hits: r.counter("spec_hits"),
-            spec_misses: r.counter("spec_misses"),
         }
     }
 }
@@ -1040,13 +1026,11 @@ fn relaxed_options(base: &SynthesisOptions) -> SynthesisOptions {
 /// One ladder tier: runs the search with the job's flight recorder
 /// attached (when tracing) and folds the tier's phase timings into the
 /// job profile whether or not it solved.
-#[allow(clippy::too_many_arguments)]
 fn run_search(
     spec: &MultiPprm,
     sopts: &SynthesisOptions,
     recorder: Option<&FlightRecorder>,
     profile: &mut PhaseProfile,
-    counters: &RunCounters,
     telemetry: JobTelemetry,
     sink: Option<&SinkFactory>,
 ) -> Result<Synthesis, Option<StopReason>> {
@@ -1081,25 +1065,16 @@ fn run_search(
             last_beat = now;
         }));
     }
-    let tally = |stats: &rmrls_core::SearchStats| {
-        counters.spec_hits.add(stats.spec_hits);
-        counters.spec_misses.add(stats.spec_misses);
-        if let Some((t, _)) = telemetry {
-            t.note_memory_sheds(stats.memory_sheds);
-        }
+    let result = synthesize_with_observer(spec, sopts, &mut observer);
+    let stats = match &result {
+        Ok(s) => &s.stats,
+        Err(e) => &e.stats,
     };
-    match synthesize_with_observer(spec, sopts, &mut observer) {
-        Ok(s) => {
-            tally(&s.stats);
-            profile.merge(&s.stats.profile);
-            Ok(s)
-        }
-        Err(e) => {
-            tally(&e.stats);
-            profile.merge(&e.stats.profile);
-            Err(e.stats.stop_reason)
-        }
+    if let Some((t, _)) = telemetry {
+        t.note_memory_sheds(stats.memory_sheds);
     }
+    profile.merge(&stats.profile);
+    result.map_err(|e| e.stats.stop_reason)
 }
 
 /// Records a fallback-ladder descent: a tier-escalation trace record
@@ -1136,12 +1111,11 @@ fn synthesize_ladder(
     fallback: bool,
     recorder: Option<&FlightRecorder>,
     profile: &mut PhaseProfile,
-    counters: &RunCounters,
     telemetry: JobTelemetry,
     sink: Option<&SinkFactory>,
     perm_for_mmd: impl FnOnce() -> Option<Permutation>,
 ) -> Result<(Circuit, SolveTier), Option<StopReason>> {
-    let tier1 = match run_search(spec, sopts, recorder, profile, counters, telemetry, sink) {
+    let tier1 = match run_search(spec, sopts, recorder, profile, telemetry, sink) {
         Ok(s) => return Ok((s.circuit, SolveTier::Rmrls)),
         Err(reason) => reason,
     };
@@ -1154,7 +1128,6 @@ fn synthesize_ladder(
         &relaxed_options(sopts),
         recorder,
         profile,
-        counters,
         telemetry,
         sink,
     ) {
@@ -1333,7 +1306,6 @@ fn execute_job(
                     opts.fallback,
                     recorder,
                     &mut profile,
-                    counters,
                     telemetry,
                     sink,
                     || {
@@ -1422,7 +1394,6 @@ fn execute_job(
                 opts.fallback,
                 recorder,
                 &mut profile,
-                counters,
                 telemetry,
                 sink,
                 || {

@@ -82,20 +82,25 @@ pub fn manifest_hash(admissions: &[Admission]) -> u64 {
 
 /// Hash of the result-affecting batch configuration: deadline,
 /// canonicalization bound, verification, fallback, and the full
-/// synthesis option set. Worker count, cache size, the durable store,
-/// and the per-job search thread count are deliberately excluded —
-/// results are independent of them by construction, so a journal
-/// written with 8 workers (or `--threads 4`, or `--store`) resumes
-/// fine with 2 (or serially, or store-less).
+/// synthesis option set. Worker count, cache size and the durable
+/// store are deliberately excluded — results are independent of them
+/// by construction, so a journal written with 8 workers (or `--store`)
+/// resumes fine with 2 (or store-less).
 pub fn options_fingerprint(opts: &BatchOptions) -> u64 {
     let mut h = FNV_OFFSET;
     let deadline_ms = opts.deadline.map(|d| d.as_millis() as u64);
     fnv1a(&mut h, format!("{deadline_ms:?}").as_bytes());
     fnv1a(&mut h, &(opts.canon_limit as u64).to_le_bytes());
     fnv1a(&mut h, &[opts.verify as u8, opts.fallback as u8]);
-    let mut synthesis = opts.synthesis.clone();
-    synthesis.threads = 0;
-    fnv1a(&mut h, options_to_json(&synthesis).to_string().as_bytes());
+    let mut synthesis = options_to_json(&opts.synthesis);
+    // Journals written while the search had a thread-count option hashed
+    // it as a trailing `"threads":0` entry. Appending that entry keeps
+    // the hashed bytes, and so every existing journal's header, valid
+    // for `batch --resume`.
+    if let Json::Obj(fields) = &mut synthesis {
+        fields.push(("threads".to_string(), Json::uint(0)));
+    }
+    fnv1a(&mut h, synthesis.to_string().as_bytes());
     h
 }
 
@@ -415,15 +420,6 @@ mod tests {
             options_fingerprint(&more_workers),
             "workers/cache do not affect results"
         );
-        let more_threads = BatchOptions {
-            synthesis: base.synthesis.clone().with_threads(8),
-            ..BatchOptions::default()
-        };
-        assert_eq!(
-            options_fingerprint(&base),
-            options_fingerprint(&more_threads),
-            "search threads do not affect results"
-        );
         let fallback = BatchOptions {
             fallback: true,
             ..BatchOptions::default()
@@ -434,6 +430,24 @@ mod tests {
             ..BatchOptions::default()
         };
         assert_ne!(options_fingerprint(&base), options_fingerprint(&deadline));
+    }
+
+    #[test]
+    fn options_fingerprint_is_stable_across_releases() {
+        // Values computed by the release that still had a search
+        // thread-count option: a journal header written by it must keep
+        // matching, or `batch --resume` refuses every older journal.
+        let base = BatchOptions::default();
+        assert_eq!(options_fingerprint(&base), 0x50205bfabf73c771);
+        let tuned = BatchOptions {
+            deadline: Some(std::time::Duration::from_millis(250)),
+            fallback: true,
+            synthesis: BatchOptions::default()
+                .synthesis
+                .with_pruning(rmrls_core::Pruning::TopK(4)),
+            ..BatchOptions::default()
+        };
+        assert_eq!(options_fingerprint(&tuned), 0xc4afcde0a1ea4e30);
     }
 
     #[test]

@@ -320,38 +320,6 @@ fn fallback_ladder_leaves_nothing_unsolved() {
 }
 
 #[test]
-fn solved_by_tiers_identical_across_thread_counts() {
-    // The fallback ladder's tier attribution rides on the search
-    // outcome, which the parallel search keeps byte-identical — so the
-    // whole JSONL stream (circuits, tiers, stop reasons) must match for
-    // any per-job thread count, on both a tier-diverse starved workload
-    // and the plain examples suite.
-    let starved = starved_workload(5, 83);
-    let examples = rmrls_engine::suite_admissions("examples").unwrap();
-    for (name, jobs, base) in [
-        ("starved", &starved, starved_options(1, None, true)),
-        ("examples", &examples, BatchOptions::default()),
-    ] {
-        let mut reference: Option<(String, [u64; 3])> = None;
-        for threads in [1usize, 2, 4, 8] {
-            let mut o = base.clone();
-            o.synthesis = o.synthesis.clone().with_threads(threads);
-            let run = run_batch(jobs, &o, &ShutdownHandles::new());
-            let tiers = [
-                run.counters.solved_by_rmrls,
-                run.counters.solved_by_relaxed,
-                run.counters.solved_by_mmd,
-            ];
-            let key = (run.results_jsonl(), tiers);
-            match &reference {
-                None => reference = Some(key),
-                Some(r) => assert_eq!(&key, r, "{name}: results/tiers differ at threads={threads}"),
-            }
-        }
-    }
-}
-
-#[test]
 fn fallback_results_are_deterministic_across_workers_and_cache() {
     let jobs = starved_workload(5, 71);
     let reference = run_batch(

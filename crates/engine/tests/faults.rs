@@ -284,84 +284,6 @@ fn journal_append_fault_lands_in_the_anomaly_dump() {
 }
 
 #[test]
-fn worker_task_fault_on_search_worker_degrades_to_live_expansion() {
-    let _g = serial();
-    // The failpoint sits inside the speculative search workers (a
-    // non-main thread of each job's parallel search). An injected error
-    // there only loses one precomputed result: the commit thread
-    // expands that node live and the batch output stays byte-identical
-    // to an unfaulted run at the same thread count.
-    let jobs = suite_admissions("examples").unwrap();
-    let mut opts = options();
-    opts.synthesis = opts.synthesis.clone().with_threads(2);
-    let reference = run_batch(&jobs, &opts, &ShutdownHandles::new());
-    fail::configure("core/search/worker-task=err@3").unwrap();
-    let run = run_batch(&jobs, &opts, &ShutdownHandles::new());
-    fail::clear();
-    assert_eq!(run.results_jsonl(), reference.results_jsonl());
-    assert_eq!(run.counters.panics_contained, 0);
-    assert_eq!(run.counters.jobs_completed, 8, "no job may be lost");
-}
-
-#[test]
-fn worker_task_panic_on_search_worker_is_contained_to_the_job() {
-    let _g = serial();
-    // A panic on a search worker is re-raised on the job's commit
-    // thread ("search worker panicked: ...") and contained by the batch
-    // engine like any other job panic; the pool shuts down cleanly and
-    // the remaining jobs are untouched.
-    fail::configure("core/search/worker-task=panic@2").unwrap();
-    let jobs = suite_admissions("examples").unwrap();
-    let mut opts = options();
-    opts.synthesis = opts.synthesis.clone().with_threads(2);
-    let run = run_batch(&jobs, &opts, &ShutdownHandles::new());
-    fail::clear();
-    assert_eq!(run.counters.panics_contained, 1);
-    assert_eq!(run.counters.jobs_completed, 7);
-    let panicked: Vec<_> = run
-        .records
-        .iter()
-        .filter_map(|r| match &r.outcome {
-            JobOutcome::Panicked { message } => Some(message.clone()),
-            _ => None,
-        })
-        .collect();
-    assert_eq!(panicked.len(), 1);
-    assert!(
-        panicked[0].contains("search worker panicked"),
-        "{}",
-        panicked[0]
-    );
-}
-
-#[test]
-fn budget_poll_fault_is_deterministic_across_thread_counts() {
-    let _g = serial();
-    // Deadline/cancellation polling stays on the commit thread, so an
-    // injected budget-poll failure cancels the same search at the same
-    // point regardless of how many speculation workers are attached.
-    let jobs = suite_admissions("examples").unwrap();
-    let mut reference: Option<String> = None;
-    for threads in [1usize, 2, 4] {
-        let mut opts = options();
-        opts.synthesis = opts.synthesis.clone().with_threads(threads);
-        fail::configure("core/search/budget-poll=err@1").unwrap();
-        let run = run_batch(&jobs, &opts, &ShutdownHandles::new());
-        fail::clear();
-        assert_eq!(run.counters.panics_contained, 0, "threads={threads}");
-        assert_eq!(run.counters.jobs_unsolved, run.counters.cancelled);
-        let jsonl = run.results_jsonl();
-        match &reference {
-            None => reference = Some(jsonl),
-            Some(r) => assert_eq!(
-                &jsonl, r,
-                "injected cancellation must not depend on threads={threads}"
-            ),
-        }
-    }
-}
-
-#[test]
 fn injected_store_append_failure_is_tallied_rolled_back_and_dumped() {
     let _g = serial();
     let path = scratch("store-append-err.store");
