@@ -1,6 +1,7 @@
 //! Criterion micro-benchmarks of the individual components: the ANF
 //! transform, PPRM substitution, a full RMRLS synthesis, the MMD
-//! baseline, and the optimal-table BFS.
+//! baseline, the optimal-table BFS, and the batch cache's
+//! canonicalization under wire relabeling.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
@@ -162,6 +163,38 @@ fn bench_peephole(c: &mut Criterion) {
     group.finish();
 }
 
+/// Canonicalization of randomly relabeled random 4-gate GT circuit
+/// specs, the batch workload's input class, at the widths where its
+/// `n!` relabelings dominate.
+fn bench_canonical_form(c: &mut Criterion) {
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
+    use rand::SeedableRng;
+    use rmrls_engine::canon::{canonical_form, conjugate_table};
+    use rmrls_spec::{random_circuit_spec, GateLibrary};
+    let mut group = c.benchmark_group("canonical_form");
+    group.sample_size(10);
+    let mut rng = StdRng::seed_from_u64(7);
+    for n in [4usize, 6, 7, 8] {
+        let specs: Vec<Permutation> = (0..4)
+            .map(|_| {
+                let (p, _) = random_circuit_spec(n, 4, GateLibrary::Gt, &mut rng);
+                let mut sigma: Vec<u8> = (0..n as u8).collect();
+                sigma.shuffle(&mut rng);
+                Permutation::from_vec(conjugate_table(p.as_slice(), &sigma)).expect("bijective")
+            })
+            .collect();
+        group.bench_function(format!("gt4_relabeled_n{n}"), |b| {
+            b.iter(|| {
+                for p in &specs {
+                    black_box(canonical_form(p, 8));
+                }
+            })
+        });
+    }
+    group.finish();
+}
+
 fn bench_optimal_bfs(c: &mut Criterion) {
     let mut group = c.benchmark_group("optimal_bfs");
     group.sample_size(10);
@@ -182,6 +215,7 @@ criterion_group!(
     bench_fredkin_substitution,
     bench_decompose,
     bench_peephole,
+    bench_canonical_form,
     bench_optimal_bfs
 );
 criterion_main!(benches);

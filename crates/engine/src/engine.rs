@@ -114,7 +114,8 @@ pub struct BatchOptions {
     pub deadline: Option<Duration>,
     /// Result-cache capacity; `None` disables the cache.
     pub cache_size: Option<usize>,
-    /// Widest permutation canonicalized by brute force (cost `n!·2^n`).
+    /// Widest permutation canonicalized by brute force over all `n!`
+    /// wire relabelings (see [`canon`](crate::canon) for the cost).
     pub canon_limit: usize,
     /// Verify every produced circuit against its specification.
     pub verify: bool,
