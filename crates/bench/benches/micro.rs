@@ -10,7 +10,8 @@ use rmrls_baselines::{
     mmd_synthesize, MmdVariant, OptimalLibrary, OptimalTable, PeepholeOptimizer,
 };
 use rmrls_circuit::decompose_to_nct;
-use rmrls_core::{synthesize, synthesize_with_observer, Observer, SynthesisOptions};
+use rmrls_core::{synthesize, synthesize_with_observer, Observer, Pruning, SynthesisOptions};
+use rmrls_obs::{Event, EventSink};
 use rmrls_pprm::{anf_transform, walsh_spectrum, BitTable, MultiPprm, Term};
 use rmrls_spec::Permutation;
 
@@ -105,7 +106,70 @@ fn bench_observer_overhead(c: &mut Criterion) {
             )
         })
     });
+    // The serve daemon's per-request stream: a 4-variable search that
+    // emits ~21k events into a log that keeps 512. Compare the capped
+    // row against the null row; the gap is what streaming costs.
+    let four = Permutation::from_vec(vec![4, 2, 13, 14, 6, 15, 3, 1, 12, 7, 10, 0, 8, 5, 11, 9])
+        .expect("bijective")
+        .to_multi_pprm();
+    let opts4 = SynthesisOptions::new()
+        .with_pruning(Pruning::TopK(4))
+        .with_max_nodes(2_000);
+    group.bench_function("topk4_4var_null_observer", |b| {
+        b.iter(|| {
+            let mut obs = Observer::null();
+            black_box(
+                synthesize_with_observer(&four, &opts4, &mut obs)
+                    .expect("solvable")
+                    .circuit
+                    .gate_count(),
+            )
+        })
+    });
+    group.bench_function("topk4_4var_capped_sink", |b| {
+        b.iter(|| {
+            let mut obs = Observer::with_sink(Box::new(CappedLines::default()));
+            black_box(
+                synthesize_with_observer(&four, &opts4, &mut obs)
+                    .expect("solvable")
+                    .circuit
+                    .gate_count(),
+            )
+        })
+    });
     group.finish();
+}
+
+/// The serve daemon's event-log policy: keep the first 512 serialized
+/// lines, count the rest without building them.
+#[derive(Default)]
+struct CappedLines {
+    lines: Vec<String>,
+    dropped: u64,
+}
+
+const SERVE_EVENT_LOG_CAP: usize = 512;
+
+impl EventSink for CappedLines {
+    fn emit(&mut self, event: Event) {
+        if self.lines.len() < SERVE_EVENT_LOG_CAP {
+            self.lines.push(event.to_json().to_string());
+        } else {
+            self.dropped += 1;
+        }
+    }
+
+    fn emit_with(&mut self, make: &mut dyn FnMut() -> Event) {
+        if self.lines.len() < SERVE_EVENT_LOG_CAP {
+            self.emit(make());
+        } else {
+            self.dropped += 1;
+        }
+    }
+
+    fn dropped_events(&self) -> u64 {
+        self.dropped
+    }
 }
 
 fn bench_mmd(c: &mut Criterion) {

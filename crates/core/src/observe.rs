@@ -6,6 +6,9 @@
 //! makes an `is_active` check first, so the default
 //! [`Observer::null()`] costs one predictable branch per call site and
 //! nothing else (verified by the `micro` bench in `rmrls-bench`).
+//! Events reach the sink as builders
+//! ([`EventSink::emit_with`](rmrls_obs::EventSink::emit_with)), so a
+//! bounded sink that is already full never pays for building one.
 //! Cheap always-on counters (pops, pushes, prunes, dedup hits, queue
 //! peak) live directly in [`SearchStats`](crate::SearchStats); the
 //! observer adds what those cannot express — histograms, gauges, and a
@@ -208,13 +211,15 @@ impl Observer {
             r.phase_enter("search");
         }
         if self.sink_enabled {
-            self.sink.emit(Event::new(
-                "run_start",
-                vec![
-                    ("vars", Value::from(num_vars)),
-                    ("terms", Value::from(init_terms)),
-                ],
-            ));
+            self.sink.emit_with(&mut || {
+                Event::new(
+                    "run_start",
+                    vec![
+                        ("vars", Value::from(num_vars)),
+                        ("terms", Value::from(init_terms)),
+                    ],
+                )
+            });
         }
     }
 
@@ -229,10 +234,12 @@ impl Observer {
             self.expand_count += 1;
         }
         if self.sink_enabled {
-            self.sink.emit(Event::new(
-                "expand",
-                vec![("depth", Value::from(depth)), ("terms", Value::from(terms))],
-            ));
+            self.sink.emit_with(&mut || {
+                Event::new(
+                    "expand",
+                    vec![("depth", Value::from(depth)), ("terms", Value::from(terms))],
+                )
+            });
         }
         if let Some(m) = &self.metrics {
             m.terms_hist.record(terms as f64);
@@ -254,41 +261,47 @@ impl Observer {
             m.queue_depth.set(queue_depth as i64);
         }
         if self.sink_enabled {
-            self.sink.emit(Event::new(
-                "push",
-                vec![
-                    ("gate", Value::from(gate.to_string())),
-                    ("depth", Value::from(depth)),
-                    ("eliminated", Value::Int(eliminated)),
-                    ("priority", Value::from(priority)),
-                    ("terms", Value::from(terms)),
-                ],
-            ));
+            self.sink.emit_with(&mut || {
+                Event::new(
+                    "push",
+                    vec![
+                        ("gate", Value::from(gate.to_string())),
+                        ("depth", Value::from(depth)),
+                        ("eliminated", Value::Int(eliminated)),
+                        ("priority", Value::from(priority)),
+                        ("terms", Value::from(terms)),
+                    ],
+                )
+            });
         }
     }
 
     pub(crate) fn on_solution(&mut self, depth: u32, improved: bool) {
         if self.sink_enabled {
-            self.sink.emit(Event::new(
-                "solution",
-                vec![
-                    ("depth", Value::from(depth)),
-                    ("improved", Value::from(improved)),
-                ],
-            ));
+            self.sink.emit_with(&mut || {
+                Event::new(
+                    "solution",
+                    vec![
+                        ("depth", Value::from(depth)),
+                        ("improved", Value::from(improved)),
+                    ],
+                )
+            });
         }
     }
 
     pub(crate) fn on_restart(&mut self, ordinal: u64, segment_nodes: u64, segment: Duration) {
         if self.sink_enabled {
-            self.sink.emit(Event::new(
-                "restart",
-                vec![
-                    ("ordinal", Value::from(ordinal)),
-                    ("segment_nodes", Value::from(segment_nodes)),
-                    ("segment_seconds", Value::from(segment.as_secs_f64())),
-                ],
-            ));
+            self.sink.emit_with(&mut || {
+                Event::new(
+                    "restart",
+                    vec![
+                        ("ordinal", Value::from(ordinal)),
+                        ("segment_nodes", Value::from(segment_nodes)),
+                        ("segment_seconds", Value::from(segment.as_secs_f64())),
+                    ],
+                )
+            });
         }
     }
 
@@ -300,22 +313,24 @@ impl Observer {
             m.queue_depth.set(progress.queue_depth as i64);
         }
         if self.sink_enabled {
-            self.sink.emit(Event::new(
-                "progress",
-                vec![
-                    ("nodes", Value::from(progress.nodes_expanded)),
-                    ("queue", Value::from(progress.queue_depth)),
-                    (
-                        "best_gates",
-                        match progress.best_gates {
-                            Some(g) => Value::from(g),
-                            None => Value::Int(-1),
-                        },
-                    ),
-                    ("restarts", Value::from(progress.restarts)),
-                    ("seconds", Value::from(progress.elapsed.as_secs_f64())),
-                ],
-            ));
+            self.sink.emit_with(&mut || {
+                Event::new(
+                    "progress",
+                    vec![
+                        ("nodes", Value::from(progress.nodes_expanded)),
+                        ("queue", Value::from(progress.queue_depth)),
+                        (
+                            "best_gates",
+                            match progress.best_gates {
+                                Some(g) => Value::from(g),
+                                None => Value::Int(-1),
+                            },
+                        ),
+                        ("restarts", Value::from(progress.restarts)),
+                        ("seconds", Value::from(progress.elapsed.as_secs_f64())),
+                    ],
+                )
+            });
         }
         if let Some(f) = &mut self.progress_fn {
             f(progress);
@@ -338,20 +353,22 @@ impl Observer {
             r.phase_exit("search");
         }
         if self.sink_enabled {
-            self.sink.emit(Event::new(
-                "run_end",
-                vec![
-                    ("stop_reason", Value::from(stop_reason)),
-                    ("nodes", Value::from(nodes)),
-                    (
-                        "gates",
-                        match gates {
-                            Some(g) => Value::from(g),
-                            None => Value::Int(-1),
-                        },
-                    ),
-                ],
-            ));
+            self.sink.emit_with(&mut || {
+                Event::new(
+                    "run_end",
+                    vec![
+                        ("stop_reason", Value::from(stop_reason)),
+                        ("nodes", Value::from(nodes)),
+                        (
+                            "gates",
+                            match gates {
+                                Some(g) => Value::from(g),
+                                None => Value::Int(-1),
+                            },
+                        ),
+                    ],
+                )
+            });
         }
     }
 }

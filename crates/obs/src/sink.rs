@@ -6,6 +6,15 @@
 //! [`EventSink::dropped_events`]. Hot loops should guard emission with
 //! [`EventSink::enabled`] so the null sink costs one predictable branch
 //! per site.
+//!
+//! Instrumented code hands events over through
+//! [`EventSink::emit_with`], which takes a builder rather than a built
+//! event. The default calls the builder and forwards to
+//! [`EventSink::emit`], so ordinary sinks see no difference. A bounded
+//! sink that already knows it will discard the event (a full live-tail
+//! buffer, for instance) overrides `emit_with` to count the drop
+//! without ever calling the builder: the event's fields, strings and
+//! serialization are never paid for.
 
 use crate::json::Json;
 use std::collections::VecDeque;
@@ -117,6 +126,17 @@ pub trait EventSink {
     /// Accepts one event. Implementations that cannot keep it must
     /// bump their dropped count rather than fail.
     fn emit(&mut self, event: Event);
+
+    /// Accepts one event given as a builder, called at most once.
+    ///
+    /// The default builds the event and hands it to
+    /// [`emit`](EventSink::emit). A sink that can tell in advance that it will
+    /// drop the event overrides this to count the drop in
+    /// [`dropped_events`](EventSink::dropped_events) without calling
+    /// `make`, so the discarded event is never built.
+    fn emit_with(&mut self, make: &mut dyn FnMut() -> Event) {
+        self.emit(make());
+    }
 
     /// Events this sink had to discard (buffer overflow, write errors).
     fn dropped_events(&self) -> u64 {
@@ -248,6 +268,16 @@ mod tests {
         Event::new(kind, vec![("n", Value::from(n))])
     }
 
+    struct FailingWriter;
+    impl Write for FailingWriter {
+        fn write(&mut self, _buf: &[u8]) -> std::io::Result<usize> {
+            Err(std::io::Error::other("disk full"))
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
     #[test]
     fn null_sink_is_disabled_and_lossless_by_definition() {
         let mut sink = NullSink;
@@ -307,18 +337,52 @@ mod tests {
 
     #[test]
     fn json_lines_sink_counts_write_errors_as_drops() {
-        struct FailingWriter;
-        impl Write for FailingWriter {
-            fn write(&mut self, _buf: &[u8]) -> std::io::Result<usize> {
-                Err(std::io::Error::other("disk full"))
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
         let mut sink = JsonLinesSink::new(FailingWriter);
         sink.emit(ev("tick", 1));
         assert_eq!(sink.dropped_events(), 1);
         assert_eq!(sink.written(), 0);
+    }
+
+    #[test]
+    fn default_emit_with_matches_emit_for_memory_sinks() {
+        let mut by_emit = MemorySink::new(3);
+        let mut by_builder = MemorySink::new(3);
+        let mut calls = 0;
+        for i in 0..10 {
+            by_emit.emit(ev("tick", i));
+            by_builder.emit_with(&mut || {
+                calls += 1;
+                ev("tick", i)
+            });
+        }
+        assert_eq!(calls, 10, "the default calls the builder once per event");
+        assert_eq!(by_builder.dropped_events(), by_emit.dropped_events());
+        assert_eq!(by_builder.dropped_events(), 7);
+        assert!(by_builder.events().eq(by_emit.events()));
+
+        let mut empty = MemorySink::new(0);
+        empty.emit_with(&mut || ev("tick", 1));
+        assert!(empty.is_empty());
+        assert_eq!(empty.dropped_events(), 1);
+    }
+
+    #[test]
+    fn default_emit_with_matches_emit_for_json_lines_sinks() {
+        let events = [ev("tick", 1), ev("restart", 2), ev("tick", 3)];
+        let mut by_emit = JsonLinesSink::new(Vec::new());
+        let mut by_builder = JsonLinesSink::new(Vec::new());
+        for e in &events {
+            by_emit.emit(e.clone());
+            by_builder.emit_with(&mut || e.clone());
+        }
+        assert_eq!(by_builder.written(), 3);
+        assert_eq!(by_builder.dropped_events(), 0);
+        assert_eq!(by_builder.into_inner(), by_emit.into_inner());
+
+        let mut failing = JsonLinesSink::new(FailingWriter);
+        failing.emit_with(&mut || ev("tick", 1));
+        failing.emit(ev("tick", 2));
+        assert_eq!(failing.dropped_events(), 2);
+        assert_eq!(failing.written(), 0);
     }
 }

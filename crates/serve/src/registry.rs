@@ -182,13 +182,21 @@ impl RequestEntry {
 
     /// Appends one progress line (drops beyond the cap).
     pub fn push_event(&self, line: String) {
+        self.push_event_with(|| line);
+    }
+
+    /// Appends the line `make` builds, or — once the log holds
+    /// [`EVENT_LOG_CAP`] lines — counts a drop without calling `make`.
+    /// Stream readers are woken only when a line actually lands, so a
+    /// dropped event costs one lock and one counter increment.
+    pub fn push_event_with(&self, make: impl FnOnce() -> String) {
         {
             let mut log = self.lock_events();
             if log.lines.len() >= EVENT_LOG_CAP {
                 log.dropped += 1;
-            } else {
-                log.lines.push(line);
+                return;
             }
+            log.lines.push(make());
         }
         self.events_cv.notify_all();
     }
@@ -360,6 +368,43 @@ mod tests {
         assert_eq!(entry.dropped_events(), 10);
         let (lines, _, _) = entry.events_wait(0, Duration::from_millis(1));
         assert_eq!(lines.len(), EVENT_LOG_CAP);
+    }
+
+    #[test]
+    fn a_full_log_counts_drops_without_building_lines() {
+        let entry = RequestEntry::new(4, request(), CancelToken::new());
+        let mut built = 0;
+        for i in 0..(EVENT_LOG_CAP + 25) {
+            entry.push_event_with(|| {
+                built += 1;
+                format!("{{\"n\":{i}}}")
+            });
+        }
+        assert_eq!(built, EVENT_LOG_CAP, "no line is built past the cap");
+        assert_eq!(entry.dropped_events(), 25);
+        entry.push_event_with(|| unreachable!("the log is full"));
+        assert_eq!(entry.dropped_events(), 26);
+
+        entry.finish(
+            false,
+            Json::Obj(vec![("status".into(), Json::str("solved"))]),
+        );
+        let (lines, next, done) = entry.events_wait(0, Duration::from_millis(1));
+        assert!(done);
+        assert_eq!(next, EVENT_LOG_CAP + 1);
+        assert_eq!(lines[0], "{\"n\":0}");
+        assert_eq!(
+            lines[EVENT_LOG_CAP - 1],
+            format!("{{\"n\":{}}}", EVENT_LOG_CAP - 1)
+        );
+        assert!(lines[EVENT_LOG_CAP].contains("request_done"));
+        assert_eq!(
+            entry
+                .status_json()
+                .get("dropped_events")
+                .and_then(Json::as_u64),
+            Some(26)
+        );
     }
 
     #[test]

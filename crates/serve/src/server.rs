@@ -178,6 +178,9 @@ impl Shared {
 }
 
 /// Streams search progress events into the request's bounded log.
+/// Past [`EVENT_LOG_CAP`](crate::registry::EVENT_LOG_CAP) lines an
+/// event is only counted: it is never built, serialized, or announced
+/// to stream readers.
 struct EntrySink {
     entry: Arc<RequestEntry>,
 }
@@ -185,6 +188,10 @@ struct EntrySink {
 impl EventSink for EntrySink {
     fn emit(&mut self, event: Event) {
         self.entry.push_event(event.to_json().to_string());
+    }
+
+    fn emit_with(&mut self, make: &mut dyn FnMut() -> Event) {
+        self.entry.push_event_with(|| make().to_json().to_string());
     }
 }
 
