@@ -12,7 +12,7 @@ use rmrls_baselines::{
 use rmrls_circuit::decompose_to_nct;
 use rmrls_core::{synthesize, synthesize_with_observer, Observer, Pruning, SynthesisOptions};
 use rmrls_obs::{Event, EventSink};
-use rmrls_pprm::{anf_transform, walsh_spectrum, BitTable, MultiPprm, Term};
+use rmrls_pprm::{anf_transform, BitTable, MultiPprm, Term};
 use rmrls_spec::Permutation;
 
 fn bench_anf(c: &mut Criterion) {
@@ -186,13 +186,6 @@ fn bench_mmd(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_spectrum(c: &mut Criterion) {
-    let table = BitTable::from_fn(1 << 12, |x| x.count_ones() % 3 == 1);
-    c.bench_function("walsh_spectrum_n12", |b| {
-        b.iter(|| black_box(walsh_spectrum(&table, 12).len()))
-    });
-}
-
 fn bench_fredkin_substitution(c: &mut Criterion) {
     let spec = Permutation::from_rank(4, 9_876_543_210).to_multi_pprm();
     c.bench_function("multipprm_substitute_fredkin", |b| {
@@ -275,7 +268,6 @@ criterion_group!(
     bench_synthesis,
     bench_observer_overhead,
     bench_mmd,
-    bench_spectrum,
     bench_fredkin_substitution,
     bench_decompose,
     bench_peephole,

@@ -2449,7 +2449,7 @@ mod tests {
 
         let text = std::fs::read_to_string(&path).unwrap();
         let json = rmrls_obs::Json::parse(&text).expect("report is valid JSON");
-        assert_eq!(json.get("schema_version").unwrap().as_u64(), Some(2));
+        assert_eq!(json.get("schema_version").unwrap().as_u64(), Some(3));
         assert_eq!(json.get("solved").unwrap().as_bool(), Some(true));
         // The report's gate count agrees with the human-readable output.
         let gates = json

@@ -6,7 +6,7 @@
 //! stronger notions: an absolute **deadline** (an `Instant` fixed when
 //! the job was admitted, so queueing delay counts against the budget)
 //! and a **cancel token** (another thread decides the work is no longer
-//! wanted — a portfolio sibling won, or the operator hit Ctrl-C). Both
+//! wanted — a client went away, or the operator hit Ctrl-C). Both
 //! are carried by a [`Budget`] and polled in the expansion loop at the
 //! same cadence as the existing time-limit check.
 

@@ -11,9 +11,10 @@
 //! - [`SynthesisOptions`] — priority [`Weights`] (Eq. 4), [`Pruning`]
 //!   strategies (exhaustive / top-k / greedy), time & node budgets, gate
 //!   caps, restarts;
-//! - [`Synthesis`] / [`SearchStats`] / [`TraceEvent`] — results,
-//!   counters and an optional search trace reproducing the paper's
-//!   Fig. 5/6 walk.
+//! - [`Synthesis`] / [`SearchStats`] — results and counters;
+//! - [`Observer`] — the structured event stream (`expand`, `push`,
+//!   `solution`, `restart`, ...) that replays the paper's Fig. 5/6
+//!   search walk, plus metrics and a flight recorder.
 //!
 //! # Quickstart
 //!
@@ -39,7 +40,6 @@ mod budget;
 mod embedding_search;
 mod observe;
 mod options;
-mod portfolio;
 mod report;
 mod search;
 mod stats;
@@ -51,16 +51,12 @@ pub use embedding_search::{
 };
 pub use observe::{Observer, Progress, ProgressFn};
 pub use options::{FredkinMode, PriorityMode, Pruning, SynthesisOptions, Weights};
-pub use portfolio::{
-    default_portfolio, synthesize_portfolio, synthesize_portfolio_attributed, ConfigOutcome,
-    PortfolioRun,
-};
 pub use report::{options_to_json, run_report, stats_to_json, RUN_REPORT_SCHEMA_VERSION};
 pub use search::{
     synthesize, synthesize_bidirectional, synthesize_permutation, synthesize_with_observer,
     NoSolutionError, Synthesis,
 };
-pub use stats::{RestartSpan, SearchStats, StopReason, TraceEvent};
+pub use stats::{RestartSpan, SearchStats, StopReason};
 
 // Re-exported so callers holding a `SearchStats` or building an
 // `Observer` don't need a direct `rmrls_obs` dependency for the types

@@ -198,8 +198,8 @@ impl Observer {
         self.metrics.as_ref().map(|m| m.registry.snapshot())
     }
 
-    /// Emits a caller-constructed event (used by the portfolio and
-    /// embedding layers for attribution events).
+    /// Emits a caller-constructed event (used by the embedding layer
+    /// for attribution events).
     pub fn emit(&mut self, event: Event) {
         if self.sink_enabled {
             self.sink.emit(event);

@@ -213,9 +213,6 @@ pub struct SynthesisOptions {
     /// (used by the scalability experiments of §V-E, which only ask
     /// *whether* a solution is found).
     pub stop_at_first: bool,
-    /// Record a search trace (Fig. 5/6 reproduction); capped to avoid
-    /// unbounded memory.
-    pub trace: bool,
     /// Collect a per-phase timing profile (scoring / materialize /
     /// dedup) into [`SearchStats::profile`](crate::SearchStats::profile).
     /// Off by default: the disabled profiler costs one branch per span.
@@ -244,7 +241,6 @@ impl SynthesisOptions {
             initial_dive: true,
             tie_break_cost: false,
             stop_at_first: false,
-            trace: false,
             profile: false,
         }
     }
@@ -371,12 +367,6 @@ impl SynthesisOptions {
     /// Stop at the first solution found.
     pub fn with_stop_at_first(mut self, on: bool) -> Self {
         self.stop_at_first = on;
-        self
-    }
-
-    /// Enables search tracing.
-    pub fn with_trace(mut self, on: bool) -> Self {
-        self.trace = on;
         self
     }
 

@@ -16,7 +16,7 @@ use crate::{FredkinMode, PriorityMode, Pruning, SearchStats, SynthesisOptions};
 /// Version of the run-report JSON schema. Bumped whenever a field is
 /// renamed, removed, or changes meaning; additions are backwards
 /// compatible and do not bump it.
-pub const RUN_REPORT_SCHEMA_VERSION: u64 = 2;
+pub const RUN_REPORT_SCHEMA_VERSION: u64 = 3;
 
 fn opt_uint<T: Into<u64>>(v: Option<T>) -> Json {
     v.map(|x| Json::uint(x.into())).unwrap_or(Json::Null)
@@ -107,7 +107,6 @@ pub fn options_to_json(options: &SynthesisOptions) -> Json {
             "stop_at_first".to_string(),
             Json::Bool(options.stop_at_first),
         ),
-        ("trace".to_string(), Json::Bool(options.trace)),
         ("profile".to_string(), Json::Bool(options.profile)),
     ])
 }
@@ -177,7 +176,6 @@ pub fn stats_to_json(stats: &SearchStats) -> Json {
         // memory budget, so completeness/quality guarantees are best
         // effort for this run.
         ("degraded".to_string(), Json::Bool(stats.memory_sheds > 0)),
-        ("trace_dropped".to_string(), Json::uint(stats.trace_dropped)),
         (
             "elapsed_seconds".to_string(),
             Json::Num(stats.elapsed.as_secs_f64()),
@@ -270,7 +268,7 @@ mod tests {
         let text = report.to_string();
         let parsed = Json::parse(&text).expect("report is valid JSON");
 
-        assert_eq!(parsed.get("schema_version").unwrap().as_u64(), Some(2));
+        assert_eq!(parsed.get("schema_version").unwrap().as_u64(), Some(3));
         assert_eq!(parsed.get("solved").unwrap().as_bool(), Some(true));
         let circuit = parsed.get("circuit").unwrap();
         assert_eq!(

@@ -25,10 +25,7 @@ use rmrls_spec::Permutation;
 
 use crate::observe::{Observer, Progress};
 use crate::stats::RestartSpan;
-use crate::{SearchStats, StopReason, SynthesisOptions, TraceEvent};
-
-/// Cap on recorded trace events.
-const TRACE_CAP: usize = 100_000;
+use crate::{SearchStats, StopReason, SynthesisOptions};
 
 /// How often (in popped nodes) the wall clock is consulted.
 const TIME_CHECK_INTERVAL: u64 = 256;
@@ -45,7 +42,7 @@ const NON_IMPROVING_PENALTY: f64 = 1.0e3;
 pub struct Synthesis {
     /// The synthesized Toffoli cascade (inputs left, outputs right).
     pub circuit: Circuit,
-    /// Counters and optional trace of the search.
+    /// Counters and timings of the search.
     pub stats: SearchStats,
 }
 
@@ -404,19 +401,6 @@ impl<'a> Search<'a> {
         }
     }
 
-    fn trace(&mut self, event: TraceEvent) {
-        if self.options.trace {
-            if self.stats.trace.len() < TRACE_CAP {
-                self.stats.trace.push(event);
-            } else {
-                // Never truncate silently: account for every event the
-                // buffer could not keep (satellite of the obs layer; the
-                // streaming sink has no cap at all).
-                self.stats.trace_dropped += 1;
-            }
-        }
-    }
-
     /// Closes the current restart segment, recording its span.
     fn end_segment(&mut self) -> RestartSpan {
         let span = RestartSpan {
@@ -496,10 +480,6 @@ impl<'a> Search<'a> {
         let child_depth = entry.depth + 1;
         let parent_gate = entry.path.as_ref().map(|p| p.gate);
 
-        self.trace(TraceEvent::Expand {
-            depth: entry.depth,
-            terms: state.total_terms(),
-        });
         if self.obs.is_active() {
             self.obs.on_expand(entry.depth, state.total_terms());
         }
@@ -609,10 +589,6 @@ impl<'a> Search<'a> {
                 .max_gates
                 .map(|g| child_depth as usize <= g)
                 .unwrap_or(true);
-            self.trace(TraceEvent::Solution {
-                depth: child_depth,
-                improved: improved && within_cap,
-            });
             if self.obs.is_active() {
                 self.obs.on_solution(child_depth, improved && within_cap);
             }
@@ -700,12 +676,6 @@ impl<'a> Search<'a> {
             "score/materialize term mismatch"
         );
         debug_assert_eq!(state.fingerprint(), fp, "score/materialize fp mismatch");
-        self.trace(TraceEvent::Push {
-            gate,
-            depth: child_depth,
-            eliminated,
-            priority,
-        });
         self.stats.children_pushed += 1;
         self.seq += 1;
         self.live_terms += state.total_terms() as u64;
@@ -971,10 +941,6 @@ pub fn synthesize_with_observer(
             let within_cap = options.max_gates.map(|g| gates.len() <= g).unwrap_or(true);
             if within_cap {
                 search.stats.solutions_seen += 1;
-                search.trace(TraceEvent::Solution {
-                    depth: gates.len() as u32,
-                    improved: true,
-                });
                 if search.obs.is_active() {
                     search.obs.on_solution(gates.len() as u32, true);
                 }
@@ -1118,7 +1084,6 @@ pub fn synthesize_with_observer(
                     next_restart_child = (next_restart_child + 1) % root_children.len();
                     search.stats.restarts += 1;
                     let ordinal = search.stats.restarts;
-                    search.trace(TraceEvent::Restart { ordinal });
                     let span = search.end_segment();
                     if search.obs.is_active() {
                         search
@@ -1135,7 +1100,6 @@ pub fn synthesize_with_observer(
                     next_restart_child = 0;
                     search.stats.restarts += 1;
                     let ordinal = search.stats.restarts;
-                    search.trace(TraceEvent::Restart { ordinal });
                     let span = search.end_segment();
                     if search.obs.is_active() {
                         search
@@ -1355,23 +1319,6 @@ mod tests {
         let result = synthesize(&spec, &opts).expect("solution");
         assert_eq!(result.stats.stop_reason, Some(StopReason::FirstSolution));
         verify(&spec, &result);
-    }
-
-    #[test]
-    fn trace_records_solution() {
-        let spec = fig1();
-        let opts = SynthesisOptions::new().with_trace(true);
-        let result = synthesize(&spec, &opts).expect("solution");
-        assert!(result
-            .stats
-            .trace
-            .iter()
-            .any(|e| matches!(e, TraceEvent::Solution { .. })));
-        assert!(result
-            .stats
-            .trace
-            .iter()
-            .any(|e| matches!(e, TraceEvent::Expand { depth: 0, .. })));
     }
 
     #[test]

@@ -1,9 +1,8 @@
-//! Search statistics and tracing.
+//! Search statistics.
 
 use std::fmt;
 use std::time::Duration;
 
-use rmrls_circuit::Gate;
 use rmrls_obs::PhaseProfile;
 
 /// Why the search loop stopped.
@@ -119,11 +118,6 @@ pub struct SearchStats {
     pub elapsed: Duration,
     /// Why the loop stopped (`None` only before the search ran).
     pub stop_reason: Option<StopReason>,
-    /// Search trace, if requested.
-    pub trace: Vec<TraceEvent>,
-    /// Trace events dropped after the trace buffer filled. Nonzero
-    /// means `trace` is a truncated prefix of the run.
-    pub trace_dropped: u64,
     /// Per-segment timing between restarts (always recorded; one entry
     /// per segment, so its length is `restarts + 1` after a completed
     /// search).
@@ -143,14 +137,6 @@ pub struct SearchStats {
     pub spec_scored_wasted: u64,
 }
 
-impl SearchStats {
-    /// Whether the recorded `trace` is incomplete because the buffer
-    /// cap was reached.
-    pub fn trace_truncated(&self) -> bool {
-        self.trace_dropped > 0
-    }
-}
-
 impl fmt::Display for SearchStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -167,78 +153,7 @@ impl fmt::Display for SearchStats {
             self.queue_peak,
             self.dedup_hits,
             self.elapsed
-        )?;
-        if self.trace_truncated() {
-            write!(
-                f,
-                " [trace truncated: {} events dropped]",
-                self.trace_dropped
-            )?;
-        }
-        Ok(())
-    }
-}
-
-/// One step of the recorded search walk (for reproducing the Fig. 5/6
-/// narrative).
-#[derive(Clone, Debug, PartialEq)]
-pub enum TraceEvent {
-    /// A node was popped and expanded.
-    Expand {
-        /// Depth of the expanded node.
-        depth: u32,
-        /// Total PPRM terms of its state.
-        terms: usize,
-    },
-    /// A child survived pruning and was pushed.
-    Push {
-        /// The substitution, as the Toffoli gate it would emit.
-        gate: Gate,
-        /// Depth of the child.
-        depth: u32,
-        /// Terms eliminated by the substitution.
-        eliminated: i64,
-        /// Its Eq. 4 priority.
-        priority: f64,
-    },
-    /// A solution leaf was reached.
-    Solution {
-        /// Gate count of the solution.
-        depth: u32,
-        /// Whether it improved on the best seen so far.
-        improved: bool,
-    },
-    /// The search restarted from the first level (§IV-E).
-    Restart {
-        /// 1-based restart ordinal.
-        ordinal: u64,
-    },
-}
-
-impl fmt::Display for TraceEvent {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TraceEvent::Expand { depth, terms } => {
-                write!(f, "expand depth={depth} terms={terms}")
-            }
-            TraceEvent::Push {
-                gate,
-                depth,
-                eliminated,
-                priority,
-            } => write!(
-                f,
-                "push {gate} depth={depth} elim={eliminated} priority={priority:.3}"
-            ),
-            TraceEvent::Solution { depth, improved } => {
-                write!(
-                    f,
-                    "solution depth={depth}{}",
-                    if *improved { " (new best)" } else { "" }
-                )
-            }
-            TraceEvent::Restart { ordinal } => write!(f, "restart #{ordinal}"),
-        }
+        )
     }
 }
 
@@ -257,43 +172,6 @@ mod tests {
         assert!(
             text.contains("7 nodes") && text.contains("1 restarts"),
             "{text}"
-        );
-        assert!(
-            !text.contains("truncated"),
-            "no truncation note when nothing was dropped: {text}"
-        );
-    }
-
-    #[test]
-    fn stats_display_flags_trace_truncation() {
-        let s = SearchStats {
-            trace_dropped: 42,
-            ..SearchStats::default()
-        };
-        assert!(s.trace_truncated());
-        let text = s.to_string();
-        assert!(
-            text.contains("trace truncated") && text.contains("42"),
-            "{text}"
-        );
-    }
-
-    #[test]
-    fn trace_event_display() {
-        let e = TraceEvent::Push {
-            gate: Gate::not(0),
-            depth: 1,
-            eliminated: 2,
-            priority: 1.5,
-        };
-        assert_eq!(e.to_string(), "push TOF1(a) depth=1 elim=2 priority=1.500");
-        assert_eq!(
-            TraceEvent::Solution {
-                depth: 3,
-                improved: true
-            }
-            .to_string(),
-            "solution depth=3 (new best)"
         );
     }
 

@@ -93,11 +93,17 @@ pub fn options_fingerprint(opts: &BatchOptions) -> u64 {
     fnv1a(&mut h, &(opts.canon_limit as u64).to_le_bytes());
     fnv1a(&mut h, &[opts.verify as u8, opts.fallback as u8]);
     let mut synthesis = options_to_json(&opts.synthesis);
-    // Journals written while the search had a thread-count option hashed
-    // it as a trailing `"threads":0` entry. Appending that entry keeps
-    // the hashed bytes, and so every existing journal's header, valid
-    // for `batch --resume`.
+    // Journals written by older releases hashed two options the search
+    // no longer has: a `"trace":false` entry just before `"profile"`,
+    // and a trailing `"threads":0`. Putting both back keeps the hashed
+    // bytes, and so every existing journal's header, valid for
+    // `batch --resume`.
     if let Json::Obj(fields) = &mut synthesis {
+        let profile = fields
+            .iter()
+            .position(|(k, _)| k == "profile")
+            .unwrap_or(fields.len());
+        fields.insert(profile, ("trace".to_string(), Json::Bool(false)));
         fields.push(("threads".to_string(), Json::uint(0)));
     }
     fnv1a(&mut h, synthesis.to_string().as_bytes());

@@ -8,6 +8,12 @@
 
 use std::fmt;
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so without a cap a request body of a few
+/// kilobytes of `[` could overflow a thread's stack; every document
+/// this project writes nests a handful of levels.
+pub const MAX_DEPTH: usize = 128;
+
 /// A JSON document fragment.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Json {
@@ -122,11 +128,13 @@ impl Json {
         }
     }
 
-    /// Parses a complete JSON document (rejects trailing garbage).
+    /// Parses a complete JSON document (rejects trailing garbage and
+    /// nesting deeper than [`MAX_DEPTH`]).
     pub fn parse(input: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -199,6 +207,8 @@ impl std::error::Error for JsonError {}
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -247,12 +257,26 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-') | Some(b'0'..=b'9') => self.number(),
             Some(other) => Err(self.err(format!("unexpected character '{}'", other as char))),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parses an array or object one level deeper than the caller.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -479,6 +503,33 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "should reject {bad:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(
+            Json::parse(&nested(MAX_DEPTH)).is_ok(),
+            "the cap itself parses"
+        );
+
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH, "{err}");
+        assert!(err.message.contains("nesting"), "{err}");
+        let err = Json::parse(&"{\"a\":".repeat(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.message.contains("nesting"), "{err}");
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        // About one serve body's worth of `[`: a parser without the cap
+        // overflows the stack of an ordinary spawned thread long
+        // before reaching the end.
+        let body = "[".repeat(262_000);
+        let result = std::thread::spawn(move || Json::parse(&body))
+            .join()
+            .expect("parser thread survives");
+        assert!(result.unwrap_err().message.contains("nesting"));
     }
 
     #[test]

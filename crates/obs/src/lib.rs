@@ -1,9 +1,9 @@
 //! Observability primitives for the RMRLS synthesis engine.
 //!
 //! This crate is deliberately dependency-free (the build environment is
-//! offline) and single-threaded by design: a search run owns one
-//! [`MetricsRegistry`] and one [`EventSink`], and the portfolio layer
-//! merges per-thread results after joining rather than sharing state.
+//! offline) and single-threaded by design: a search run is serial and
+//! owns one [`MetricsRegistry`] and one [`EventSink`], so nothing in a
+//! run is shared between threads.
 //!
 //! The pieces:
 //!

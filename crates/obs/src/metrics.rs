@@ -3,9 +3,9 @@
 //! The registry hands out cheap `Rc`-backed handles: the search loop
 //! clones a [`Counter`] once before the hot loop and bumps it with a
 //! single `Cell` update per event, no name lookups. A run is
-//! single-threaded by construction (the portfolio layer gives each
-//! thread its own registry and merges results after joining), so plain
-//! `Rc<Cell>` is both safe and the cheapest possible representation.
+//! single-threaded by construction (one serial search owns its
+//! registry), so plain `Rc<Cell>` is both safe and the cheapest
+//! possible representation.
 
 use crate::json::Json;
 use std::cell::{Cell, RefCell};

@@ -1,14 +1,12 @@
-//! Positive-polarity Reed–Muller (PPRM) and ESOP algebra for reversible
-//! logic synthesis.
+//! Positive-polarity Reed–Muller (PPRM) algebra for reversible logic
+//! synthesis.
 //!
 //! This crate is the algebraic substrate of the RMRLS synthesizer (Gupta,
 //! Agrawal, Jha, *An Algorithm for Synthesis of Reversible Logic
 //! Circuits*): product [`Term`]s over positive-polarity variables,
 //! canonical single-output [`Pprm`] expansions, the multi-output
-//! [`MultiPprm`] search state with its substitution engine, the fast
-//! [`anf_transform`] deriving PPRM coefficients from truth tables, and a
-//! mixed-polarity [`Esop`] representation with an EXORCISM-style
-//! minimizer reproducing the paper's ESOP→PPRM pipeline.
+//! [`MultiPprm`] search state with its substitution engine, and the fast
+//! [`anf_transform`] deriving PPRM coefficients from truth tables.
 //!
 //! # Example
 //!
@@ -32,16 +30,12 @@
 
 mod anf;
 mod bits;
-mod esop;
 mod expansion;
 mod multi;
-mod spectrum;
 mod term;
 
 pub use anf::{anf_to_truth_table, anf_transform};
 pub use bits::{BitTable, IterOnes};
-pub use esop::{Cube, Esop};
 pub use expansion::Pprm;
 pub use multi::{MultiPprm, SubstCount, SubstScratch};
-pub use spectrum::{spectral_complexity, state_spectral_complexity, walsh_spectrum};
 pub use term::{Term, Vars, MAX_VARS};

@@ -1,8 +1,8 @@
-//! Property-based tests of the PPRM/ESOP algebra.
+//! Property-based tests of the PPRM algebra.
 
 use proptest::prelude::*;
 
-use rmrls_pprm::{anf_transform, BitTable, Esop, MultiPprm, Pprm, SubstScratch, Term};
+use rmrls_pprm::{anf_transform, BitTable, MultiPprm, Pprm, SubstScratch, Term};
 
 /// A random 4-variable reversible state: a seeded random permutation
 /// of 0..16 lifted to its multi-output PPRM expansion.
@@ -72,21 +72,6 @@ proptest! {
         let once = p.substitute(var, factor);
         let twice = once.substitute(var, factor);
         prop_assert_eq!(twice, p);
-    }
-
-    /// ESOP minimization preserves the function and never grows.
-    #[test]
-    fn esop_minimize_is_sound(bits in bools(5)) {
-        let table = BitTable::from_bools(&bits);
-        let mut e = Esop::from_truth_table(&table, 5);
-        let before = e.len();
-        e.minimize();
-        prop_assert!(e.len() <= before);
-        for (x, &b) in bits.iter().enumerate() {
-            prop_assert_eq!(e.eval(x as u64), b, "at {}", x);
-        }
-        // And the polarity expansion still yields the canonical PPRM.
-        prop_assert_eq!(e.to_pprm(), Pprm::from_truth_table(&table, 5));
     }
 
     /// Fredkin substitution applied twice with the same pair/control is

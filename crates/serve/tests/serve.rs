@@ -151,6 +151,12 @@ fn malformed_requests_get_clean_errors_and_the_daemon_survives() {
         "{}",
         bad_json.body
     );
+    // Deep nesting, far under the body cap: the JSON parser's depth cap
+    // turns it into a 400 instead of a stack overflow on the
+    // connection thread.
+    let deep = post(addr, "/synthesize", &"[".repeat(10_000));
+    assert_eq!(deep.status, 400);
+    assert!(deep.body.contains("nesting"), "{}", deep.body);
     let bad_perm = post(addr, "/synthesize", r#"{"kind":"perm","spec":"0,0,0"}"#);
     assert_eq!(bad_perm.status, 400);
     assert!(bad_perm.body.contains("bad spec"), "{}", bad_perm.body);

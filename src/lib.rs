@@ -4,7 +4,7 @@
 //! *An Algorithm for Synthesis of Reversible Logic Circuits* (conference
 //! version: *Synthesis of Reversible Logic*, DATE 2004):
 //!
-//! - [`pprm`] — PPRM/ESOP algebra (terms, expansions, ANF transform);
+//! - [`pprm`] — PPRM algebra (terms, expansions, ANF transform);
 //! - [`circuit`] — Toffoli/Fredkin circuits, quantum cost, TFC format,
 //!   templates, rendering;
 //! - [`spec`] — permutations, embeddings, benchmarks, random workloads;

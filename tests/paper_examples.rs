@@ -175,3 +175,44 @@ fn fig2_embedding_matches_example8_shape() {
         result.circuit.gate_count()
     );
 }
+
+#[test]
+fn fig5_fig6_root_expands_into_three_then_seven_children() {
+    // Figs. 5/6: under the paper's Eq. 4 priority the root of the Fig. 1
+    // search gets 3 children from the basic substitutions, and 7 once
+    // the §IV-D additional substitutions are on. Read from the
+    // observer's event stream: the pushes at depth 1 before the first
+    // depth-1 node is expanded.
+    use rmrls::core::{synthesize_with_observer, Observer, PriorityMode};
+    use rmrls::obs::{Event, EventSink, Value};
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    struct EventLog(Rc<RefCell<Vec<Event>>>);
+    impl EventSink for EventLog {
+        fn emit(&mut self, event: Event) {
+            self.0.borrow_mut().push(event);
+        }
+    }
+
+    let spec = Permutation::from_vec(vec![1, 0, 7, 2, 3, 4, 5, 6])
+        .unwrap()
+        .to_multi_pprm();
+    let root_children = |additional: bool| {
+        let events = Rc::new(RefCell::new(Vec::new()));
+        let mut obs = Observer::with_sink(Box::new(EventLog(Rc::clone(&events))));
+        let opts = SynthesisOptions::new()
+            .with_priority_mode(PriorityMode::CumulativeRate)
+            .with_additional_substitutions(additional);
+        synthesize_with_observer(&spec, &opts, &mut obs).expect("Fig. 1 synthesizes");
+        let at_depth1 = |e: &Event| e.fields.contains(&("depth", Value::UInt(1)));
+        let events = events.borrow();
+        events
+            .iter()
+            .take_while(|e| !(e.kind == "expand" && at_depth1(e)))
+            .filter(|e| e.kind == "push" && at_depth1(e))
+            .count()
+    };
+    assert_eq!(root_children(false), 3, "Fig. 5: basic substitutions");
+    assert_eq!(root_children(true), 7, "Fig. 6: with §IV-D additions");
+}
