@@ -2313,9 +2313,57 @@ mod tests {
             .unwrap()
             .is_empty());
 
-        // The Prometheus exposition carries namespaced metrics.
+        // The Prometheus exposition and the report's metrics object are
+        // pinned byte for byte (fig. 1 under the default A* priority, so
+        // every push priority is negative).
+        const FIG1_PROM: &str = "\
+            # HELP rmrls_candidates_scored rmrls counter `candidates_scored`\n\
+            # TYPE rmrls_candidates_scored counter\n\
+            rmrls_candidates_scored 51\n\
+            # HELP rmrls_candidates_materialized rmrls counter `candidates_materialized`\n\
+            # TYPE rmrls_candidates_materialized counter\n\
+            rmrls_candidates_materialized 7\n\
+            # HELP rmrls_queue_depth rmrls gauge `queue_depth`\n\
+            # TYPE rmrls_queue_depth gauge\n\
+            rmrls_queue_depth 7\n\
+            # HELP rmrls_queue_depth_high_water rmrls gauge `queue_depth`\n\
+            # TYPE rmrls_queue_depth_high_water gauge\n\
+            rmrls_queue_depth_high_water 7\n\
+            # HELP rmrls_push_priority rmrls histogram `push_priority`\n\
+            # TYPE rmrls_push_priority histogram\n\
+            rmrls_push_priority_bucket{le=\"-100.0\"} 0\n\
+            rmrls_push_priority_bucket{le=\"-50.0\"} 0\n\
+            rmrls_push_priority_bucket{le=\"-20.0\"} 0\n\
+            rmrls_push_priority_bucket{le=\"-10.0\"} 0\n\
+            rmrls_push_priority_bucket{le=\"-5.0\"} 2\n\
+            rmrls_push_priority_bucket{le=\"-2.0\"} 7\n\
+            rmrls_push_priority_bucket{le=\"0.0\"} 7\n\
+            rmrls_push_priority_bucket{le=\"1.0\"} 7\n\
+            rmrls_push_priority_bucket{le=\"2.0\"} 7\n\
+            rmrls_push_priority_bucket{le=\"5.0\"} 7\n\
+            rmrls_push_priority_bucket{le=\"10.0\"} 7\n\
+            rmrls_push_priority_bucket{le=\"20.0\"} 7\n\
+            rmrls_push_priority_bucket{le=\"+Inf\"} 7\n\
+            rmrls_push_priority_sum -24.8\n\
+            rmrls_push_priority_count 7\n\
+            # HELP rmrls_terms_remaining rmrls histogram `terms_remaining`\n\
+            # TYPE rmrls_terms_remaining histogram\n\
+            rmrls_terms_remaining_bucket{le=\"2.0\"} 0\n\
+            rmrls_terms_remaining_bucket{le=\"4.0\"} 0\n\
+            rmrls_terms_remaining_bucket{le=\"8.0\"} 11\n\
+            rmrls_terms_remaining_bucket{le=\"16.0\"} 15\n\
+            rmrls_terms_remaining_bucket{le=\"32.0\"} 15\n\
+            rmrls_terms_remaining_bucket{le=\"64.0\"} 15\n\
+            rmrls_terms_remaining_bucket{le=\"128.0\"} 15\n\
+            rmrls_terms_remaining_bucket{le=\"256.0\"} 15\n\
+            rmrls_terms_remaining_bucket{le=\"512.0\"} 15\n\
+            rmrls_terms_remaining_bucket{le=\"1024.0\"} 15\n\
+            rmrls_terms_remaining_bucket{le=\"4096.0\"} 15\n\
+            rmrls_terms_remaining_bucket{le=\"+Inf\"} 15\n\
+            rmrls_terms_remaining_sum 120.0\n\
+            rmrls_terms_remaining_count 15\n";
         let prom = std::fs::read_to_string(&metrics).unwrap();
-        assert!(prom.contains("rmrls_"), "{prom}");
+        assert_eq!(prom, FIG1_PROM);
 
         // --profile lands a non-null phase table in the report.
         let report_json =
@@ -2328,6 +2376,14 @@ mod tests {
             .as_arr()
             .expect("profile is an array when --profile is set");
         assert!(!phases.is_empty());
+        assert_eq!(
+            report_json.get("metrics").unwrap().to_string(),
+            concat!(
+                r#"{"counters":{"candidates_scored":51,"candidates_materialized":7},"gauges":{"queue_depth":{"value":7,"high_water":7}},"histograms":{"#,
+                r#""push_priority":{"bounds":[-100,-50,-20,-10,-5,-2,0,1,2,5,10,20],"counts":[0,0,0,0,2,5,0,0,0,0,0,0,0],"count":7,"sum":-24.8,"min":-5,"max":-2.5,"mean":-3.542857142857143},"#,
+                r#""terms_remaining":{"bounds":[2,4,8,16,32,64,128,256,512,1024,4096],"counts":[0,0,11,4,0,0,0,0,0,0,0,0],"count":15,"sum":120,"min":6,"max":11,"mean":8}}}"#,
+            )
+        );
     }
 
     #[test]

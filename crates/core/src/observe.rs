@@ -18,8 +18,8 @@ use std::time::Duration;
 
 use rmrls_circuit::Gate;
 use rmrls_obs::{
-    Counter, Event, EventSink, FlightRecorder, Gauge, Histogram, MetricsRegistry, MetricsSnapshot,
-    NullSink, TraceKind, Value,
+    Event, EventSink, FlightRecorder, HistogramSnapshot, MetricsSnapshot, NullSink, TraceKind,
+    Value,
 };
 
 /// One in `EXPAND_SAMPLE_INTERVAL` node expansions is written to the
@@ -61,30 +61,48 @@ pub struct Progress {
     pub elapsed: Duration,
 }
 
+/// The metrics a run records. The search owns its observer and every
+/// hook takes `&mut self`, so plain values need no registry.
 struct ObserverMetrics {
-    registry: MetricsRegistry,
-    priority_hist: Histogram,
-    terms_hist: Histogram,
-    queue_depth: Gauge,
-    candidates_scored: Counter,
-    candidates_materialized: Counter,
+    push_priority: HistogramSnapshot,
+    terms_remaining: HistogramSnapshot,
+    /// `(value, high_water)` of the queue-depth gauge.
+    queue_depth: (i64, i64),
+    candidates_scored: u64,
+    candidates_materialized: u64,
 }
 
 impl ObserverMetrics {
     fn new() -> ObserverMetrics {
-        let mut registry = MetricsRegistry::new();
-        let priority_hist = registry.histogram("push_priority", &PRIORITY_BOUNDS);
-        let terms_hist = registry.histogram("terms_remaining", &TERMS_BOUNDS);
-        let queue_depth = registry.gauge("queue_depth");
-        let candidates_scored = registry.counter("candidates_scored");
-        let candidates_materialized = registry.counter("candidates_materialized");
         ObserverMetrics {
-            registry,
-            priority_hist,
-            terms_hist,
-            queue_depth,
-            candidates_scored,
-            candidates_materialized,
+            push_priority: HistogramSnapshot::new(&PRIORITY_BOUNDS),
+            terms_remaining: HistogramSnapshot::new(&TERMS_BOUNDS),
+            queue_depth: (0, 0),
+            candidates_scored: 0,
+            candidates_materialized: 0,
+        }
+    }
+
+    fn set_queue_depth(&mut self, depth: usize) {
+        let depth = depth as i64;
+        self.queue_depth = (depth, self.queue_depth.1.max(depth));
+    }
+
+    fn snapshot(&self) -> MetricsSnapshot {
+        let (depth, high_water) = self.queue_depth;
+        MetricsSnapshot {
+            counters: vec![
+                ("candidates_scored".into(), self.candidates_scored),
+                (
+                    "candidates_materialized".into(),
+                    self.candidates_materialized,
+                ),
+            ],
+            gauges: vec![("queue_depth".into(), depth, high_water)],
+            histograms: vec![
+                ("push_priority".into(), self.push_priority.clone()),
+                ("terms_remaining".into(), self.terms_remaining.clone()),
+            ],
         }
     }
 }
@@ -103,7 +121,7 @@ impl ObserverMetrics {
 /// let mut obs = Observer::with_sink(Box::new(MemorySink::new(1024))).with_metrics();
 /// let result = synthesize_with_observer(&spec, &SynthesisOptions::new(), &mut obs)?;
 /// let metrics = obs.metrics_snapshot().expect("metrics enabled");
-/// assert!(metrics.counter("events_emitted").is_none()); // registry holds gauges/histograms
+/// assert_eq!(metrics.counter("candidates_scored"), Some(result.stats.candidates_scored));
 /// assert_eq!(result.circuit.gate_count(), 3);
 /// # Ok::<(), rmrls_core::NoSolutionError>(())
 /// ```
@@ -149,8 +167,8 @@ impl Observer {
         }
     }
 
-    /// Enables the metrics registry (priority / terms histograms and the
-    /// queue-depth gauge).
+    /// Enables metrics: the priority and terms histograms, the
+    /// queue-depth gauge and the candidate counters.
     pub fn with_metrics(mut self) -> Observer {
         self.metrics = Some(ObserverMetrics::new());
         self.active = true;
@@ -195,7 +213,7 @@ impl Observer {
 
     /// Freezes the metrics, if enabled.
     pub fn metrics_snapshot(&self) -> Option<MetricsSnapshot> {
-        self.metrics.as_ref().map(|m| m.registry.snapshot())
+        self.metrics.as_ref().map(ObserverMetrics::snapshot)
     }
 
     /// Emits a caller-constructed event (used by the embedding layer
@@ -241,8 +259,8 @@ impl Observer {
                 )
             });
         }
-        if let Some(m) = &self.metrics {
-            m.terms_hist.record(terms as f64);
+        if let Some(m) = &mut self.metrics {
+            m.terms_remaining.record(terms as f64);
         }
     }
 
@@ -255,10 +273,10 @@ impl Observer {
         terms: usize,
         queue_depth: usize,
     ) {
-        if let Some(m) = &self.metrics {
-            m.priority_hist.record(priority);
-            m.terms_hist.record(terms as f64);
-            m.queue_depth.set(queue_depth as i64);
+        if let Some(m) = &mut self.metrics {
+            m.push_priority.record(priority);
+            m.terms_remaining.record(terms as f64);
+            m.set_queue_depth(queue_depth);
         }
         if self.sink_enabled {
             self.sink.emit_with(&mut || {
@@ -309,8 +327,8 @@ impl Observer {
         if let Some(r) = &self.recorder {
             r.gauge("queue_depth", progress.queue_depth as i64);
         }
-        if let Some(m) = &self.metrics {
-            m.queue_depth.set(progress.queue_depth as i64);
+        if let Some(m) = &mut self.metrics {
+            m.set_queue_depth(progress.queue_depth);
         }
         if self.sink_enabled {
             self.sink.emit_with(&mut || {
@@ -342,9 +360,9 @@ impl Observer {
     /// loop keeps these as plain `SearchStats` counters rather than
     /// paying a hook per candidate.
     pub(crate) fn on_candidate_totals(&mut self, scored: u64, materialized: u64) {
-        if let Some(m) = &self.metrics {
-            m.candidates_scored.add(scored);
-            m.candidates_materialized.add(materialized);
+        if let Some(m) = &mut self.metrics {
+            m.candidates_scored += scored;
+            m.candidates_materialized += materialized;
         }
     }
 
@@ -402,6 +420,7 @@ mod tests {
     fn metrics_only_observer_records_histograms_without_sink() {
         let mut obs = Observer::null().with_metrics();
         assert!(obs.is_active());
+        obs.on_push(Gate::not(0), 1, 2, 0.5, 7, 9);
         obs.on_push(Gate::not(0), 1, 2, 0.5, 7, 3);
         obs.on_expand(1, 7);
         let snap = obs.metrics_snapshot().unwrap();
@@ -410,20 +429,20 @@ mod tests {
             .iter()
             .find(|(n, _)| n == "push_priority")
             .unwrap();
-        assert_eq!(priority.count, 1);
+        assert_eq!(priority.count, 2);
         let (_, terms) = snap
             .histograms
             .iter()
             .find(|(n, _)| n == "terms_remaining")
             .unwrap();
-        assert_eq!(terms.count, 2);
+        assert_eq!(terms.count, 3);
         let (_, depth, high) = snap
             .gauges
             .iter()
             .find(|(n, _, _)| n == "queue_depth")
             .cloned()
             .unwrap();
-        assert_eq!((depth, high), (3, 3));
+        assert_eq!((depth, high), (3, 9));
     }
 
     #[test]

@@ -19,7 +19,7 @@ use std::rc::Rc;
 use std::time::Instant;
 
 use rmrls_circuit::{Circuit, Gate};
-use rmrls_obs::{Profiler, SpanTimer, TraceKind};
+use rmrls_obs::{Profiler, TraceKind};
 use rmrls_pprm::{MultiPprm, SubstCount, SubstScratch, Term};
 use rmrls_spec::Permutation;
 
@@ -348,8 +348,8 @@ struct Search<'a> {
     /// Approximate heap bytes of queued states
     /// ([`MultiPprm::approx_heap_bytes`]), maintained like `live_terms`.
     queue_bytes: u64,
-    /// Timer for the current restart segment.
-    segment_timer: SpanTimer,
+    /// When the current restart segment started.
+    segment_start: Instant,
     /// `nodes_expanded` at the start of the current segment.
     segment_start_nodes: u64,
     /// Reusable buffer for the substitution kernels: after warm-up,
@@ -389,7 +389,7 @@ impl<'a> Search<'a> {
             steps_since_restart: 0,
             live_terms: 0,
             queue_bytes: 0,
-            segment_timer: SpanTimer::start(),
+            segment_start: Instant::now(),
             segment_start_nodes: 0,
             scratch: SubstScratch::new(),
             identity_fp,
@@ -403,12 +403,14 @@ impl<'a> Search<'a> {
 
     /// Closes the current restart segment, recording its span.
     fn end_segment(&mut self) -> RestartSpan {
+        let now = Instant::now();
         let span = RestartSpan {
             ordinal: self.stats.restart_spans.len() as u64,
             nodes_expanded: self.stats.nodes_expanded - self.segment_start_nodes,
-            elapsed: self.segment_timer.lap(),
+            elapsed: now - self.segment_start,
         };
         self.stats.restart_spans.push(span);
+        self.segment_start = now;
         self.segment_start_nodes = self.stats.nodes_expanded;
         span
     }
@@ -1561,6 +1563,31 @@ mod tests {
             .find(|(n, _)| n == "push_priority")
             .unwrap();
         assert_eq!(priority.count, result.stats.children_pushed);
+    }
+
+    #[test]
+    fn restart_spans_partition_nodes_and_time() {
+        let spec = MultiPprm::from_permutation(&[7, 0, 1, 2, 3, 4, 5, 6], 3);
+        let opts = SynthesisOptions::new()
+            .with_initial_dive(false)
+            .with_restart_after(Some(1));
+        let started = Instant::now();
+        let result = synthesize(&spec, &opts).expect("solution");
+        let wall = started.elapsed();
+        verify(&spec, &result);
+
+        let spans = &result.stats.restart_spans;
+        assert!(spans.len() >= 2, "no restart forced: {spans:?}");
+        assert_eq!(spans.len() as u64, result.stats.restarts + 1);
+        let ordinals: Vec<u64> = spans.iter().map(|s| s.ordinal).collect();
+        assert_eq!(ordinals, (0..spans.len() as u64).collect::<Vec<_>>());
+        let nodes: u64 = spans.iter().map(|s| s.nodes_expanded).sum();
+        assert_eq!(nodes, result.stats.nodes_expanded);
+        let elapsed: std::time::Duration = spans.iter().map(|s| s.elapsed).sum();
+        assert!(
+            elapsed <= wall,
+            "spans {elapsed:?} exceed the call {wall:?}"
+        );
     }
 
     #[test]

@@ -227,7 +227,7 @@ pub fn prometheus_text(snapshot: &MetricsSnapshot) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::MetricsRegistry;
+    use crate::metrics::HistogramSnapshot;
     use crate::recorder::{FlightRecorder, TraceKind};
 
     fn sample_snapshot() -> RecorderSnapshot {
@@ -295,16 +295,16 @@ mod tests {
 
     #[test]
     fn prometheus_text_exposes_all_metric_families() {
-        let mut reg = MetricsRegistry::new();
-        reg.counter("nodes.expanded").add(42);
-        let g = reg.gauge("queue_depth");
-        g.set(9);
-        g.set(3);
-        let h = reg.histogram("push_priority", &[1.0, 10.0]);
-        h.record(0.5);
-        h.record(5.0);
-        h.record(100.0);
-        let text = prometheus_text(&reg.snapshot());
+        let mut h = HistogramSnapshot::new(&[1.0, 10.0]);
+        // 10.0 sits exactly on a bound: `le` is inclusive.
+        for v in [0.5, 5.0, 10.0, 100.0] {
+            h.record(v);
+        }
+        let text = prometheus_text(&MetricsSnapshot {
+            counters: vec![("nodes.expanded".into(), 42)],
+            gauges: vec![("queue_depth".into(), 3, 9)],
+            histograms: vec![("push_priority".into(), h)],
+        });
 
         assert!(text.contains("# TYPE rmrls_nodes_expanded counter\n"));
         assert!(text.contains("rmrls_nodes_expanded 42\n"));
@@ -316,21 +316,26 @@ mod tests {
             text.contains("rmrls_push_priority_bucket{le=\"1.0\"} 1\n"),
             "{text}"
         );
-        assert!(text.contains("rmrls_push_priority_bucket{le=\"10.0\"} 2\n"));
-        assert!(text.contains("rmrls_push_priority_bucket{le=\"+Inf\"} 3\n"));
-        assert!(text.contains("rmrls_push_priority_count 3\n"));
-        assert!(text.contains("rmrls_push_priority_sum 105.5\n"));
+        assert!(
+            text.contains("rmrls_push_priority_bucket{le=\"10.0\"} 3\n"),
+            "{text}"
+        );
+        assert!(text.contains("rmrls_push_priority_bucket{le=\"+Inf\"} 4\n"));
+        assert!(text.contains("rmrls_push_priority_count 4\n"));
+        assert!(text.contains("rmrls_push_priority_sum 115.5\n"));
     }
 
     /// Scrape-format conformance: the rules a Prometheus scraper
     /// actually enforces on text exposition format 0.0.4.
     #[test]
     fn prometheus_text_conforms_to_exposition_format() {
-        let mut reg = MetricsRegistry::new();
-        reg.counter("jobs.total").add(3);
-        reg.gauge("queue_depth").set(7);
-        reg.histogram("job_seconds", &[0.1, 1.0]).record(0.5);
-        let text = prometheus_text(&reg.snapshot());
+        let mut h = HistogramSnapshot::new(&[0.1, 1.0]);
+        h.record(0.5);
+        let text = prometheus_text(&MetricsSnapshot {
+            counters: vec![("jobs.total".into(), 3)],
+            gauges: vec![("queue_depth".into(), 7, 7)],
+            histograms: vec![("job_seconds".into(), h)],
+        });
 
         let mut typed: Vec<String> = Vec::new();
         let mut helped: Vec<String> = Vec::new();

@@ -1,22 +1,19 @@
 //! Observability primitives for the RMRLS synthesis engine.
 //!
 //! This crate is deliberately dependency-free (the build environment is
-//! offline) and single-threaded by design: a search run is serial and
-//! owns one [`MetricsRegistry`] and one [`EventSink`], so nothing in a
-//! run is shared between threads.
+//! offline).
 //!
 //! The pieces:
 //!
-//! - [`metrics`] — named counters, gauges (with high-water tracking),
-//!   and fixed-bucket histograms, all cheap `Rc`-handle based so hot
-//!   loops can hold a handle without registry lookups.
+//! - [`metrics`] — the plain [`HistogramSnapshot`] value and the named
+//!   [`MetricsSnapshot`] that the JSON and Prometheus renderers read.
 //! - [`sink`] — a pluggable [`EventSink`] trait with null, bounded
 //!   memory-ring, and JSON-lines implementations. Sinks never silently
 //!   truncate: overflow is surfaced through a `dropped_events` count.
-//! - [`sync`] — atomic counters/gauges/histograms plus a thread-safe
-//!   [`SyncRegistry`] for the consumers that *are* multi-threaded: the
-//!   batch engine's worker pool and the live telemetry endpoint.
-//! - [`span`] — monotonic span timing built on `std::time::Instant`.
+//! - [`sync`] — atomic counters/gauges/histograms plus the thread-safe
+//!   [`SyncRegistry`], the only metrics registry, for the multi-threaded
+//!   consumers: the batch engine's worker pool, the serve daemon and the
+//!   live telemetry endpoint.
 //! - [`json`] — a hand-rolled JSON value type with writer (correct
 //!   string escaping) and parser, used for run reports and round-trip
 //!   tests.
@@ -39,18 +36,16 @@ pub mod metrics;
 pub mod profile;
 pub mod recorder;
 pub mod sink;
-pub mod span;
 pub mod sync;
 
 pub use export::{chrome_trace_json, prom_label, prometheus_text};
 pub use fail::{FailAction, FailError};
 pub use json::Json;
-pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
+pub use metrics::{HistogramSnapshot, MetricsSnapshot};
 pub use profile::{PhaseEntry, PhaseProfile, Profiler};
 pub use recorder::{
     FlightRecorder, RecorderSnapshot, TraceKind, TraceRecord, DEFAULT_TRACE_BYTES,
     TRACE_SCHEMA_VERSION,
 };
 pub use sink::{Event, EventSink, JsonLinesSink, MemorySink, NullSink, Value};
-pub use span::SpanTimer;
 pub use sync::{log2_bounds, SyncCounter, SyncGauge, SyncHistogram, SyncRegistry};

@@ -1,130 +1,32 @@
-//! Named counters, gauges, and fixed-bucket histograms.
+//! Plain metric values and the snapshot every renderer reads.
 //!
-//! The registry hands out cheap `Rc`-backed handles: the search loop
-//! clones a [`Counter`] once before the hot loop and bumps it with a
-//! single `Cell` update per event, no name lookups. A run is
-//! single-threaded by construction (one serial search owns its
-//! registry), so plain `Rc<Cell>` is both safe and the cheapest
-//! possible representation.
+//! [`HistogramSnapshot`] is a fixed-bucket histogram held by value: a
+//! single-owner recorder (the search observer) calls
+//! [`record`](HistogramSnapshot::record) through `&mut self`, and the
+//! atomic [`SyncHistogram`](crate::sync::SyncHistogram) freezes into the
+//! same type, so quantiles, merging, the run-report JSON and the
+//! Prometheus text work on both. [`MetricsSnapshot`] names a set of
+//! counters, gauges and histograms for reporting; the only live
+//! registry is the thread-safe [`SyncRegistry`](crate::sync::SyncRegistry).
+//!
+//! Bucket rule (both recorders): an observation `v` lands in the first
+//! bucket whose upper bound `b` satisfies `v <= b`, or in the overflow
+//! bucket when it exceeds every bound, so the cumulative count exported
+//! as `le="b"` is exactly the number of observations `<= b`.
 
 use crate::json::Json;
-use std::cell::{Cell, RefCell};
-use std::rc::Rc;
 
-/// A monotonically increasing event count.
-#[derive(Clone, Debug, Default)]
-pub struct Counter(Rc<Cell<u64>>);
-
-impl Counter {
-    /// Increments by one.
-    #[inline]
-    pub fn inc(&self) {
-        self.0.set(self.0.get() + 1);
-    }
-
-    /// Increments by `n`.
-    #[inline]
-    pub fn add(&self, n: u64) {
-        self.0.set(self.0.get() + n);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0.get()
-    }
+/// Index of the bucket that holds `v`: the first bound with `v <= bound`,
+/// or `bounds.len()` (the overflow bucket) when `v` exceeds every bound.
+#[inline]
+pub(crate) fn bucket_index(bounds: &[f64], v: f64) -> usize {
+    bounds.partition_point(|&b| b < v)
 }
 
-/// A signed instantaneous value that also tracks its high-water mark.
-#[derive(Clone, Debug, Default)]
-pub struct Gauge(Rc<Cell<(i64, i64)>>);
-
-impl Gauge {
-    /// Sets the current value, updating the high-water mark.
-    #[inline]
-    pub fn set(&self, v: i64) {
-        let (_, hw) = self.0.get();
-        self.0.set((v, hw.max(v)));
-    }
-
-    /// Current value.
-    pub fn get(&self) -> i64 {
-        self.0.get().0
-    }
-
-    /// Highest value ever set.
-    pub fn high_water(&self) -> i64 {
-        self.0.get().1
-    }
-}
-
-#[derive(Debug)]
-struct HistogramInner {
-    /// Upper bounds of each bucket (exclusive); the final implicit
-    /// bucket is unbounded.
-    bounds: Vec<f64>,
-    /// One count per bound, plus the overflow bucket.
-    counts: Vec<u64>,
-    count: u64,
-    sum: f64,
-    min: f64,
-    max: f64,
-}
-
-/// A fixed-bucket histogram of `f64` observations.
-#[derive(Clone, Debug)]
-pub struct Histogram(Rc<RefCell<HistogramInner>>);
-
-impl Histogram {
-    /// Creates a histogram with the given bucket upper bounds
-    /// (must be strictly increasing; an unbounded overflow bucket is
-    /// appended automatically).
-    pub fn new(bounds: &[f64]) -> Histogram {
-        assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]),
-            "histogram bounds must be strictly increasing"
-        );
-        Histogram(Rc::new(RefCell::new(HistogramInner {
-            bounds: bounds.to_vec(),
-            counts: vec![0; bounds.len() + 1],
-            count: 0,
-            sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        })))
-    }
-
-    /// Records one observation. A value lands in the first bucket whose
-    /// upper bound is strictly greater than it ( `v < bound` ), or the
-    /// overflow bucket if it exceeds every bound.
-    #[inline]
-    pub fn record(&self, v: f64) {
-        let mut h = self.0.borrow_mut();
-        let idx = h.bounds.partition_point(|&b| b <= v);
-        h.counts[idx] += 1;
-        h.count += 1;
-        h.sum += v;
-        h.min = h.min.min(v);
-        h.max = h.max.max(v);
-    }
-
-    /// Immutable view of the recorded distribution.
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        let h = self.0.borrow();
-        HistogramSnapshot {
-            bounds: h.bounds.clone(),
-            counts: h.counts.clone(),
-            count: h.count,
-            sum: h.sum,
-            min: if h.count == 0 { 0.0 } else { h.min },
-            max: if h.count == 0 { 0.0 } else { h.max },
-        }
-    }
-}
-
-/// Frozen histogram state.
+/// A fixed-bucket histogram of `f64` observations, held by value.
 #[derive(Clone, Debug, PartialEq)]
 pub struct HistogramSnapshot {
-    /// Bucket upper bounds (exclusive); the last count is overflow.
+    /// Bucket upper bounds (inclusive); the last count is overflow.
     pub bounds: Vec<f64>,
     /// Per-bucket counts, one longer than `bounds`.
     pub counts: Vec<u64>,
@@ -139,6 +41,42 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
+    /// An empty histogram with the given bucket upper bounds (must be
+    /// strictly increasing; an unbounded overflow bucket is appended
+    /// automatically).
+    pub fn new(bounds: &[f64]) -> HistogramSnapshot {
+        assert!(
+            bounds.windows(2).all(|w| w[0] < w[1]),
+            "histogram bounds must be strictly increasing"
+        );
+        HistogramSnapshot {
+            bounds: bounds.to_vec(),
+            counts: vec![0; bounds.len() + 1],
+            count: 0,
+            sum: 0.0,
+            min: 0.0,
+            max: 0.0,
+        }
+    }
+
+    /// Records one observation into the bucket chosen by the module's
+    /// `v <= bound` rule. The sum is a plain `f64` sum; `min`/`max`
+    /// track the observations, ignoring their 0 placeholder while the
+    /// histogram is empty.
+    #[inline]
+    pub fn record(&mut self, v: f64) {
+        self.counts[bucket_index(&self.bounds, v)] += 1;
+        let (lo, hi) = if self.count == 0 {
+            (f64::INFINITY, f64::NEG_INFINITY)
+        } else {
+            (self.min, self.max)
+        };
+        self.min = lo.min(v);
+        self.max = hi.max(v);
+        self.count += 1;
+        self.sum += v;
+    }
+
     /// Mean observation, or 0 when empty.
     pub fn mean(&self) -> f64 {
         if self.count == 0 {
@@ -238,77 +176,7 @@ impl HistogramSnapshot {
     }
 }
 
-/// Owner of all named metrics for one run.
-#[derive(Debug, Default)]
-pub struct MetricsRegistry {
-    counters: Vec<(String, Counter)>,
-    gauges: Vec<(String, Gauge)>,
-    histograms: Vec<(String, Histogram)>,
-}
-
-impl MetricsRegistry {
-    /// An empty registry.
-    pub fn new() -> MetricsRegistry {
-        MetricsRegistry::default()
-    }
-
-    /// Returns the counter registered under `name`, creating it on
-    /// first use. The returned handle stays live after the registry is
-    /// snapshot.
-    pub fn counter(&mut self, name: &str) -> Counter {
-        if let Some((_, c)) = self.counters.iter().find(|(n, _)| n == name) {
-            return c.clone();
-        }
-        let c = Counter::default();
-        self.counters.push((name.to_string(), c.clone()));
-        c
-    }
-
-    /// Returns the gauge registered under `name`, creating it on first
-    /// use.
-    pub fn gauge(&mut self, name: &str) -> Gauge {
-        if let Some((_, g)) = self.gauges.iter().find(|(n, _)| n == name) {
-            return g.clone();
-        }
-        let g = Gauge::default();
-        self.gauges.push((name.to_string(), g.clone()));
-        g
-    }
-
-    /// Returns the histogram registered under `name`, creating it with
-    /// `bounds` on first use (later calls ignore `bounds`).
-    pub fn histogram(&mut self, name: &str, bounds: &[f64]) -> Histogram {
-        if let Some((_, h)) = self.histograms.iter().find(|(n, _)| n == name) {
-            return h.clone();
-        }
-        let h = Histogram::new(bounds);
-        self.histograms.push((name.to_string(), h.clone()));
-        h
-    }
-
-    /// Freezes every metric's current state.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            counters: self
-                .counters
-                .iter()
-                .map(|(n, c)| (n.clone(), c.get()))
-                .collect(),
-            gauges: self
-                .gauges
-                .iter()
-                .map(|(n, g)| (n.clone(), g.get(), g.high_water()))
-                .collect(),
-            histograms: self
-                .histograms
-                .iter()
-                .map(|(n, h)| (n.clone(), h.snapshot()))
-                .collect(),
-        }
-    }
-}
-
-/// Frozen registry state, ready for reporting.
+/// Named metric values, ready for reporting.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct MetricsSnapshot {
     /// `(name, value)` per counter, in registration order.
@@ -387,40 +255,20 @@ impl MetricsSnapshot {
 mod tests {
     use super::*;
 
-    #[test]
-    fn counters_accumulate_and_share_handles() {
-        let mut reg = MetricsRegistry::new();
-        let a = reg.counter("pops");
-        let b = reg.counter("pops");
-        a.inc();
-        b.add(4);
-        assert_eq!(reg.snapshot().counter("pops"), Some(5));
-        assert_eq!(reg.snapshot().counter("missing"), None);
-    }
-
-    #[test]
-    fn gauges_track_high_water() {
-        let mut reg = MetricsRegistry::new();
-        let g = reg.gauge("queue_depth");
-        g.set(10);
-        g.set(250);
-        g.set(3);
-        assert_eq!(g.get(), 3);
-        assert_eq!(g.high_water(), 250);
+    fn histogram(bounds: &[f64], values: &[f64]) -> HistogramSnapshot {
+        let mut h = HistogramSnapshot::new(bounds);
+        for &v in values {
+            h.record(v);
+        }
+        h
     }
 
     #[test]
     fn histogram_bucketing_places_values_correctly() {
-        // Bounds [1, 5, 10]: buckets are [<1), [1,5), [5,10), [10,inf).
-        let h = Histogram::new(&[1.0, 5.0, 10.0]);
-        h.record(0.5); // bucket 0
-        h.record(1.0); // bucket 1 (bound is exclusive upper of prior)
-        h.record(4.99); // bucket 1
-        h.record(5.0); // bucket 2
-        h.record(10.0); // overflow
-        h.record(1e9); // overflow
-        let snap = h.snapshot();
-        assert_eq!(snap.counts, vec![1, 2, 1, 2]);
+        // Bounds [1, 5, 10]: buckets are (-inf,1], (1,5], (5,10], (10,inf),
+        // so {0.5, 1}, {4.99, 5}, {10}, {1e9}.
+        let snap = histogram(&[1.0, 5.0, 10.0], &[0.5, 1.0, 4.99, 5.0, 10.0, 1e9]);
+        assert_eq!(snap.counts, vec![2, 2, 1, 1]);
         assert_eq!(snap.count, 6);
         assert_eq!(snap.min, 0.5);
         assert_eq!(snap.max, 1e9);
@@ -428,7 +276,7 @@ mod tests {
 
     #[test]
     fn empty_histogram_snapshot_is_sane() {
-        let snap = Histogram::new(&[1.0]).snapshot();
+        let snap = HistogramSnapshot::new(&[1.0]);
         assert_eq!(snap.count, 0);
         assert_eq!(snap.mean(), 0.0);
         assert_eq!(snap.min, 0.0);
@@ -438,16 +286,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "strictly increasing")]
     fn histogram_rejects_unsorted_bounds() {
-        Histogram::new(&[5.0, 1.0]);
+        HistogramSnapshot::new(&[5.0, 1.0]);
     }
 
     #[test]
     fn quantiles_interpolate_within_buckets() {
-        let h = Histogram::new(&[10.0, 20.0, 30.0]);
-        for v in 0..100 {
-            h.record(v as f64 * 0.3); // uniform over [0, 29.7]
-        }
-        let snap = h.snapshot();
+        // Uniform over [0, 29.7].
+        let values: Vec<f64> = (0..100).map(|v| v as f64 * 0.3).collect();
+        let snap = histogram(&[10.0, 20.0, 30.0], &values);
         // Uniform data: the estimate should land near the true value.
         assert!((snap.p50() - 15.0).abs() < 2.0, "p50 {}", snap.p50());
         assert!((snap.p90() - 27.0).abs() < 2.0, "p90 {}", snap.p90());
@@ -458,36 +304,30 @@ mod tests {
 
     #[test]
     fn quantile_of_empty_histogram_is_zero() {
-        let snap = Histogram::new(&[1.0]).snapshot();
+        let snap = HistogramSnapshot::new(&[1.0]);
         assert_eq!(snap.p50(), 0.0);
         assert_eq!(snap.p99(), 0.0);
     }
 
     #[test]
     fn quantile_caps_overflow_bucket_at_observed_max() {
-        let h = Histogram::new(&[1.0]);
-        h.record(5.0);
-        h.record(9.0);
-        let snap = h.snapshot();
+        let snap = histogram(&[1.0], &[5.0, 9.0]);
         assert!(snap.p99() <= 9.0);
     }
 
     #[test]
     fn merge_sums_counts_and_tracks_extremes() {
-        let a = Histogram::new(&[1.0, 2.0]);
-        a.record(0.5);
-        a.record(1.5);
-        let b = Histogram::new(&[1.0, 2.0]);
-        b.record(7.0);
-        let merged = a.snapshot().merge(&b.snapshot());
+        let a = histogram(&[1.0, 2.0], &[0.5, 1.5]);
+        let b = histogram(&[1.0, 2.0], &[7.0]);
+        let merged = a.merge(&b);
         assert_eq!(merged.counts, vec![1, 1, 1]);
         assert_eq!(merged.count, 3);
         assert_eq!(merged.sum, 9.0);
         assert_eq!(merged.min, 0.5);
         assert_eq!(merged.max, 7.0);
         // Commutes, and merging an empty histogram is the identity.
-        assert_eq!(merged, b.snapshot().merge(&a.snapshot()));
-        let empty = Histogram::new(&[1.0, 2.0]).snapshot();
+        assert_eq!(merged, b.merge(&a));
+        let empty = HistogramSnapshot::new(&[1.0, 2.0]);
         assert_eq!(merged.merge(&empty), merged);
         assert_eq!(empty.merge(&merged), merged);
     }
@@ -495,18 +335,21 @@ mod tests {
     #[test]
     #[should_panic(expected = "different bounds")]
     fn merge_rejects_mismatched_bounds() {
-        let a = Histogram::new(&[1.0]).snapshot();
-        let b = Histogram::new(&[2.0]).snapshot();
+        let a = HistogramSnapshot::new(&[1.0]);
+        let b = HistogramSnapshot::new(&[2.0]);
         let _ = a.merge(&b);
     }
 
     #[test]
     fn snapshot_serializes_to_json() {
-        let mut reg = MetricsRegistry::new();
-        reg.counter("pops").add(7);
-        reg.gauge("depth").set(42);
-        reg.histogram("priority", &[0.0, 10.0]).record(3.5);
-        let json = reg.snapshot().to_json();
+        let snap = MetricsSnapshot {
+            counters: vec![("pops".into(), 7)],
+            gauges: vec![("depth".into(), 42, 42)],
+            histograms: vec![("priority".into(), histogram(&[0.0, 10.0], &[3.5]))],
+        };
+        assert_eq!(snap.counter("pops"), Some(7));
+        assert_eq!(snap.counter("missing"), None);
+        let json = snap.to_json();
         assert_eq!(
             json.get("counters").unwrap().get("pops").unwrap().as_u64(),
             Some(7)

@@ -11,8 +11,8 @@
 //!
 //! The recorder is `Clone` over a shared `Rc<RefCell<..>>` handle so a
 //! job driver can keep one handle across `catch_unwind` while the
-//! search holds another; a run is single-threaded by construction (see
-//! the crate docs), so `Rc` is the right tool.
+//! search holds another; a search run is serial, so `Rc` is the right
+//! tool.
 
 use crate::json::Json;
 use std::cell::RefCell;

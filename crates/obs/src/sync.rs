@@ -1,24 +1,24 @@
 //! Thread-safe metrics for multi-worker engines.
 //!
-//! The [`metrics`](crate::metrics) registry is deliberately
-//! single-threaded (`Rc`-handle based) because a synthesis *search* is
-//! single-threaded. The batch engine is not: many workers bump the same
-//! counters concurrently, so this module provides the atomic
-//! complement. A [`SyncCounter`] is a monotonically increasing `u64`;
-//! a [`SyncGauge`] tracks a current value plus its high-water mark; a
-//! [`SyncHistogram`] is a log-bucketed latency distribution with a
-//! wait-free `record` path. All are lock-free and safe to share by
-//! reference across a `thread::scope`.
+//! Many batch-engine workers and the serve daemon bump the same
+//! counters concurrently, so these are atomic. A [`SyncCounter`] is a
+//! monotonically increasing `u64`; a [`SyncGauge`] tracks a current
+//! value plus its high-water mark; a [`SyncHistogram`] is a
+//! log-bucketed latency distribution with a wait-free `record` path.
+//! All are lock-free and safe to share by reference across a
+//! `thread::scope`.
 //!
-//! [`SyncRegistry`] names them for a *live* scrape: unlike the
-//! single-threaded registry, its snapshot can be taken from any thread
-//! while recording continues — this is what the telemetry HTTP endpoint
-//! reads on every `GET /metrics`.
+//! [`SyncRegistry`] names them for a *live* scrape: its snapshot can be
+//! taken from any thread while recording continues — this is what the
+//! telemetry HTTP endpoint reads on every `GET /metrics`. A serial
+//! search needs none of this: its observer keeps plain
+//! [`HistogramSnapshot`] values and builds a [`MetricsSnapshot`] on
+//! demand.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::metrics::{HistogramSnapshot, MetricsSnapshot};
+use crate::metrics::{bucket_index, HistogramSnapshot, MetricsSnapshot};
 
 /// A monotonically increasing counter safe to bump from many threads.
 ///
@@ -145,7 +145,7 @@ pub fn log2_bounds(lo: f64, hi: f64) -> Vec<f64> {
 /// ```
 #[derive(Debug)]
 pub struct SyncHistogram {
-    /// Bucket upper bounds (exclusive), strictly increasing; the final
+    /// Bucket upper bounds (inclusive), strictly increasing; the final
     /// implicit bucket is unbounded. Immutable after construction, so
     /// readers need no synchronization.
     bounds: Vec<f64>,
@@ -191,14 +191,13 @@ impl SyncHistogram {
         SyncHistogram::new(&log2_bounds(1e-6, 128.0))
     }
 
-    /// Records one observation (same bucketing rule as the
-    /// single-threaded [`Histogram`](crate::Histogram): first bucket
-    /// whose bound is strictly greater).
+    /// Records one observation (same bucketing rule as
+    /// [`HistogramSnapshot::record`]: first bucket whose bound is
+    /// `>= v`).
     #[inline]
     pub fn record(&self, v: f64) {
         let v = if v.is_nan() { 0.0 } else { v.max(0.0) };
-        let idx = self.bounds.partition_point(|&b| b <= v);
-        self.counts[idx].fetch_add(1, Ordering::Relaxed);
+        self.counts[bucket_index(&self.bounds, v)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         let scaled = (v * SUM_SCALE).round().min(u64::MAX as f64) as u64;
         self.sum_scaled.fetch_add(scaled, Ordering::Relaxed);
@@ -212,9 +211,9 @@ impl SyncHistogram {
         self.count.load(Ordering::Relaxed)
     }
 
-    /// Freezes the current distribution into the same snapshot type the
-    /// single-threaded histogram produces, so every renderer
-    /// (prometheus text, JSON reports, quantiles) works on both.
+    /// Freezes the current distribution into the plain
+    /// [`HistogramSnapshot`] value, so every renderer (prometheus text,
+    /// JSON reports, quantiles) works on it.
     pub fn snapshot(&self) -> HistogramSnapshot {
         let count = self.count.load(Ordering::Relaxed);
         HistogramSnapshot {
@@ -377,8 +376,8 @@ mod tests {
             h.record(v);
         }
         let snap = h.snapshot();
-        // Same placement as metrics::Histogram's documented test.
-        assert_eq!(snap.counts, vec![1, 2, 1, 2]);
+        // Same placement as HistogramSnapshot's documented test.
+        assert_eq!(snap.counts, vec![2, 2, 1, 1]);
         assert_eq!(snap.count, 6);
         assert_eq!(snap.min, 0.5);
         assert_eq!(snap.max, 1e9);
