@@ -90,14 +90,17 @@ pub struct Budget {
     /// Cooperative stop flag checked alongside the deadline; trips
     /// [`StopReason::Cancelled`](crate::StopReason::Cancelled).
     pub cancel: Option<CancelToken>,
-    /// Cap on the total PPRM terms held live across all queued states.
-    /// On breach the search sheds the worst half of its queue (degraded
-    /// mode); a second breach stops it with
+    /// Cap on the total PPRM terms of all queued children, measured on
+    /// their predicted (scored) term counts: a queued child's state is
+    /// built only when it is popped. On breach the search sheds the
+    /// worst half of its queue (degraded mode); a second breach stops
+    /// it with
     /// [`StopReason::MemoryExceeded`](crate::StopReason::MemoryExceeded).
     pub max_live_terms: Option<u64>,
-    /// Cap on the approximate heap bytes of queued states (see
-    /// `MultiPprm::approx_heap_bytes`), with the same shed-then-stop
-    /// policy as `max_live_terms`.
+    /// Cap on the approximate heap bytes the queued children's states
+    /// would take (`MultiPprm::approx_heap_bytes_for` of their predicted
+    /// term counts), with the same shed-then-stop policy as
+    /// `max_live_terms`.
     pub max_queue_bytes: Option<u64>,
 }
 
@@ -119,13 +122,13 @@ impl Budget {
         self
     }
 
-    /// A budget capping the total live PPRM terms across queued states.
+    /// A budget capping the total live PPRM terms across queued children.
     pub fn with_max_live_terms(mut self, terms: u64) -> Budget {
         self.max_live_terms = Some(terms);
         self
     }
 
-    /// A budget capping the approximate heap bytes of queued states.
+    /// A budget capping the approximate heap bytes of queued children.
     pub fn with_max_queue_bytes(mut self, bytes: u64) -> Budget {
         self.max_queue_bytes = Some(bytes);
         self

@@ -289,14 +289,14 @@ impl SynthesisOptions {
         self
     }
 
-    /// Caps the total live PPRM terms across queued states (memory
+    /// Caps the total live PPRM terms across queued children (memory
     /// budget; see [`Budget::max_live_terms`]).
     pub fn with_max_live_terms(mut self, terms: u64) -> Self {
         self.budget.max_live_terms = Some(terms);
         self
     }
 
-    /// Caps the approximate heap bytes of queued states (memory budget;
+    /// Caps the approximate heap bytes of queued children (memory budget;
     /// see [`Budget::max_queue_bytes`]).
     pub fn with_max_queue_bytes(mut self, bytes: u64) -> Self {
         self.budget.max_queue_bytes = Some(bytes);

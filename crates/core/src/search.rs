@@ -72,8 +72,9 @@ impl fmt::Display for NoSolutionError {
 impl Error for NoSolutionError {}
 
 /// One link of the root→leaf substitution chain. Only the gate is stored
-/// at interior nodes (the paper's memory optimization, §IV-C: PPRM
-/// expansions live only in queued leaves).
+/// here; a PPRM expansion lives only in a popped [`Node`] while some
+/// queued child still refers to it (the paper keeps expansions only in
+/// queued leaves, §IV-C; queued children here hold scores, not states).
 struct PathNode {
     parent: Option<Rc<PathNode>>,
     gate: Gate,
@@ -90,18 +91,37 @@ fn path_to_gates(leaf: &Option<Rc<PathNode>>) -> Vec<Gate> {
     gates
 }
 
-/// A queued search-tree leaf. The state is shared (`Rc`) so restart
-/// reseeds reference it without copying; the expansions themselves are
-/// immutable once built.
+/// A popped search-tree node: its materialized state and the path that
+/// reached it. Shared (`Rc`) by the queued children scored from it, and
+/// dropped with the last of them.
+struct Node {
+    depth: u32,
+    state: MultiPprm,
+    path: Option<Rc<PathNode>>,
+}
+
+/// A queued search-tree leaf, kept as scored values: the parent node and
+/// the scored candidate move from it. The child's state and
+/// [`PathNode`] are built only when the entry is popped
+/// ([`Search::open`]), so an entry that is never popped costs no
+/// `MultiPprm`; memory accounting uses `child.terms`.
+#[derive(Clone)]
 struct QueueEntry {
-    priority: f64,
     /// FIFO tiebreak: earlier-generated entries win among equal
     /// priorities, keeping runs deterministic. Unique per pushed entry,
-    /// so `(priority, seq)` is a total order.
+    /// so `(child.priority, seq)` is a total order.
     seq: u64,
     depth: u32,
-    state: Rc<MultiPprm>,
-    path: Option<Rc<PathNode>>,
+    parent: Rc<Node>,
+    child: Candidate,
+}
+
+impl QueueEntry {
+    /// Approximate heap bytes of the child's state once built
+    /// ([`MultiPprm::approx_heap_bytes_for`] of its predicted term count).
+    fn child_heap_bytes(&self) -> u64 {
+        MultiPprm::approx_heap_bytes_for(self.parent.state.num_vars(), self.child.terms) as u64
+    }
 }
 
 impl PartialEq for QueueEntry {
@@ -117,8 +137,9 @@ impl PartialOrd for QueueEntry {
 }
 impl Ord for QueueEntry {
     fn cmp(&self, other: &Self) -> Ordering {
-        self.priority
-            .total_cmp(&other.priority)
+        self.child
+            .priority
+            .total_cmp(&other.child.priority)
             .then_with(|| other.seq.cmp(&self.seq))
     }
 }
@@ -296,8 +317,10 @@ fn candidate_priority(
 ///
 /// Candidates are *scored, not materialized*: they carry the move plus
 /// the counting kernel's predictions (term count, fingerprint,
-/// elimination) and only survivors of pruning/dedup/depth-cutoff are
-/// turned into a real child `MultiPprm` (see [`Search::push_child`]).
+/// elimination). Survivors of pruning/dedup/depth-cutoff are queued as
+/// these same values (see [`Search::push_child`]); a child `MultiPprm`
+/// is built only when its entry is popped.
+#[derive(Clone)]
 struct Candidate {
     gate: Gate,
     mv: Move,
@@ -341,12 +364,12 @@ struct Search<'a> {
     /// `SynthesisOptions::dedup_states` for the residual risk).
     visited: HashMap<u64, (u32, u32)>,
     steps_since_restart: u64,
-    /// Total PPRM terms across queued states, maintained incrementally
-    /// (push adds, pop subtracts, queue rebuilds recount) for the
-    /// memory-budget poll — O(1) per check.
+    /// Total predicted PPRM terms across queued children, maintained
+    /// incrementally (push adds, pop subtracts, queue rebuilds recount)
+    /// for the memory-budget poll — O(1) per check.
     live_terms: u64,
-    /// Approximate heap bytes of queued states
-    /// ([`MultiPprm::approx_heap_bytes`]), maintained like `live_terms`.
+    /// Approximate heap bytes the queued children's states would take
+    /// ([`QueueEntry::child_heap_bytes`]), maintained like `live_terms`.
     queue_bytes: u64,
     /// When the current restart segment started.
     segment_start: Instant,
@@ -421,8 +444,8 @@ impl<'a> Search<'a> {
     fn recount_memory(&mut self) {
         let (mut terms, mut bytes) = (0u64, 0u64);
         for e in self.queue.iter() {
-            terms += e.state.total_terms() as u64;
-            bytes += e.state.approx_heap_bytes() as u64;
+            terms += e.child.terms as u64;
+            bytes += e.child_heap_bytes();
         }
         self.live_terms = terms;
         self.queue_bytes = bytes;
@@ -437,10 +460,8 @@ impl<'a> Search<'a> {
     /// [`Budget`](crate::Budget) memory caps rather than `max_queue`.
     fn shed_for_memory(&mut self) {
         let mut entries = std::mem::take(&mut self.queue).into_vec();
-        entries.sort_by(|a, b| b.cmp(a));
         let keep = (entries.len() / 2).max(1);
-        let dropped = entries.len().saturating_sub(keep);
-        entries.truncate(keep);
+        let dropped = keep_best(&mut entries, keep);
         self.stats.memory_sheds += 1;
         self.stats.memory_shed_dropped += dropped as u64;
         self.queue = BinaryHeap::from(entries);
@@ -477,13 +498,13 @@ impl<'a> Search<'a> {
     /// variable (types 1–3), records solutions, prunes per §IV-E, and
     /// pushes survivors. Returns `true` if a first solution was found
     /// and `stop_at_first` is set.
-    fn expand(&mut self, entry: &QueueEntry) -> bool {
-        let state = &entry.state;
-        let child_depth = entry.depth + 1;
-        let parent_gate = entry.path.as_ref().map(|p| p.gate);
+    fn expand(&mut self, node: &Rc<Node>) -> bool {
+        let state = &node.state;
+        let child_depth = node.depth + 1;
+        let parent_gate = node.path.as_ref().map(|p| p.gate);
 
         if self.obs.is_active() {
-            self.obs.on_expand(entry.depth, state.total_terms());
+            self.obs.on_expand(node.depth, state.total_terms());
         }
 
         let t_enum = self.profiler.start();
@@ -495,8 +516,8 @@ impl<'a> Search<'a> {
             let mut solved = false;
             let t_score = self.profiler.start();
             for em in group {
-                let score = score_move(&entry.state, em.mv, &mut self.scratch);
-                if self.consider_scored(entry, em, score, child_depth, &mut candidates) {
+                let score = score_move(state, em.mv, &mut self.scratch);
+                if self.consider_scored(node, em, score, child_depth, &mut candidates) {
                     solved = true;
                     break;
                 }
@@ -510,7 +531,7 @@ impl<'a> Search<'a> {
                 candidates.truncate(keep);
             }
             for c in candidates {
-                self.push_child(entry, c, child_depth);
+                self.push_child(node, c, child_depth);
             }
         }
         false
@@ -518,25 +539,55 @@ impl<'a> Search<'a> {
 
     /// Materializes a scored move into the real child state. The only
     /// place (besides the root) where a `MultiPprm` is built during the
-    /// search.
-    fn materialize(&mut self, entry: &QueueEntry, mv: Move) -> (MultiPprm, i64) {
+    /// search: once per popped node and once per solution confirmation.
+    fn materialize(&mut self, parent: &MultiPprm, mv: Move) -> (MultiPprm, i64) {
         self.stats.candidates_materialized += 1;
         let t = self.profiler.start();
-        let out = apply_move(&entry.state, mv, &mut self.scratch);
+        let out = apply_move(parent, mv, &mut self.scratch);
         self.profiler.stop("materialize", t);
         out
     }
 
+    /// Builds a popped entry's node: its state, checked against the
+    /// scores it was queued with, and its link in the path.
+    fn open(&mut self, entry: QueueEntry) -> Rc<Node> {
+        let child = &entry.child;
+        let (state, mat_elim) = self.materialize(&entry.parent.state, child.mv);
+        debug_assert_eq!(
+            mat_elim, child.eliminated,
+            "score/materialize elim mismatch"
+        );
+        debug_assert_eq!(
+            state.total_terms(),
+            child.terms,
+            "score/materialize term mismatch"
+        );
+        debug_assert_eq!(
+            state.fingerprint(),
+            child.fp,
+            "score/materialize fp mismatch"
+        );
+        Rc::new(Node {
+            depth: entry.depth,
+            state,
+            path: Some(Rc::new(PathNode {
+                parent: entry.parent.path.clone(),
+                gate: child.gate,
+            })),
+        })
+    }
+
     /// Candidate evaluation over the *score* alone: solution
     /// check, priority, pruning eligibility. No child state exists yet —
-    /// a candidate is only materialized if it turns out to be a solution
-    /// (confirmed against the real state, so a fingerprint collision can
-    /// never fabricate one) or later survives pruning in `push_child`.
+    /// a candidate is only materialized here if it turns out to be a
+    /// solution (confirmed against the real state, so a fingerprint
+    /// collision can never fabricate one); survivors of `push_child` are
+    /// materialized when they are popped.
     /// Returns `true` when a solution was found and the caller should
     /// stop immediately (`stop_at_first`).
     fn consider_scored(
         &mut self,
-        entry: &QueueEntry,
+        node: &Node,
         em: &EnumMove,
         score: SubstCount,
         child_depth: u32,
@@ -560,21 +611,20 @@ impl<'a> Search<'a> {
         // so a true identity always matches (no false negatives); a
         // match is confirmed on the materialized state before being
         // recorded as a solution.
-        let n = entry.state.num_vars();
+        let n = node.state.num_vars();
         if terms == n
             && fingerprint == self.identity_fp
-            && self.materialize(entry, mv).0.is_identity()
+            && self.materialize(&node.state, mv).0.is_identity()
         {
             self.stats.solutions_seen += 1;
             let path = Some(Rc::new(PathNode {
-                parent: entry.path.as_ref().map(Rc::clone),
+                parent: node.path.clone(),
                 gate,
             }));
             let cost = if self.options.tie_break_cost {
-                let width = entry.state.num_vars();
                 path_to_gates(&path)
                     .iter()
-                    .map(|&g| rmrls_circuit::gate_cost(g, width))
+                    .map(|&g| rmrls_circuit::gate_cost(g, n))
                     .sum()
             } else {
                 0
@@ -626,18 +676,18 @@ impl<'a> Search<'a> {
         false
     }
 
-    /// Admits one pruning survivor: depth cutoff and dedup run first,
-    /// against the candidate's *predicted* term count and fingerprint,
-    /// and only then is the child state materialized and queued — a
-    /// rejected candidate never allocates.
-    fn push_child(&mut self, entry: &QueueEntry, candidate: Candidate, child_depth: u32) {
+    /// Admits one pruning survivor: depth cutoff and dedup run against
+    /// the candidate's *predicted* term count and fingerprint, and a
+    /// survivor is queued as those scored values. Nothing here builds a
+    /// state; the child is materialized only if its entry is popped.
+    fn push_child(&mut self, parent: &Rc<Node>, candidate: Candidate, child_depth: u32) {
         let Candidate {
             gate,
-            mv,
             eliminated,
             priority,
             terms,
             fp,
+            ..
         } = candidate;
         if child_depth >= self.depth_cutoff() {
             self.stats.depth_pruned += 1;
@@ -670,30 +720,19 @@ impl<'a> Search<'a> {
                 return;
             }
         }
-        let (state, mat_elim) = self.materialize(entry, mv);
-        debug_assert_eq!(mat_elim, eliminated, "score/materialize elim mismatch");
-        debug_assert_eq!(
-            state.total_terms(),
-            terms,
-            "score/materialize term mismatch"
-        );
-        debug_assert_eq!(state.fingerprint(), fp, "score/materialize fp mismatch");
         self.stats.children_pushed += 1;
         self.seq += 1;
-        self.live_terms += state.total_terms() as u64;
-        self.queue_bytes += state.approx_heap_bytes() as u64;
-        self.stats.live_terms_peak = self.stats.live_terms_peak.max(self.live_terms);
-        self.stats.queue_bytes_peak = self.stats.queue_bytes_peak.max(self.queue_bytes);
-        self.queue.push(QueueEntry {
-            priority,
+        let entry = QueueEntry {
             seq: self.seq,
             depth: child_depth,
-            state: Rc::new(state),
-            path: Some(Rc::new(PathNode {
-                parent: entry.path.as_ref().map(Rc::clone),
-                gate,
-            })),
-        });
+            parent: Rc::clone(parent),
+            child: candidate,
+        };
+        self.live_terms += terms as u64;
+        self.queue_bytes += entry.child_heap_bytes();
+        self.stats.live_terms_peak = self.stats.live_terms_peak.max(self.live_terms);
+        self.stats.queue_bytes_peak = self.stats.queue_bytes_peak.max(self.queue_bytes);
+        self.queue.push(entry);
         if self.queue.len() as u64 > self.stats.queue_peak {
             self.stats.queue_peak = self.queue.len() as u64;
         }
@@ -706,10 +745,7 @@ impl<'a> Search<'a> {
             if self.queue.len() > cap {
                 // Beam trim: keep the better half, drop the rest.
                 let mut entries = std::mem::take(&mut self.queue).into_vec();
-                entries.sort_by(|a, b| b.cmp(a));
-                let keep = cap / 2;
-                let dropped = entries.len().saturating_sub(keep);
-                entries.truncate(keep);
+                let dropped = keep_best(&mut entries, cap / 2);
                 self.stats.beam_trims += 1;
                 self.stats.beam_dropped += dropped as u64;
                 self.queue = BinaryHeap::from(entries);
@@ -794,6 +830,20 @@ impl<'a> Search<'a> {
             None => Err(NoSolutionError { stats: self.stats }),
         }
     }
+}
+
+/// Keeps the `keep` best entries (in no particular order) and returns
+/// how many were dropped. `(priority, seq)` is a total order, so the kept
+/// set is the same as a full sort would keep, and a heap rebuilt from it
+/// pops in the same order.
+fn keep_best(entries: &mut Vec<QueueEntry>, keep: usize) -> usize {
+    if keep >= entries.len() {
+        return 0;
+    }
+    entries.select_nth_unstable_by(keep, |a, b| b.cmp(a));
+    let dropped = entries.len() - keep;
+    entries.truncate(keep);
+    dropped
 }
 
 /// A cheap greedy dive from the root: repeatedly apply the locally best
@@ -965,13 +1015,11 @@ pub fn synthesize_with_observer(
     }
 
     // Expand the root once; remember its (pruned) children for restarts.
-    let root = QueueEntry {
-        priority: f64::INFINITY,
-        seq: 0,
+    let root = Rc::new(Node {
         depth: 0,
-        state: Rc::new(spec.clone()),
+        state: spec.clone(),
         path: None,
-    };
+    });
     search
         .visited
         .insert(spec.fingerprint(), (0, init_terms as u32));
@@ -993,17 +1041,10 @@ pub fn synthesize_with_observer(
             .visited
             .insert(spec.fingerprint(), (0, init_terms as u32));
         for child in children {
-            search.visited.insert(
-                child.state.fingerprint(),
-                (child.depth, child.state.total_terms() as u32),
-            );
-            search.queue.push(QueueEntry {
-                priority: child.priority,
-                seq: child.seq,
-                depth: child.depth,
-                state: child.state.clone(),
-                path: child.path.clone(),
-            });
+            search
+                .visited
+                .insert(child.child.fp, (child.depth, child.child.terms as u32));
+            search.queue.push(child.clone());
         }
         search.recount_memory();
     };
@@ -1028,12 +1069,8 @@ pub fn synthesize_with_observer(
             search.stats.stop_reason = Some(StopReason::QueueExhausted);
             break;
         };
-        search.live_terms = search
-            .live_terms
-            .saturating_sub(entry.state.total_terms() as u64);
-        search.queue_bytes = search
-            .queue_bytes
-            .saturating_sub(entry.state.approx_heap_bytes() as u64);
+        search.live_terms = search.live_terms.saturating_sub(entry.child.terms as u64);
+        search.queue_bytes = search.queue_bytes.saturating_sub(entry.child_heap_bytes());
         if entry.depth >= search.depth_cutoff() {
             // Stale entry: pushed before the cutoff tightened.
             search.stats.depth_pruned += 1;
@@ -1072,7 +1109,8 @@ pub fn synthesize_with_observer(
             }
         }
 
-        if search.expand(&entry) {
+        let node = search.open(entry);
+        if search.expand(&node) {
             break; // first solution, stop_at_first
         }
 
@@ -1507,8 +1545,10 @@ mod tests {
                 r.stats.candidates_scored,
                 opts.pruning
             );
-            // Every queued child was materialized exactly once.
-            assert!(r.stats.candidates_materialized >= r.stats.children_pushed);
+            // Only popped nodes and solution confirmations are built.
+            assert!(
+                r.stats.candidates_materialized <= r.stats.nodes_expanded + r.stats.solutions_seen
+            );
             verify(&spec, &r);
         }
     }
@@ -1785,5 +1825,154 @@ mod tests {
         assert!(result.stats.queue_bytes_peak >= result.stats.live_terms_peak);
         assert!(result.stats.live_terms_peak > 0);
         assert_eq!(result.stats.memory_sheds, 0, "no budget, no sheds");
+    }
+
+    /// The circuit of a pinned run (`None` when the search failed) and,
+    /// in order: `nodes_expanded`, `children_pushed`, `dedup_hits`,
+    /// `depth_pruned`, `beam_trims`, `beam_dropped`, `memory_sheds`,
+    /// `memory_shed_dropped`, `live_terms_peak`, `queue_bytes_peak`,
+    /// `queue_peak`.
+    type Pinned = (Option<&'static str>, [u64; 11]);
+
+    /// Six seeded 3- and 4-variable functions, each under three
+    /// configurations: the `TopK(4)`/2000-node options of the service
+    /// benchmark, the same with a 64-entry queue (beam trims), and an
+    /// exhaustive run capped below its own live-term peak (a memory
+    /// shed). Rows run spec by spec, configuration by configuration.
+    const PINNED: [Pinned; 18] = [
+        (
+            Some("TOF2(b,c) TOF3(b,c,a) TOF2(a,b) TOF2(c,a) TOF1(c) TOF3(a,b,c)"),
+            [1431, 1984, 1713, 7327, 0, 0, 0, 0, 8709, 95460, 842],
+        ),
+        (
+            Some("TOF1(a) TOF1(c) TOF3(b,c,a) TOF2(b,c) TOF2(a,b) TOF1(b) TOF2(c,a) TOF3(a,b,c)"),
+            [230, 530, 353, 662, 9, 297, 0, 0, 586, 7024, 65],
+        ),
+        (
+            Some("TOF2(b,c) TOF3(b,c,a) TOF2(a,b) TOF2(c,a) TOF1(c) TOF3(a,b,c)"),
+            [1384, 1971, 1690, 6658, 0, 0, 1, 343, 6541, 75484, 685],
+        ),
+        (
+            Some("TOF3(a,c,b) TOF3(b,c,a) TOF1(c) TOF3(a,b,c) TOF1(a) TOF2(c,b)"),
+            [1250, 1250, 841, 7521, 0, 0, 0, 0, 4563, 44872, 372],
+        ),
+        (
+            Some("TOF3(a,c,b) TOF3(b,c,a) TOF1(c) TOF3(a,b,c) TOF1(a) TOF2(c,b)"),
+            [149, 380, 85, 565, 7, 231, 0, 0, 714, 7536, 65],
+        ),
+        (
+            Some("TOF3(a,c,b) TOF3(b,c,a) TOF1(c) TOF3(a,b,c) TOF1(a) TOF2(c,b)"),
+            [1046, 1204, 747, 6047, 0, 0, 1, 149, 3461, 35300, 298],
+        ),
+        (
+            Some("TOF2(a,c) TOF2(c,a) TOF1(b) TOF2(a,c) TOF2(b,c) TOF3(a,c,b)"),
+            [867, 1046, 1183, 4276, 0, 0, 0, 0, 4203, 47700, 429],
+        ),
+        (
+            Some("TOF2(a,c) TOF2(c,a) TOF1(b) TOF2(a,c) TOF2(b,c) TOF3(a,c,b)"),
+            [283, 621, 526, 736, 10, 330, 0, 0, 602, 7088, 65],
+        ),
+        (
+            Some("TOF2(a,c) TOF2(c,a) TOF1(b) TOF2(a,c) TOF2(b,c) TOF3(a,c,b)"),
+            [834, 1040, 1163, 3873, 0, 0, 1, 181, 3181, 38716, 361],
+        ),
+        (
+            Some("TOF3(a,c,d) TOF4(a,c,d,b) TOF3(a,b,c) TOF1(a) TOF2(d,a) TOF3(b,c,a) TOF3(a,d,c) TOF3(a,b,d) TOF4(a,c,d,b) TOF1(c) TOF2(c,b) TOF2(d,c) TOF2(a,d)"),
+            [2001, 14857, 3552, 447, 0, 0, 0, 0, 207608, 2064224, 12852],
+        ),
+        (
+            Some("TOF3(a,c,d) TOF1(d) TOF2(a,c) TOF3(b,c,a) TOF3(a,d,c) TOF2(d,a) TOF1(d) TOF4(a,c,d,b) TOF2(b,c) TOF1(b) TOF3(b,d,c) TOF2(d,b) TOF3(a,b,d) TOF2(c,b) TOF3(a,c,b) TOF4(a,c,d,b) TOF1(c)"),
+            [465, 3103, 691, 172, 79, 2607, 0, 0, 1766, 13304, 65],
+        ),
+        (
+            Some("TOF3(a,c,d) TOF4(a,c,d,b) TOF3(a,b,c) TOF1(a) TOF2(d,a) TOF3(b,c,a) TOF3(a,d,c) TOF3(a,b,d) TOF4(a,c,d,b) TOF1(c) TOF2(c,b) TOF2(d,c) TOF2(a,d)"),
+            [3001, 21975, 5591, 1778, 0, 0, 1, 7003, 228246, 2257560, 14006],
+        ),
+        (
+            None,
+            [2001, 18374, 3712, 0, 0, 0, 0, 0, 296407, 2757532, 16374],
+        ),
+        (
+            Some("TOF2(a,d) TOF1(c) TOF4(b,c,d,a) TOF2(d,a) TOF2(a,b) TOF3(c,d,b) TOF1(d) TOF2(b,c) TOF3(a,d,c) TOF1(b) TOF2(a,d) TOF1(d) TOF1(b) TOF4(a,c,d,b) TOF1(d) TOF1(c) TOF2(a,b) TOF3(a,c,d) TOF1(c) TOF1(b) TOF2(b,d) TOF2(c,d) TOF3(a,c,b) TOF1(c) TOF1(a) TOF1(b) TOF3(b,c,d) TOF2(d,c) TOF3(a,b,d) TOF1(a) TOF3(b,c,d) TOF2(a,b)"),
+            [1215, 8416, 1783, 1536, 218, 7194, 0, 0, 1564, 12496, 65],
+        ),
+        (
+            None,
+            [3001, 28508, 5619, 0, 0, 0, 1, 9573, 344997, 3218004, 19146],
+        ),
+        (
+            None,
+            [2001, 19515, 3680, 0, 0, 0, 0, 0, 310599, 2923836, 17515],
+        ),
+        (
+            None,
+            [2001, 18533, 4621, 0, 500, 16500, 0, 0, 1578, 12552, 65],
+        ),
+        (
+            None,
+            [3001, 30695, 5293, 0, 0, 0, 1, 10314, 368899, 3455788, 20627],
+        ),
+    ];
+
+    #[test]
+    fn search_decisions_are_pinned() {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        // Every value in PINNED records a search decision (what was
+        // pushed, deduplicated, pruned, trimmed or shed), so a change to
+        // when states are built must leave all of them as they are.
+        let mut rng = StdRng::seed_from_u64(7);
+        let specs: Vec<MultiPprm> = [3, 3, 3, 4, 4, 4]
+            .iter()
+            .map(|&n| rmrls_spec::random_permutation(n, &mut rng).to_multi_pprm())
+            .collect();
+        let serve = SynthesisOptions::new()
+            .with_pruning(P::TopK(4))
+            .with_max_nodes(2000);
+        let beam = serve.clone().with_max_queue(Some(64));
+        let undived = SynthesisOptions::new()
+            .with_initial_dive(false)
+            .with_max_nodes(3000);
+        let mut rows = PINNED.iter();
+        for (i, spec) in specs.iter().enumerate() {
+            let peak = synthesize(spec, &undived)
+                .map_or_else(|e| e.stats, |r| r.stats)
+                .live_terms_peak;
+            let shed = undived.clone().with_max_live_terms(peak * 3 / 4);
+            for (name, opts) in [("serve", &serve), ("beam", &beam), ("shed", &shed)] {
+                let (circuit, s) = match synthesize(spec, opts) {
+                    Ok(r) => {
+                        verify(spec, &r);
+                        (Some(r.circuit.to_string()), r.stats)
+                    }
+                    Err(e) => (None, e.stats),
+                };
+                let got = [
+                    s.nodes_expanded,
+                    s.children_pushed,
+                    s.dedup_hits,
+                    s.depth_pruned,
+                    s.beam_trims,
+                    s.beam_dropped,
+                    s.memory_sheds,
+                    s.memory_shed_dropped,
+                    s.live_terms_peak,
+                    s.queue_bytes_peak,
+                    s.queue_peak,
+                ];
+                let (want_circuit, want) = rows.next().unwrap();
+                assert_eq!(circuit.as_deref(), *want_circuit, "spec {i} {name}");
+                assert_eq!(got, *want, "spec {i} {name}");
+                // Only popped nodes and solution confirmations build a
+                // state; queued children stay scored values.
+                assert!(
+                    s.candidates_materialized <= s.nodes_expanded + s.solutions_seen,
+                    "spec {i} {name}: materialized {} > expanded {} + solutions {}",
+                    s.candidates_materialized,
+                    s.nodes_expanded,
+                    s.solutions_seen
+                );
+            }
+        }
     }
 }

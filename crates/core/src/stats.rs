@@ -73,10 +73,12 @@ pub struct SearchStats {
     /// kernel (`count_substitute`), one per candidate considered during
     /// expansion.
     pub candidates_scored: u64,
-    /// Candidates actually materialized into a child `MultiPprm` —
-    /// survivors of pruning, dedup, and the depth cutoff, plus
-    /// solution confirmations. The gap between this and
-    /// `candidates_scored` is work the two-phase kernel avoided.
+    /// Candidates actually materialized into a child `MultiPprm`: one
+    /// per popped node that is expanded, plus one per solution
+    /// confirmation, so at most `nodes_expanded + solutions_seen`.
+    /// Queued children are kept as scores and built only when popped.
+    /// The gap between this and `candidates_scored` is work the
+    /// two-phase kernel avoided.
     pub candidates_materialized: u64,
     /// Children pushed onto the queue (after pruning).
     pub children_pushed: u64,
@@ -110,9 +112,13 @@ pub struct SearchStats {
     pub memory_sheds: u64,
     /// Queue entries discarded by memory sheds.
     pub memory_shed_dropped: u64,
-    /// Largest total of live PPRM terms across queued states.
+    /// Largest total of PPRM terms across queued children, from their
+    /// predicted (scored) term counts; the children's states are not
+    /// built while they are queued.
     pub live_terms_peak: u64,
-    /// Largest approximate heap footprint (bytes) of queued states.
+    /// Largest approximate heap footprint (bytes) the queued children's
+    /// states would take (`MultiPprm::approx_heap_bytes_for` of their
+    /// predicted term counts).
     pub queue_bytes_peak: u64,
     /// Wall-clock duration of the search.
     pub elapsed: Duration,

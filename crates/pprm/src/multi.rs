@@ -568,8 +568,15 @@ impl MultiPprm {
     /// where a reproducible estimate matters more than allocator-exact
     /// truth.
     pub fn approx_heap_bytes(&self) -> usize {
-        let per_output = std::mem::size_of::<Pprm>();
-        self.outputs.len() * per_output + self.total_terms * std::mem::size_of::<Term>()
+        MultiPprm::approx_heap_bytes_for(self.outputs.len(), self.total_terms)
+    }
+
+    /// [`approx_heap_bytes`](MultiPprm::approx_heap_bytes) of a state
+    /// with `num_vars` outputs and `terms` terms in total, so a size can
+    /// be accounted from a predicted term count before (or without) the
+    /// state being built.
+    pub fn approx_heap_bytes_for(num_vars: usize, terms: usize) -> usize {
+        num_vars * std::mem::size_of::<Pprm>() + terms * std::mem::size_of::<Term>()
     }
 }
 
@@ -825,6 +832,11 @@ mod tests {
         // Deterministic: equal states report equal footprints.
         assert_eq!(
             MultiPprm::from_permutation(&FIG1, 3).approx_heap_bytes(),
+            big.approx_heap_bytes()
+        );
+        // The size follows from the shape alone.
+        assert_eq!(
+            MultiPprm::approx_heap_bytes_for(3, big.total_terms()),
             big.approx_heap_bytes()
         );
     }
