@@ -434,6 +434,54 @@ fn parse_source(
     }
 }
 
+/// Every flag, with the subcommands that read it. A flag given to any
+/// other subcommand is rejected instead of silently ignored.
+const FLAG_READERS: &[(&str, &[&str])] = &[
+    ("--spec", &["synth", "mmd"]),
+    ("--benchmark", &["synth", "mmd"]),
+    ("--tfc", &["synth", "mmd", "info", "analyze", "simplify"]),
+    ("--spec-file", &["synth", "mmd"]),
+    ("--pruning", &["synth"]),
+    ("--time-limit", &["synth", "embed"]),
+    ("--max-gates", &["synth"]),
+    ("--simplify", &["synth"]),
+    ("--render", &["synth"]),
+    ("--tfc-out", &["synth", "simplify"]),
+    ("--real-out", &["synth"]),
+    ("--uni", &["mmd"]),
+    ("--bidi", &["synth"]),
+    ("--fredkin", &["synth"]),
+    ("--table", &["embed"]),
+    ("--outputs", &["embed"]),
+    ("--report", &["synth", "batch"]),
+    ("--progress", &["synth"]),
+    ("--log-json", &["synth"]),
+    ("--profile", &["synth", "batch"]),
+    ("--trace", &["synth", "batch"]),
+    ("--trace-out", &["synth"]),
+    ("--metrics-out", &["synth"]),
+    ("--metrics-addr", &["synth", "batch"]),
+    ("--manifest", &["batch"]),
+    ("--suite", &["batch"]),
+    ("--jobs", &["batch", "serve"]),
+    ("--deadline-ms", &["batch", "serve"]),
+    ("--cache-size", &["batch", "serve"]),
+    ("--no-cache", &["batch", "serve"]),
+    ("--canon-limit", &["batch", "serve"]),
+    ("--no-verify", &["batch", "serve"]),
+    ("--fallback", &["batch", "serve"]),
+    ("--results", &["batch"]),
+    ("--resume", &["batch"]),
+    ("--strict", &["batch"]),
+    ("--addr", &["serve"]),
+    ("--queue", &["serve"]),
+    ("--max-body-bytes", &["serve"]),
+    ("--journal", &["serve"]),
+    ("--store", &["batch", "serve", "store"]),
+    ("--dump", &["trace"]),
+    ("--chrome-out", &["trace"]),
+];
+
 /// Parses command-line arguments (without the program name).
 ///
 /// # Errors
@@ -516,6 +564,12 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Cl
         };
 
     while let Some(arg) = args.next() {
+        let Some((_, readers)) = FLAG_READERS.iter().find(|(flag, _)| *flag == arg) else {
+            return Err(err(format!("unknown argument '{arg}'")));
+        };
+        if !readers.contains(&cmd.as_str()) {
+            return Err(err(format!("'{arg}' does not apply to '{cmd}'")));
+        }
         match arg.as_str() {
             "--spec" => spec = Some(take_value(&mut args, "--spec")?),
             "--benchmark" => benchmark = Some(take_value(&mut args, "--benchmark")?),
@@ -616,39 +670,8 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Cl
                     other => return Err(err(format!("bad --fredkin value '{other}'"))),
                 };
             }
-            other => return Err(err(format!("unknown argument '{other}'"))),
+            _ => unreachable!("every flag in FLAG_READERS is handled above"),
         }
-    }
-
-    if report.is_some() && cmd != "synth" && cmd != "batch" {
-        return Err(err("--report applies only to 'synth' and 'batch'"));
-    }
-    if (progress || log_json.is_some()) && cmd != "synth" {
-        return Err(err("--progress and --log-json apply only to 'synth'"));
-    }
-    if (profile || trace.is_some()) && cmd != "synth" && cmd != "batch" {
-        return Err(err(
-            "--profile and --trace apply only to 'synth' and 'batch'",
-        ));
-    }
-    if (trace_out.is_some() || metrics_out.is_some()) && cmd != "synth" {
-        return Err(err("--trace-out and --metrics-out apply only to 'synth'"));
-    }
-    if metrics_addr.is_some() && cmd != "synth" && cmd != "batch" {
-        return Err(err("--metrics-addr applies only to 'synth' and 'batch'"));
-    }
-    if (dump.is_some() || chrome_out.is_some()) && cmd != "trace" {
-        return Err(err("--dump and --chrome-out apply only to 'trace'"));
-    }
-    if (addr.is_some() || queue.is_some() || max_body_bytes.is_some() || journal.is_some())
-        && cmd != "serve"
-    {
-        return Err(err(
-            "--addr, --queue, --max-body-bytes, and --journal apply only to 'serve'",
-        ));
-    }
-    if store.is_some() && cmd != "batch" && cmd != "serve" && cmd != "store" {
-        return Err(err("--store applies only to 'batch', 'serve', and 'store'"));
     }
 
     match cmd.as_str() {
@@ -879,21 +902,14 @@ pub fn run(command: Command, out: &mut impl fmt::Write) -> Result<(), CliError> 
                 _ => None,
             };
             if progress || telemetry.is_some() {
-                let tele = telemetry.clone();
-                let mut last_beat = std::time::Instant::now();
+                // The engine's own progress hook, plus a gauge beat:
+                // there is no batch sampler thread here.
+                let mut board = telemetry
+                    .as_ref()
+                    .map(|t| (std::sync::Arc::clone(t), t.progress_hook(0)));
                 obs = obs.with_progress(Box::new(move |p: &Progress| {
-                    if let Some(t) = &tele {
-                        t.jobs.update_progress(
-                            0,
-                            p.nodes_expanded,
-                            p.queue_depth as u64,
-                            p.live_terms,
-                            p.memory_sheds,
-                        );
-                        let now = std::time::Instant::now();
-                        t.expansion_batch_seconds
-                            .record(now.duration_since(last_beat).as_secs_f64());
-                        last_beat = now;
+                    if let Some((t, hook)) = &mut board {
+                        hook(p);
                         t.sample(None);
                     }
                     if progress {
@@ -1363,6 +1379,7 @@ pub fn run(command: Command, out: &mut impl fmt::Write) -> Result<(), CliError> 
             });
             let mut batch = rmrls_engine::BatchOptions {
                 workers,
+                deadline,
                 cache_size,
                 canon_limit,
                 verify,
@@ -1387,7 +1404,6 @@ pub fn run(command: Command, out: &mut impl fmt::Write) -> Result<(), CliError> 
                 addr,
                 workers,
                 queue_capacity: queue,
-                default_deadline: deadline,
                 max_body_bytes,
                 journal_path: journal,
                 batch,
@@ -1871,6 +1887,54 @@ mod tests {
     #[test]
     fn unknown_flag_rejected() {
         assert!(parse(&["synth", "--spec", "0,1", "--frobnicate"]).is_err());
+    }
+
+    #[test]
+    fn flags_the_subcommand_ignores_are_rejected() {
+        // Search flags are synth's: batch takes its search options from
+        // the engine defaults and would silently drop them.
+        let e = parse(&[
+            "batch",
+            "--suite",
+            "examples",
+            "--pruning",
+            "greedy",
+            "--time-limit",
+            "1",
+            "--max-gates",
+            "3",
+        ])
+        .unwrap_err();
+        assert_eq!(e.0, "'--pruning' does not apply to 'batch'");
+        for flag in ["--time-limit", "--max-gates"] {
+            let e = parse(&["batch", "--suite", "examples", flag, "1"]).unwrap_err();
+            assert_eq!(e.0, format!("'{flag}' does not apply to 'batch'"));
+        }
+        // Engine flags are batch's and serve's: synth runs one search
+        // with no deadline, worker pool or fallback ladder.
+        let e = parse(&[
+            "synth",
+            "--spec",
+            "1,0,3,2",
+            "--deadline-ms",
+            "1",
+            "--jobs",
+            "3",
+            "--fallback",
+        ])
+        .unwrap_err();
+        assert_eq!(e.0, "'--deadline-ms' does not apply to 'synth'");
+        for flag in ["--jobs", "--fallback"] {
+            let e = parse(&["synth", "--spec", "1,0,3,2", flag, "3"]).unwrap_err();
+            assert_eq!(e.0, format!("'{flag}' does not apply to 'synth'"));
+        }
+    }
+
+    #[test]
+    fn usage_documents_every_flag() {
+        for (flag, _) in FLAG_READERS {
+            assert!(USAGE.contains(flag), "USAGE lacks {flag}");
+        }
     }
 
     #[test]

@@ -1,6 +1,10 @@
-//! The batch engine: a fixed worker pool over a shared job queue.
+//! The batch engine: a fixed worker pool over one [`JobRunner`].
 //!
-//! Execution model, per job:
+//! [`run_batch_resumable`] builds a single runner from its options and
+//! every worker feeds it admissions from a shared queue; the runner
+//! ([`runner`](crate::runner)) is the engine's only per-job path, the
+//! same one the serve daemon drives request by request. This module
+//! holds what that path executes, per job:
 //!
 //! 1. tabulated permutations are **canonicalized** under wire
 //!    relabeling and the search always runs on the canonical
@@ -14,9 +18,9 @@
 //! 3. each job runs under `catch_unwind`, so one poisoned spec becomes
 //!    a `panicked` record instead of taking down the run;
 //! 4. each job's search carries a [`Budget`](rmrls_core::Budget): the
-//!    per-job deadline (measured from job start) plus the engine's
-//!    abort token, so shutdown reaches in-flight searches within one
-//!    budget poll;
+//!    per-job deadline (measured from job start) plus the caller's
+//!    cancel token (the engine's abort token in batch mode), so
+//!    shutdown reaches in-flight searches within one budget poll;
 //! 5. with [`BatchOptions::fallback`] set, a failed search descends a
 //!    **fallback ladder** — relaxed-pruning RMRLS, then the MMD
 //!    baseline, which always terminates — and every solved record
@@ -36,24 +40,21 @@ use std::time::{Duration, Instant};
 use rmrls_baselines::{mmd_synthesize, MmdVariant};
 use rmrls_circuit::Circuit;
 use rmrls_core::{
-    synthesize_with_observer, Observer, Pruning, StopReason, Synthesis, SynthesisOptions,
+    synthesize_with_observer, CancelToken, Observer, Pruning, StopReason, Synthesis,
+    SynthesisOptions,
 };
 use rmrls_obs::{FlightRecorder, Json, PhaseProfile, Profiler, SyncCounter, TraceKind};
 use rmrls_pprm::MultiPprm;
 use rmrls_spec::Permutation;
 
-use crate::cache::{CacheKey, SharedCache};
+use crate::cache::CacheKey;
 use crate::canon::{canonical_form, uncanonicalize_circuit};
 use crate::journal::{CompletedJob, JournalWriter};
 use crate::manifest::{Admission, BatchJob, SpecData};
+use crate::runner::JobRunner;
 use crate::signal::ShutdownHandles;
 use crate::store::SharedStore;
 use crate::telemetry::{BatchTelemetry, SAMPLE_INTERVAL};
-
-/// A worker's handle on the run's telemetry board, paired with the
-/// admission index of the job it is currently executing. `None`
-/// throughout when telemetry is disabled.
-pub(crate) type JobTelemetry<'a> = Option<(&'a Arc<BatchTelemetry>, usize)>;
 
 /// Builds one fresh [`rmrls_obs::EventSink`] per search attempt. The
 /// serve daemon passes a factory that tees progress events into a
@@ -61,6 +62,21 @@ pub(crate) type JobTelemetry<'a> = Option<(&'a Arc<BatchTelemetry>, usize)>;
 /// `Observer`, hence a factory rather than a single sink. `None`
 /// everywhere in batch mode.
 pub type SinkFactory = dyn Fn() -> Box<dyn rmrls_obs::EventSink> + Sync;
+
+/// One job on its way down the per-job path: the runner it runs on
+/// (options, cache, counters) plus what differs from job to job. Built
+/// by [`JobRunner::run`] for every job.
+pub(crate) struct JobContext<'a> {
+    pub(crate) runner: &'a JobRunner,
+    /// The job's deadline, measured from when its search starts.
+    pub(crate) deadline: Option<Duration>,
+    /// Trips mid-search cancellation (batch abort, serve disconnect).
+    pub(crate) cancel: &'a CancelToken,
+    pub(crate) recorder: Option<&'a FlightRecorder>,
+    /// The telemetry board and this job's slot on it, when attached.
+    pub(crate) board: Option<(&'a Arc<BatchTelemetry>, usize)>,
+    pub(crate) sink: Option<&'a SinkFactory>,
+}
 
 /// Version of the batch report / results-JSONL schema.
 pub const BATCH_SCHEMA_VERSION: u64 = 1;
@@ -110,7 +126,9 @@ impl SolveTier {
 pub struct BatchOptions {
     /// Worker threads (clamped to at least 1).
     pub workers: usize,
-    /// Per-job deadline, measured from the moment the job is dequeued.
+    /// Per-job deadline, measured from the moment the job starts. The
+    /// serve daemon applies it to every request that carries no
+    /// `deadline_ms` of its own.
     pub deadline: Option<Duration>,
     /// Result-cache capacity; `None` disables the cache.
     pub cache_size: Option<usize>,
@@ -133,20 +151,14 @@ pub struct BatchOptions {
     /// `<index>-<job>.anomaly.json`. `None` (the default) records
     /// nothing.
     pub trace_dir: Option<String>,
-    /// Live telemetry board. When set, the engine sources its run
-    /// counters from the board's registry, feeds the latency
-    /// histograms, drives the job-status registry, and runs a
-    /// background gauge sampler — all observation-only: results are
-    /// byte-identical with telemetry on or off.
+    /// Live telemetry board. When set, the [`JobRunner`] registers its
+    /// run counters on the board's registry (so every tally is also a
+    /// live `/metrics` series), records each job's latency into the
+    /// histograms and drives the job's board slot through running →
+    /// finished; a batch run also keeps a background gauge sampler
+    /// going. All observation-only: results are byte-identical with
+    /// telemetry on or off.
     pub telemetry: Option<Arc<BatchTelemetry>>,
-    /// A caller-owned shared cache to use instead of building a private
-    /// one from `cache_size`. The serve daemon passes the cache it
-    /// keeps warm across requests; batch callers leave this `None` and
-    /// the engine behaves exactly as before (a fresh cache per run,
-    /// sized by `cache_size`). Excluded from the journal options
-    /// fingerprint for the same reason `cache_size` is: the cache
-    /// cannot change results, only speed.
-    pub shared_cache: Option<SharedCache>,
     /// Durable canonical circuit store. When set, a canonical-cache
     /// miss consults the store's verified index before synthesizing
     /// (hits are promoted into the in-memory cache), and every fresh
@@ -177,7 +189,6 @@ impl Default for BatchOptions {
             fallback: false,
             trace_dir: None,
             telemetry: None,
-            shared_cache: None,
             store: None,
             store_provenance: "batch".to_string(),
             synthesis: SynthesisOptions::new().with_max_nodes(200_000),
@@ -454,36 +465,36 @@ impl BatchCounters {
     }
 }
 
-/// Thread-shared counter set; snapshotted into [`BatchCounters`] once
-/// the pool joins.
+/// A [`JobRunner`]'s thread-shared counter set; a batch run snapshots
+/// it into [`BatchCounters`] once the pool joins.
 ///
 /// With telemetry enabled the handles come from the telemetry board's
 /// registry, so every tally the aggregate report makes is *also* a
 /// live `/metrics` series — one increment, two consumers. Without
-/// telemetry they are free-standing atomics, exactly as before.
+/// telemetry they are free-standing atomics.
 #[derive(Default)]
 pub(crate) struct RunCounters {
-    jobs_completed: Arc<SyncCounter>,
-    jobs_unsolved: Arc<SyncCounter>,
-    jobs_errored: Arc<SyncCounter>,
-    panics_contained: Arc<SyncCounter>,
-    cache_hits: Arc<SyncCounter>,
-    cache_misses: Arc<SyncCounter>,
-    store_hits: Arc<SyncCounter>,
-    store_inserts: Arc<SyncCounter>,
-    store_append_errors: Arc<SyncCounter>,
-    deadline_expired: Arc<SyncCounter>,
-    cancelled: Arc<SyncCounter>,
-    verified_ok: Arc<SyncCounter>,
-    verify_failures: Arc<SyncCounter>,
-    solved_by_rmrls: Arc<SyncCounter>,
-    solved_by_relaxed: Arc<SyncCounter>,
-    solved_by_mmd: Arc<SyncCounter>,
-    jobs_resumed: Arc<SyncCounter>,
-    journal_append_errors: Arc<SyncCounter>,
-    anomaly_dumps: Arc<SyncCounter>,
-    trace_records_dropped: Arc<SyncCounter>,
-    trace_write_errors: Arc<SyncCounter>,
+    pub(crate) jobs_completed: Arc<SyncCounter>,
+    pub(crate) jobs_unsolved: Arc<SyncCounter>,
+    pub(crate) jobs_errored: Arc<SyncCounter>,
+    pub(crate) panics_contained: Arc<SyncCounter>,
+    pub(crate) cache_hits: Arc<SyncCounter>,
+    pub(crate) cache_misses: Arc<SyncCounter>,
+    pub(crate) store_hits: Arc<SyncCounter>,
+    pub(crate) store_inserts: Arc<SyncCounter>,
+    pub(crate) store_append_errors: Arc<SyncCounter>,
+    pub(crate) deadline_expired: Arc<SyncCounter>,
+    pub(crate) cancelled: Arc<SyncCounter>,
+    pub(crate) verified_ok: Arc<SyncCounter>,
+    pub(crate) verify_failures: Arc<SyncCounter>,
+    pub(crate) solved_by_rmrls: Arc<SyncCounter>,
+    pub(crate) solved_by_relaxed: Arc<SyncCounter>,
+    pub(crate) solved_by_mmd: Arc<SyncCounter>,
+    pub(crate) jobs_resumed: Arc<SyncCounter>,
+    pub(crate) journal_append_errors: Arc<SyncCounter>,
+    pub(crate) anomaly_dumps: Arc<SyncCounter>,
+    pub(crate) trace_records_dropped: Arc<SyncCounter>,
+    pub(crate) trace_write_errors: Arc<SyncCounter>,
 }
 
 impl RunCounters {
@@ -516,6 +527,36 @@ impl RunCounters {
             anomaly_dumps: r.counter("anomaly_dumps"),
             trace_records_dropped: r.counter("trace_records_dropped"),
             trace_write_errors: r.counter("trace_write_errors"),
+        }
+    }
+
+    /// The aggregate counters of a run over `jobs_total` admissions, of
+    /// which `jobs_skipped` never started.
+    fn snapshot(&self, jobs_total: u64, jobs_skipped: u64) -> BatchCounters {
+        BatchCounters {
+            jobs_total,
+            jobs_completed: self.jobs_completed.get(),
+            jobs_unsolved: self.jobs_unsolved.get(),
+            jobs_errored: self.jobs_errored.get(),
+            panics_contained: self.panics_contained.get(),
+            jobs_skipped,
+            cache_hits: self.cache_hits.get(),
+            cache_misses: self.cache_misses.get(),
+            store_hits: self.store_hits.get(),
+            store_inserts: self.store_inserts.get(),
+            store_append_errors: self.store_append_errors.get(),
+            deadline_expired: self.deadline_expired.get(),
+            cancelled: self.cancelled.get(),
+            verified_ok: self.verified_ok.get(),
+            verify_failures: self.verify_failures.get(),
+            solved_by_rmrls: self.solved_by_rmrls.get(),
+            solved_by_relaxed: self.solved_by_relaxed.get(),
+            solved_by_mmd: self.solved_by_mmd.get(),
+            jobs_resumed: self.jobs_resumed.get(),
+            journal_append_errors: self.journal_append_errors.get(),
+            anomaly_dumps: self.anomaly_dumps.get(),
+            trace_records_dropped: self.trace_records_dropped.get(),
+            trace_write_errors: self.trace_write_errors.get(),
         }
     }
 }
@@ -622,7 +663,7 @@ impl BatchRun {
     }
 }
 
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+pub(crate) fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     // A worker panicking inside the cache poisons the mutex; the data
     // (an LRU map) stays structurally valid, so recover rather than
     // letting one contained panic disable caching for the rest of the
@@ -644,6 +685,10 @@ pub fn run_batch(
 }
 
 /// [`run_batch`] plus checkpoint/resume plumbing.
+///
+/// The pool shares one [`JobRunner`] built from `opts`: every worker
+/// hands it the next admission, with the admission index as the job's
+/// index and `shutdown.abort` as its cancel token.
 ///
 /// When `journal` is given, every finished record is durably appended
 /// (via [`JournalWriter::append`]) before the batch moves on — the
@@ -668,12 +713,8 @@ pub fn run_batch_resumable(
 ) -> BatchRun {
     let started = Instant::now();
     let workers = opts.workers.max(1);
-    let cache = opts
-        .shared_cache
-        .clone()
-        .or_else(|| opts.cache_size.map(SharedCache::new));
-    let telemetry = opts.telemetry.as_ref();
-    let counters = RunCounters::new(telemetry.map(Arc::as_ref));
+    let runner = JobRunner::new(opts.clone());
+    let telemetry = runner.telemetry();
     if let Some(t) = telemetry {
         t.set_workers_total(workers as u64);
     }
@@ -684,7 +725,7 @@ pub fn run_batch_resumable(
             if index >= admissions.len() {
                 continue;
             }
-            tally_resumed(job, &counters);
+            tally_resumed(job, &runner.counters);
             let outcome = JobOutcome::Resumed {
                 json: job.json.clone(),
             };
@@ -723,7 +764,7 @@ pub fn run_batch_resumable(
         // drains leaves the gauges at their end-of-run state.
         let sampler = telemetry.map(|t| {
             scope.spawn(|| loop {
-                t.sample(cache.as_ref().map(|c| c.len() as u64));
+                t.sample(runner.cache().map(|c| c.len() as u64));
                 if workers_done.load(Ordering::Acquire) {
                     break;
                 }
@@ -744,41 +785,14 @@ pub fn run_batch_resumable(
                     if resumed.is_some_and(|done| done.contains_key(&index)) {
                         continue;
                     }
-                    // One recorder per job, created inside the worker
-                    // thread (FlightRecorder is same-thread by design).
-                    let recorder = opts
-                        .trace_dir
-                        .as_ref()
-                        .map(|_| FlightRecorder::with_default_budget());
-                    if let Some(t) = telemetry {
-                        t.jobs.mark_running(index);
-                    }
-                    let record = run_one(
+                    let record = runner.run(
                         &admissions[index],
-                        opts,
-                        shutdown,
-                        cache.as_ref(),
-                        &counters,
-                        recorder.as_ref(),
-                        telemetry.map(|t| (t, index)),
                         None,
+                        &shutdown.abort,
+                        index,
+                        None,
+                        journal,
                     );
-                    if let Some(t) = telemetry {
-                        t.job_seconds.record(record.seconds);
-                        t.jobs.mark_finished(index, &record.outcome);
-                    }
-                    if let Some(w) = journal {
-                        let line = record.to_json_indexed(index).to_string();
-                        if lock(w).append(&line).is_err() {
-                            counters.journal_append_errors.inc();
-                            if let Some(r) = &recorder {
-                                r.anomaly("journal_append_failed", "engine/journal/append");
-                            }
-                        }
-                    }
-                    if let (Some(dir), Some(r)) = (opts.trace_dir.as_deref(), &recorder) {
-                        write_job_traces(dir, index, &record.name, r, &counters);
-                    }
                     *lock(&slots[index]) = Some(record);
                 })
             })
@@ -824,35 +838,11 @@ pub fn run_batch_resumable(
     for record in &records {
         profile.merge(&record.profile);
     }
-
-    let snapshot = BatchCounters {
-        jobs_total: admissions.len() as u64,
-        jobs_completed: counters.jobs_completed.get(),
-        jobs_unsolved: counters.jobs_unsolved.get(),
-        jobs_errored: counters.jobs_errored.get(),
-        panics_contained: counters.panics_contained.get(),
-        jobs_skipped,
-        cache_hits: counters.cache_hits.get(),
-        cache_misses: counters.cache_misses.get(),
-        store_hits: counters.store_hits.get(),
-        store_inserts: counters.store_inserts.get(),
-        store_append_errors: counters.store_append_errors.get(),
-        deadline_expired: counters.deadline_expired.get(),
-        cancelled: counters.cancelled.get(),
-        verified_ok: counters.verified_ok.get(),
-        verify_failures: counters.verify_failures.get(),
-        solved_by_rmrls: counters.solved_by_rmrls.get(),
-        solved_by_relaxed: counters.solved_by_relaxed.get(),
-        solved_by_mmd: counters.solved_by_mmd.get(),
-        jobs_resumed: counters.jobs_resumed.get(),
-        journal_append_errors: counters.journal_append_errors.get(),
-        anomaly_dumps: counters.anomaly_dumps.get(),
-        trace_records_dropped: counters.trace_records_dropped.get(),
-        trace_write_errors: counters.trace_write_errors.get(),
-    };
     BatchRun {
         records,
-        counters: snapshot,
+        counters: runner
+            .counters
+            .snapshot(admissions.len() as u64, jobs_skipped),
         elapsed: started.elapsed(),
         workers,
         profile,
@@ -939,77 +929,57 @@ pub(crate) fn write_job_traces(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_one(
-    admission: &Admission,
-    opts: &BatchOptions,
-    shutdown: &ShutdownHandles,
-    cache: Option<&SharedCache>,
-    counters: &RunCounters,
-    recorder: Option<&FlightRecorder>,
-    telemetry: JobTelemetry,
-    sink: Option<&SinkFactory>,
-) -> JobRecord {
+/// Runs one admission under `catch_unwind`: an admission error becomes
+/// an `error` record, a panic inside the job a `panicked` one.
+pub(crate) fn run_one(admission: &Admission, job: &JobContext) -> JobRecord {
     let started = Instant::now();
+    let counters = &job.runner.counters;
     let (name, origin) = (admission.name().to_string(), admission.origin().to_string());
-    match admission {
+    let (outcome, cache_hit, profile) = match admission {
         Admission::Error { message, .. } => {
             counters.jobs_errored.inc();
-            JobRecord {
-                name,
-                origin,
-                cache_hit: false,
-                seconds: started.elapsed().as_secs_f64(),
-                outcome: JobOutcome::Error {
-                    message: message.clone(),
-                },
-                profile: PhaseProfile::default(),
-            }
+            let outcome = JobOutcome::Error {
+                message: message.clone(),
+            };
+            (outcome, false, PhaseProfile::default())
         }
-        Admission::Job(job) => {
-            if let Some(r) = recorder {
+        Admission::Job(spec) => {
+            if let Some(r) = job.recorder {
                 r.phase_enter("job");
             }
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                execute_job(
-                    job, opts, shutdown, cache, counters, recorder, telemetry, sink,
-                )
-            }));
+            let result = catch_unwind(AssertUnwindSafe(|| execute_job(spec, job)));
             // Exit after catch_unwind returns so the span closes (and
             // nests correctly) even when the job panicked mid-phase.
-            if let Some(r) = recorder {
+            if let Some(r) = job.recorder {
                 r.phase_exit("job");
             }
-            let (outcome, cache_hit, profile) = match result {
-                Ok(r) => r,
-                Err(payload) => {
-                    counters.panics_contained.inc();
-                    if let Some(r) = recorder {
-                        r.anomaly("panic", "engine/worker/job");
-                    }
-                    let message = if let Some(s) = payload.downcast_ref::<&str>() {
-                        (*s).to_string()
-                    } else if let Some(s) = payload.downcast_ref::<String>() {
-                        s.clone()
-                    } else {
-                        "non-string panic payload".to_string()
-                    };
-                    (
-                        JobOutcome::Panicked { message },
-                        false,
-                        PhaseProfile::default(),
-                    )
+            result.unwrap_or_else(|payload| {
+                counters.panics_contained.inc();
+                if let Some(r) = job.recorder {
+                    r.anomaly("panic", "engine/worker/job");
                 }
-            };
-            JobRecord {
-                name,
-                origin,
-                cache_hit,
-                seconds: started.elapsed().as_secs_f64(),
-                outcome,
-                profile,
-            }
+                let message = if let Some(s) = payload.downcast_ref::<&str>() {
+                    (*s).to_string()
+                } else if let Some(s) = payload.downcast_ref::<String>() {
+                    s.clone()
+                } else {
+                    "non-string panic payload".to_string()
+                };
+                (
+                    JobOutcome::Panicked { message },
+                    false,
+                    PhaseProfile::default(),
+                )
+            })
         }
+    };
+    JobRecord {
+        name,
+        origin,
+        cache_hit,
+        seconds: started.elapsed().as_secs_f64(),
+        outcome,
+        profile,
     }
 }
 
@@ -1024,54 +994,35 @@ fn relaxed_options(base: &SynthesisOptions) -> SynthesisOptions {
         .with_max_queue(Some(10_000))
 }
 
-/// One ladder tier: runs the search with the job's flight recorder
-/// attached (when tracing) and folds the tier's phase timings into the
-/// job profile whether or not it solved.
+/// One ladder tier: runs the search with the job's flight recorder,
+/// progress hook and event sink attached (each when present) and folds
+/// the tier's phase timings into the job profile whether or not it
+/// solved.
 fn run_search(
     spec: &MultiPprm,
     sopts: &SynthesisOptions,
-    recorder: Option<&FlightRecorder>,
+    job: &JobContext,
     profile: &mut PhaseProfile,
-    telemetry: JobTelemetry,
-    sink: Option<&SinkFactory>,
 ) -> Result<Synthesis, Option<StopReason>> {
-    let mut observer = match sink {
+    let mut observer = match job.sink {
         // Serve-path event streaming: a fresh sink per search attempt,
         // fed the same run_start/expand/... events the JSONL log sink
         // sees. Observation-only, like the recorder and progress hooks.
         Some(f) => Observer::with_sink(f()),
         None => Observer::null(),
     };
-    if let Some(r) = recorder {
+    if let Some(r) = job.recorder {
         observer = observer.with_recorder(r.clone());
     }
-    if let Some((t, index)) = telemetry {
-        // Live progress beats: one per TIME_CHECK_INTERVAL expansions.
-        // The callback only stores into the job's slot atomics and a
-        // histogram — it cannot influence the search, preserving
-        // byte-identical results with telemetry on.
-        let board = Arc::clone(t);
-        let batches = Arc::clone(&t.expansion_batch_seconds);
-        let mut last_beat = Instant::now();
-        observer = observer.with_progress(Box::new(move |p| {
-            board.jobs.update_progress(
-                index,
-                p.nodes_expanded,
-                p.queue_depth as u64,
-                p.live_terms,
-                p.memory_sheds,
-            );
-            let now = Instant::now();
-            batches.record(now.duration_since(last_beat).as_secs_f64());
-            last_beat = now;
-        }));
+    if let Some((t, index)) = job.board {
+        observer = observer.with_progress(Box::new(t.progress_hook(index)));
     }
     let result = synthesize_with_observer(spec, sopts, &mut observer);
     let stats = match &result {
         Ok(s) => &s.stats,
         Err(e) => &e.stats,
     };
-    if let Some((t, _)) = telemetry {
+    if let Some((t, _)) = job.board {
         t.note_memory_sheds(stats.memory_sheds);
     }
     profile.merge(&stats.profile);
@@ -1092,10 +1043,11 @@ fn escalate(recorder: Option<&FlightRecorder>, from: SolveTier, to: SolveTier) {
 
 /// Runs the synthesis ladder on one (canonical) spec.
 ///
-/// Tier 1 is the configured search. With `fallback` set, a failure
-/// descends to tier 2 (relaxed pruning) and finally tier 3, the MMD
-/// baseline — which always terminates, so a well-formed reversible spec
-/// within [`MMD_FALLBACK_LIMIT`] wires cannot stay unsolved.
+/// Tier 1 is the configured search. With [`BatchOptions::fallback`]
+/// set, a failure descends to tier 2 (relaxed pruning) and finally
+/// tier 3, the MMD baseline — which always terminates, so a
+/// well-formed reversible spec within [`MMD_FALLBACK_LIMIT`] wires
+/// cannot stay unsolved.
 /// `perm_for_mmd` materializes the spec as a permutation for tier 3; it
 /// returns `None` for specs too wide (or too broken) to hand to MMD,
 /// and runs only if the ladder actually reaches tier 3.
@@ -1105,33 +1057,22 @@ fn escalate(recorder: Option<&FlightRecorder>, from: SolveTier, to: SolveTier) {
 /// shutdown, so the ladder returns the cancellation instead.
 ///
 /// On failure, returns the *last* attempted tier's stop reason.
-#[allow(clippy::too_many_arguments)]
 fn synthesize_ladder(
     spec: &MultiPprm,
     sopts: &SynthesisOptions,
-    fallback: bool,
-    recorder: Option<&FlightRecorder>,
+    job: &JobContext,
     profile: &mut PhaseProfile,
-    telemetry: JobTelemetry,
-    sink: Option<&SinkFactory>,
     perm_for_mmd: impl FnOnce() -> Option<Permutation>,
 ) -> Result<(Circuit, SolveTier), Option<StopReason>> {
-    let tier1 = match run_search(spec, sopts, recorder, profile, telemetry, sink) {
+    let tier1 = match run_search(spec, sopts, job, profile) {
         Ok(s) => return Ok((s.circuit, SolveTier::Rmrls)),
         Err(reason) => reason,
     };
-    if !fallback || sopts.budget.cancelled() {
+    if !job.runner.opts.fallback || sopts.budget.cancelled() {
         return Err(tier1);
     }
-    escalate(recorder, SolveTier::Rmrls, SolveTier::RmrlsRelaxed);
-    let tier2 = match run_search(
-        spec,
-        &relaxed_options(sopts),
-        recorder,
-        profile,
-        telemetry,
-        sink,
-    ) {
+    escalate(job.recorder, SolveTier::Rmrls, SolveTier::RmrlsRelaxed);
+    let tier2 = match run_search(spec, &relaxed_options(sopts), job, profile) {
         Ok(s) => return Ok((s.circuit, SolveTier::RmrlsRelaxed)),
         Err(reason) => reason.or(tier1),
     };
@@ -1140,7 +1081,7 @@ fn synthesize_ladder(
     }
     match perm_for_mmd() {
         Some(p) => {
-            escalate(recorder, SolveTier::RmrlsRelaxed, SolveTier::Mmd);
+            escalate(job.recorder, SolveTier::RmrlsRelaxed, SolveTier::Mmd);
             Ok((
                 mmd_synthesize(&p, MmdVariant::Bidirectional),
                 SolveTier::Mmd,
@@ -1212,17 +1153,12 @@ fn injected_error(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn execute_job(
-    job: &BatchJob,
-    opts: &BatchOptions,
-    shutdown: &ShutdownHandles,
-    cache: Option<&SharedCache>,
-    counters: &RunCounters,
-    recorder: Option<&FlightRecorder>,
-    telemetry: JobTelemetry,
-    sink: Option<&SinkFactory>,
-) -> (JobOutcome, bool, PhaseProfile) {
+/// Solves one job and tallies how it ended. Returns the outcome,
+/// whether the circuit came from the canonical cache layer, and the
+/// job's merged phase profile.
+fn execute_job(spec: &BatchJob, job: &JobContext) -> (JobOutcome, bool, PhaseProfile) {
+    let opts = &job.runner.opts;
+    let counters = &job.runner.counters;
     // The engine-side profiler times the stages the search cannot see
     // (canonicalization + cache, verification); the search's own phase
     // table merges in through the ladder. `finish(ZERO)` contributes no
@@ -1237,206 +1173,162 @@ fn execute_job(
     // Failpoint: a worker falling over as it picks the job up.
     if let Err(e) = rmrls_obs::fail::trigger("engine/worker/dispatch") {
         return (
-            injected_error(e, "engine/worker/dispatch", recorder, counters),
+            injected_error(e, "engine/worker/dispatch", job.recorder, counters),
             false,
             profile,
         );
     }
-    let mut sopts = opts
-        .synthesis
-        .clone()
-        .with_cancel_token(shutdown.abort.clone());
-    if let Some(d) = opts.deadline {
+    let mut sopts = opts.synthesis.clone().with_cancel_token(job.cancel.clone());
+    if let Some(d) = job.deadline {
         sopts = sopts.with_deadline(Instant::now() + d);
     }
-    match &job.spec {
-        SpecData::Perm(p) => {
-            // Always synthesize the canonical representative — cache on
-            // or off — so results never depend on scheduling (see the
-            // module docs).
-            let t_cache = profiler.start();
-            let lookup_started = telemetry.map(|_| Instant::now());
-            let (canon_table, sigma) = canonical_form(p, opts.canon_limit);
-            let key = CacheKey {
-                num_vars: p.num_vars(),
-                table: canon_table,
-            };
-            let mut cache_hit = false;
-            // Failpoint: a lookup failure degrades to a miss — the job
-            // re-synthesizes rather than erroring.
-            let mut canon_solution = match rmrls_obs::fail::trigger("engine/cache/lookup") {
-                Ok(()) => cache.and_then(|c| c.lock().get(&key)),
-                Err(_) => None,
-            };
-            profiler.stop("cache", t_cache);
-            if let (Some((t, _)), Some(at)) = (telemetry, lookup_started) {
-                t.cache_lookup_seconds.record(at.elapsed().as_secs_f64());
-            }
-            if canon_solution.is_some() {
-                counters.cache_hits.inc();
-                cache_hit = true;
-            } else if cache.is_some() {
-                counters.cache_misses.inc();
-            }
-            if let Some(r) = recorder {
-                if cache.is_some() {
-                    r.record(TraceKind::CacheLookup { hit: cache_hit });
-                }
-            }
-            // Second chance: the durable store's verified index. A hit
-            // is promoted into the in-memory cache so repeats within
-            // this run stay memory-speed.
-            let mut store_hit = false;
-            if canon_solution.is_none() {
-                if let Some(s) = opts.store.as_ref() {
-                    canon_solution = s.lock().get(&key);
-                    if let Some((circuit, tier)) = &canon_solution {
-                        counters.store_hits.inc();
-                        store_hit = true;
-                        if let Some(c) = cache {
-                            c.lock().insert(key.clone(), circuit.clone(), *tier);
-                        }
-                    }
-                }
-            }
-            if !cache_hit && !store_hit {
-                let spec = MultiPprm::from_permutation(&key.table, key.num_vars);
-                let ladder = synthesize_ladder(
-                    &spec,
-                    &sopts,
-                    opts.fallback,
-                    recorder,
-                    &mut profile,
-                    telemetry,
-                    sink,
-                    || {
-                        (key.num_vars <= MMD_FALLBACK_LIMIT)
-                            .then(|| Permutation::from_vec(key.table.clone()).ok())
-                            .flatten()
-                    },
-                );
-                match ladder {
-                    Ok((circuit, tier)) => {
-                        // Failpoint: a failed insert only costs future
-                        // hits; this job's result is already in hand.
-                        if let Some(c) = cache {
-                            if rmrls_obs::fail::trigger("engine/cache/insert").is_ok() {
-                                c.lock().insert(key.clone(), circuit.clone(), tier);
-                            }
-                        }
-                        // Offer the fresh synthesis to the durable
-                        // store; an append failure costs only future
-                        // warm starts, never this job.
-                        if let Some(s) = opts.store.as_ref() {
-                            match s
-                                .lock()
-                                .insert(&key, &circuit, tier, &opts.store_provenance)
-                            {
-                                Ok(crate::store::InsertOutcome::Inserted { .. }) => {
-                                    counters.store_inserts.inc();
-                                }
-                                Ok(_) => {}
-                                Err(_) => {
-                                    counters.store_append_errors.inc();
-                                    if let Some(r) = recorder {
-                                        r.anomaly("store_append_failed", "engine/store/append");
-                                    }
-                                }
-                            }
-                        }
-                        canon_solution = Some((circuit, tier));
-                    }
-                    Err(reason) => {
-                        profile.merge(&profiler.finish(Duration::ZERO));
-                        return (unsolved(reason, counters), cache_hit, profile);
-                    }
-                }
-            }
-            let (canon_circuit, tier) = canon_solution.expect("hit or fresh");
-            let circuit = uncanonicalize_circuit(&canon_circuit, &sigma);
-            // Failpoint: the verifier itself failing. An unverifiable
-            // result must not be reported as solved.
-            if let Err(e) = rmrls_obs::fail::trigger("engine/worker/pre-verify") {
-                profile.merge(&profiler.finish(Duration::ZERO));
-                return (
-                    injected_error(e, "engine/worker/pre-verify", recorder, counters),
-                    cache_hit || store_hit,
-                    profile,
-                );
-            }
-            let t_verify = profiler.start();
-            let verified = opts.verify.then(|| verify_permutation(&circuit, p));
-            profiler.stop("verify", t_verify);
-            tally_verify(verified, counters);
-            tally_tier(tier, counters);
-            counters.jobs_completed.inc();
-            profile.merge(&profiler.finish(Duration::ZERO));
-            (
+    let (solved, cache_hit) = match &spec.spec {
+        SpecData::Perm(p) => solve_permutation(p, &sopts, job, &mut profiler, &mut profile),
+        // Symbolic specs are not canonicalized or cached; the ladder
+        // still applies, with tier 3 gated on the spec having a
+        // materializable (reversible, narrow-enough) truth table.
+        SpecData::Pprm(m) => {
+            let ladder = synthesize_ladder(m, &sopts, job, &mut profile, || {
+                (m.num_vars() <= MMD_FALLBACK_LIMIT)
+                    .then(|| Permutation::from_vec(m.to_permutation()).ok())
+                    .flatten()
+            });
+            (ladder, false)
+        }
+    };
+    let outcome = match solved {
+        Err(reason) => unsolved(reason, counters),
+        // Failpoint: the verifier itself failing. An unverifiable
+        // result must not be reported as solved.
+        Ok((circuit, tier)) => match rmrls_obs::fail::trigger("engine/worker/pre-verify") {
+            Err(e) => injected_error(e, "engine/worker/pre-verify", job.recorder, counters),
+            Ok(()) => {
+                let t_verify = profiler.start();
+                let verified = opts.verify.then(|| match &spec.spec {
+                    SpecData::Perm(p) => verify_permutation(&circuit, p),
+                    SpecData::Pprm(m) => verify_pprm(&circuit, m),
+                });
+                profiler.stop("verify", t_verify);
+                tally_verify(verified, counters);
+                tally_tier(tier, counters);
+                counters.jobs_completed.inc();
                 JobOutcome::Solved {
                     circuit,
                     verified,
                     solved_by: tier,
-                },
-                // A durable-store hit reports as a cache hit: either
-                // way the circuit came from the canonical cache layer,
-                // not a fresh search.
-                cache_hit || store_hit,
-                profile,
-            )
-        }
-        SpecData::Pprm(m) => {
-            // Symbolic specs are not canonicalized or cached; the
-            // ladder still applies, with tier 3 gated on the spec
-            // having a materializable (reversible, narrow-enough)
-            // truth table.
-            let ladder = synthesize_ladder(
-                m,
-                &sopts,
-                opts.fallback,
-                recorder,
-                &mut profile,
-                telemetry,
-                sink,
-                || {
-                    (m.num_vars() <= MMD_FALLBACK_LIMIT)
-                        .then(|| Permutation::from_vec(m.to_permutation()).ok())
-                        .flatten()
-                },
-            );
-            match ladder {
-                Ok((circuit, tier)) => {
-                    if let Err(e) = rmrls_obs::fail::trigger("engine/worker/pre-verify") {
-                        profile.merge(&profiler.finish(Duration::ZERO));
-                        return (
-                            injected_error(e, "engine/worker/pre-verify", recorder, counters),
-                            false,
-                            profile,
-                        );
-                    }
-                    let t_verify = profiler.start();
-                    let verified = opts.verify.then(|| verify_pprm(&circuit, m));
-                    profiler.stop("verify", t_verify);
-                    tally_verify(verified, counters);
-                    tally_tier(tier, counters);
-                    counters.jobs_completed.inc();
-                    profile.merge(&profiler.finish(Duration::ZERO));
-                    (
-                        JobOutcome::Solved {
-                            circuit,
-                            verified,
-                            solved_by: tier,
-                        },
-                        false,
-                        profile,
-                    )
                 }
-                Err(reason) => {
-                    profile.merge(&profiler.finish(Duration::ZERO));
-                    (unsolved(reason, counters), false, profile)
+            }
+        },
+    };
+    profile.merge(&profiler.finish(Duration::ZERO));
+    (outcome, cache_hit, profile)
+}
+
+/// Solves a tabulated permutation through its canonical
+/// representative: the in-memory cache, then the durable store, then
+/// the ladder, whose fresh circuit is offered back to both. Always
+/// synthesizes the canonical representative — cache on or off — so
+/// results never depend on scheduling (see the module docs). The
+/// returned circuit is in the job's own labeling; the flag reports a
+/// cache or store hit (either way the circuit came from the canonical
+/// cache layer, not a fresh search).
+fn solve_permutation(
+    p: &Permutation,
+    sopts: &SynthesisOptions,
+    job: &JobContext,
+    profiler: &mut Profiler,
+    profile: &mut PhaseProfile,
+) -> (Result<(Circuit, SolveTier), Option<StopReason>>, bool) {
+    let opts = &job.runner.opts;
+    let counters = &job.runner.counters;
+    let cache = job.runner.cache();
+    let t_cache = profiler.start();
+    let lookup_started = job.board.map(|_| Instant::now());
+    let (canon_table, sigma) = canonical_form(p, opts.canon_limit);
+    let key = CacheKey {
+        num_vars: p.num_vars(),
+        table: canon_table,
+    };
+    // Failpoint: a lookup failure degrades to a miss — the job
+    // re-synthesizes rather than erroring.
+    let mut canon_solution = match rmrls_obs::fail::trigger("engine/cache/lookup") {
+        Ok(()) => cache.and_then(|c| c.lock().get(&key)),
+        Err(_) => None,
+    };
+    profiler.stop("cache", t_cache);
+    if let (Some((t, _)), Some(at)) = (job.board, lookup_started) {
+        t.cache_lookup_seconds.record(at.elapsed().as_secs_f64());
+    }
+    let cache_hit = canon_solution.is_some();
+    if cache_hit {
+        counters.cache_hits.inc();
+    } else if cache.is_some() {
+        counters.cache_misses.inc();
+    }
+    if let (Some(r), Some(_)) = (job.recorder, cache) {
+        r.record(TraceKind::CacheLookup { hit: cache_hit });
+    }
+    // Second chance: the durable store's verified index. A hit is
+    // promoted into the in-memory cache so repeats within this run stay
+    // memory-speed.
+    if canon_solution.is_none() {
+        if let Some(s) = opts.store.as_ref() {
+            canon_solution = s.lock().get(&key);
+            if let Some((circuit, tier)) = &canon_solution {
+                counters.store_hits.inc();
+                if let Some(c) = cache {
+                    c.lock().insert(key.clone(), circuit.clone(), *tier);
                 }
             }
         }
     }
+    let hit = canon_solution.is_some();
+    let (canon_circuit, tier) = match canon_solution {
+        Some(solution) => solution,
+        None => {
+            let spec = MultiPprm::from_permutation(&key.table, key.num_vars);
+            let ladder = synthesize_ladder(&spec, sopts, job, profile, || {
+                (key.num_vars <= MMD_FALLBACK_LIMIT)
+                    .then(|| Permutation::from_vec(key.table.clone()).ok())
+                    .flatten()
+            });
+            let (circuit, tier) = match ladder {
+                Ok(solved) => solved,
+                Err(reason) => return (Err(reason), false),
+            };
+            // Failpoint: a failed insert only costs future hits; this
+            // job's result is already in hand.
+            if let Some(c) = cache {
+                if rmrls_obs::fail::trigger("engine/cache/insert").is_ok() {
+                    c.lock().insert(key.clone(), circuit.clone(), tier);
+                }
+            }
+            // Offer the fresh synthesis to the durable store; an append
+            // failure costs only future warm starts, never this job.
+            if let Some(s) = opts.store.as_ref() {
+                match s
+                    .lock()
+                    .insert(&key, &circuit, tier, &opts.store_provenance)
+                {
+                    Ok(crate::store::InsertOutcome::Inserted { .. }) => {
+                        counters.store_inserts.inc();
+                    }
+                    Ok(_) => {}
+                    Err(_) => {
+                        counters.store_append_errors.inc();
+                        if let Some(r) = job.recorder {
+                            r.anomaly("store_append_failed", "engine/store/append");
+                        }
+                    }
+                }
+            }
+            (circuit, tier)
+        }
+    };
+    (
+        Ok((uncanonicalize_circuit(&canon_circuit, &sigma), tier)),
+        hit,
+    )
 }
 
 fn unsolved(reason: Option<StopReason>, counters: &RunCounters) -> JobOutcome {

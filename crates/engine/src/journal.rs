@@ -97,12 +97,17 @@ pub fn options_fingerprint(opts: &BatchOptions) -> u64 {
     // no longer has: a `"trace":false` entry just before `"profile"`,
     // and a trailing `"threads":0`. Putting both back keeps the hashed
     // bytes, and so every existing journal's header, valid for
-    // `batch --resume`.
+    // `batch --resume`. Profiling only times the search, so it is
+    // always hashed as `"profile":false`: a journal written with
+    // `--profile` resumes without it, and the other way round.
     if let Json::Obj(fields) = &mut synthesis {
         let profile = fields
             .iter()
             .position(|(k, _)| k == "profile")
             .unwrap_or(fields.len());
+        if let Some((_, value)) = fields.get_mut(profile) {
+            *value = Json::Bool(false);
+        }
         fields.insert(profile, ("trace".to_string(), Json::Bool(false)));
         fields.push(("threads".to_string(), Json::uint(0)));
     }
@@ -436,6 +441,21 @@ mod tests {
             ..BatchOptions::default()
         };
         assert_ne!(options_fingerprint(&base), options_fingerprint(&deadline));
+    }
+
+    #[test]
+    fn options_fingerprint_ignores_profiling() {
+        let base = BatchOptions::default();
+        let profiled = BatchOptions {
+            synthesis: BatchOptions::default().synthesis.with_profile(true),
+            ..BatchOptions::default()
+        };
+        assert_eq!(
+            options_fingerprint(&base),
+            options_fingerprint(&profiled),
+            "profiling cannot change results"
+        );
+        assert_eq!(options_fingerprint(&profiled), 0x50205bfabf73c771);
     }
 
     #[test]

@@ -13,6 +13,8 @@
 //! - [`cache`] — the LRU memo cache over canonical tables;
 //! - [`engine`] — the worker pool, job execution, the fallback ladder,
 //!   verification, and result serialization;
+//! - [`runner`] — [`JobRunner`], the one per-job path: batch workers
+//!   and serve requests both run through it;
 //! - [`journal`] — the fsync'd write-ahead results journal behind
 //!   checkpoint/resume;
 //! - [`framing`] — the shared CRC32 + record-framing codec for binary

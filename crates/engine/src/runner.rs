@@ -1,30 +1,34 @@
-//! Single-job execution for long-lived callers.
+//! The engine's one per-job path.
 //!
-//! The batch engine owns its whole lifecycle: it builds a cache, runs
-//! a worker pool over a fixed admission list, and tears everything
-//! down. A service has the opposite shape — jobs arrive one at a time,
-//! forever, and the cache must outlive each of them. [`JobRunner`] is
-//! the engine's per-job core ([`run_one`]: canonicalize, cache,
-//! ladder, verify, panic containment) re-packaged for that shape: the
-//! runner is built once, holds the shared cache and the run counters,
-//! and [`JobRunner::run`] executes one admission under a caller-chosen
-//! deadline and cancel token.
+//! [`JobRunner`] is built once, holds the options, the shared cache and
+//! the run counters, and [`JobRunner::run`] executes one admission
+//! under a caller-chosen deadline and cancel token: canonicalize,
+//! cache, ladder, verify, panic containment (see
+//! [`engine`](crate::engine)), plus the bookkeeping around the job —
+//! its flight recorder, its job-board slot, its latency sample, its
+//! batch-journal line and its trace dump.
 //!
-//! Everything that makes batch results trustworthy carries over
-//! unchanged — the job runs under `catch_unwind`, the fallback ladder
-//! and verification apply, `solved_by`/cache attribution is identical
-//! — because it is literally the same code path.
+//! Both long-lived shapes drive the same runner. A batch run
+//! ([`run_batch_resumable`](crate::engine::run_batch_resumable)) is a
+//! worker pool over one runner fed from a fixed admission list; the
+//! serve daemon keeps one runner for its whole life and hands it
+//! requests one at a time, so its cache stays warm across requests.
+//! Everything that makes batch results trustworthy — `catch_unwind`,
+//! the fallback ladder, verification, `solved_by`/cache attribution —
+//! is therefore literally the same code in both.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use rmrls_core::CancelToken;
 use rmrls_obs::FlightRecorder;
 
 use crate::cache::SharedCache;
-use crate::engine::{run_one, write_job_traces, BatchOptions, JobRecord, RunCounters, SinkFactory};
+use crate::engine::{
+    lock, run_one, write_job_traces, BatchOptions, JobContext, JobRecord, RunCounters, SinkFactory,
+};
+use crate::journal::JournalWriter;
 use crate::manifest::Admission;
-use crate::signal::ShutdownHandles;
 use crate::telemetry::BatchTelemetry;
 
 /// Executes admissions one at a time against a persistent shared cache
@@ -33,23 +37,18 @@ use crate::telemetry::BatchTelemetry;
 /// jobs concurrently (the cache is the only shared mutable state, and
 /// it has its own lock).
 pub struct JobRunner {
-    opts: BatchOptions,
+    pub(crate) opts: BatchOptions,
     cache: Option<SharedCache>,
-    counters: RunCounters,
+    pub(crate) counters: RunCounters,
 }
 
 impl JobRunner {
-    /// A runner over `opts`. The cache is taken from
-    /// `opts.shared_cache` when set, otherwise built from
-    /// `opts.cache_size`; either way it persists across every
-    /// [`run`](JobRunner::run) on this runner. Counters register on
-    /// `opts.telemetry`'s registry when present (so they feed
-    /// `/metrics` live), exactly as in batch mode.
+    /// A runner over `opts`. The cache is built from `opts.cache_size`
+    /// and persists across every [`run`](JobRunner::run) on this
+    /// runner. Counters register on `opts.telemetry`'s registry when
+    /// present, so they feed `/metrics` live.
     pub fn new(opts: BatchOptions) -> JobRunner {
-        let cache = opts
-            .shared_cache
-            .clone()
-            .or_else(|| opts.cache_size.map(SharedCache::new));
+        let cache = opts.cache_size.map(SharedCache::new);
         let counters = RunCounters::new(opts.telemetry.as_deref());
         JobRunner {
             opts,
@@ -72,60 +71,64 @@ impl JobRunner {
     ///
     /// - `deadline` overrides the runner's configured per-job deadline
     ///   when given (a per-request deadline);
-    /// - `cancel` aborts the search mid-flight when tripped (client
-    ///   disconnect, service shutdown) — the job then reports
-    ///   `unsolved` with a `cancelled` stop reason;
-    /// - `slot` is the telemetry job-board slot to drive through
-    ///   running → finished (ignored without a board);
+    /// - `cancel` aborts the search mid-flight when tripped (batch
+    ///   abort, client disconnect, service shutdown) — the job then
+    ///   reports `unsolved` with a `cancelled` stop reason;
+    /// - `index` names the job: its telemetry job-board slot (driven
+    ///   through running → finished when a board is attached), its
+    ///   trace-dump file prefix and its batch-journal `index` field;
     /// - `sink` builds a fresh event sink per search attempt for
-    ///   streamed progress events.
+    ///   streamed progress events;
+    /// - `journal`, when given, receives the finished record before
+    ///   the trace dump is written, so a failed append still shows as
+    ///   a `journal_append_failed` anomaly in that job's dump.
     ///
     /// Never panics on job failure: panics inside the job are contained
-    /// into a `panicked` record, exactly as in batch mode.
+    /// into a `panicked` record.
     pub fn run(
         &self,
         admission: &Admission,
         deadline: Option<Duration>,
         cancel: &CancelToken,
-        slot: Option<usize>,
+        index: usize,
         sink: Option<&SinkFactory>,
+        journal: Option<&Mutex<JournalWriter>>,
     ) -> JobRecord {
-        let mut opts = self.opts.clone();
-        if deadline.is_some() {
-            opts.deadline = deadline;
-        }
-        // The drain token is per-job and never tripped: drain semantics
-        // (stop *starting* jobs) live in the caller's queue, not inside
-        // a job that is already running. Abort is the caller's token.
-        let shutdown = ShutdownHandles {
-            drain: CancelToken::new(),
-            abort: cancel.clone(),
-        };
-        let telemetry = opts.telemetry.clone();
-        let board = telemetry.as_ref().zip(slot);
-        if let Some((t, index)) = board {
-            t.jobs.mark_running(index);
-        }
-        let recorder = opts
+        // One recorder per job, created on the thread that runs it
+        // (FlightRecorder is same-thread by design).
+        let recorder = self
+            .opts
             .trace_dir
             .as_ref()
             .map(|_| FlightRecorder::with_default_budget());
-        let record = run_one(
-            admission,
-            &opts,
-            &shutdown,
-            self.cache.as_ref(),
-            &self.counters,
-            recorder.as_ref(),
+        let board = self.opts.telemetry.as_ref().map(|t| (t, index));
+        if let Some((t, _)) = board {
+            t.jobs.mark_running(index);
+        }
+        let job = JobContext {
+            runner: self,
+            deadline: deadline.or(self.opts.deadline),
+            cancel,
+            recorder: recorder.as_ref(),
             board,
             sink,
-        );
-        if let Some((t, index)) = board {
+        };
+        let record = run_one(admission, &job);
+        if let Some((t, _)) = board {
             t.job_seconds.record(record.seconds);
             t.jobs.mark_finished(index, &record.outcome);
         }
-        if let (Some(dir), Some(r)) = (opts.trace_dir.as_deref(), &recorder) {
-            write_job_traces(dir, slot.unwrap_or(0), &record.name, r, &self.counters);
+        if let Some(w) = journal {
+            let line = record.to_json_indexed(index).to_string();
+            if lock(w).append(&line).is_err() {
+                self.counters.journal_append_errors.inc();
+                if let Some(r) = &recorder {
+                    r.anomaly("journal_append_failed", "engine/journal/append");
+                }
+            }
+        }
+        if let (Some(dir), Some(r)) = (self.opts.trace_dir.as_deref(), &recorder) {
+            write_job_traces(dir, index, &record.name, r, &self.counters);
         }
         record
     }
@@ -149,7 +152,7 @@ mod tests {
     fn runs_one_job_and_caches_it() {
         let r = runner(BatchOptions::default());
         let token = CancelToken::new();
-        let first = r.run(&perm_job("a"), None, &token, None, None);
+        let first = r.run(&perm_job("a"), None, &token, 0, None, None);
         assert!(!first.cache_hit);
         assert!(matches!(
             first.outcome,
@@ -161,7 +164,7 @@ mod tests {
         assert_eq!(r.cache().unwrap().len(), 1);
         // The same spec under a different name hits the warm cache with
         // identical attribution and a byte-identical circuit.
-        let second = r.run(&perm_job("b"), None, &token, None, None);
+        let second = r.run(&perm_job("b"), None, &token, 0, None, None);
         assert!(second.cache_hit);
         let gates = |rec: &JobRecord| match &rec.outcome {
             JobOutcome::Solved {
@@ -177,18 +180,6 @@ mod tests {
     }
 
     #[test]
-    fn an_externally_shared_cache_is_used_as_is() {
-        let shared = SharedCache::new(64);
-        let opts = BatchOptions {
-            shared_cache: Some(shared.clone()),
-            ..BatchOptions::default()
-        };
-        let r = runner(opts);
-        r.run(&perm_job("x"), None, &CancelToken::new(), None, None);
-        assert_eq!(shared.len(), 1, "the caller's cache received the entry");
-    }
-
-    #[test]
     fn a_tripped_cancel_token_stops_the_job_cleanly() {
         let token = CancelToken::new();
         token.cancel();
@@ -201,7 +192,7 @@ mod tests {
             "7,6,5,4,3,2,1,0,15,14,13,12,11,10,9,8",
             "test".to_string(),
         );
-        let record = r.run(&hard, None, &token, None, None);
+        let record = r.run(&hard, None, &token, 0, None, None);
         match record.outcome {
             JobOutcome::Unsolved { stop_reason } => assert_eq!(stop_reason, "cancelled"),
             other => panic!("want cancelled unsolved, got {other:?}"),
@@ -212,7 +203,7 @@ mod tests {
     fn bad_admissions_become_error_records_not_panics() {
         let r = runner(BatchOptions::default());
         let bad = admit_inline("bad", "perm", "0,0,0,0", "test".to_string());
-        let record = r.run(&bad, None, &CancelToken::new(), None, None);
+        let record = r.run(&bad, None, &CancelToken::new(), 0, None, None);
         assert!(matches!(record.outcome, JobOutcome::Error { .. }));
     }
 }

@@ -1,19 +1,20 @@
 //! Live telemetry for a running batch: a thread-safe metrics registry
 //! plus a per-job status board, both scrapeable mid-run.
 //!
-//! [`BatchTelemetry`] is handed to [`run_batch`] via
-//! [`BatchOptions::telemetry`]; the engine then
+//! [`BatchTelemetry`] is handed to the engine via
+//! [`BatchOptions::telemetry`]; the [`JobRunner`] then
 //!
 //! - sources its run counters from the shared [`SyncRegistry`] (so
 //!   every counter the aggregate report tallies is also a live
 //!   `/metrics` series),
 //! - records per-job synthesis latency, expansion-batch latency, and
-//!   cache-lookup latency into log-bucketed histograms,
+//!   cache-lookup latency into log-bucketed histograms, and
 //! - drives the [`JobStatusRegistry`] through
-//!   pending → running → done/failed transitions, and
-//! - runs a background sampler that publishes point-in-time gauges
-//!   (frontier depth, live PPRM terms, cache occupancy, busy workers)
-//!   every [`SAMPLE_INTERVAL`].
+//!   pending → running → done/failed transitions,
+//!
+//! while [`run_batch`] (and the serve daemon) run a background sampler
+//! that publishes point-in-time gauges (frontier depth, live PPRM
+//! terms, cache occupancy, busy workers) every [`SAMPLE_INTERVAL`].
 //!
 //! Everything here is observation-only. Job state lives in
 //! per-slot atomics written by workers and read by scrape threads; no
@@ -23,12 +24,14 @@
 //!
 //! [`run_batch`]: crate::engine::run_batch
 //! [`BatchOptions::telemetry`]: crate::engine::BatchOptions
+//! [`JobRunner`]: crate::runner::JobRunner
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use rmrls_core::Progress;
 use rmrls_obs::{prometheus_text, Json, SyncCounter, SyncGauge, SyncHistogram, SyncRegistry};
 
 use crate::engine::{JobOutcome, SolveTier};
@@ -448,6 +451,31 @@ impl BatchTelemetry {
     /// `/healthz` to degraded for the duration.
     pub fn set_backpressure(&self, shedding: bool) {
         self.backpressure.set(u64::from(shedding));
+    }
+
+    /// The progress callback for a search running in board slot
+    /// `index`: each beat (one per `TIME_CHECK_INTERVAL` expansions)
+    /// publishes the search's live state into the slot and records the
+    /// time since the previous beat into `expansion_batch_seconds`. It
+    /// only stores into atomics and a histogram, so it cannot influence
+    /// the search — results stay byte-identical with telemetry on.
+    pub fn progress_hook(self: &Arc<Self>, index: usize) -> impl FnMut(&Progress) + 'static {
+        let board = Arc::clone(self);
+        let mut last_beat = Instant::now();
+        move |p| {
+            board.jobs.update_progress(
+                index,
+                p.nodes_expanded,
+                p.queue_depth as u64,
+                p.live_terms,
+                p.memory_sheds,
+            );
+            let now = Instant::now();
+            board
+                .expansion_batch_seconds
+                .record(now.duration_since(last_beat).as_secs_f64());
+            last_beat = now;
+        }
     }
 
     /// Counts a job whose search shed memory (degraded mode).

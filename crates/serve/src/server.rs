@@ -53,9 +53,10 @@ const IO_TIMEOUT: Duration = Duration::from_secs(5);
 /// and client-liveness probes.
 const WAIT_TICK: Duration = Duration::from_millis(150);
 
-/// Telemetry job-board slots per worker: the board is a ring the
-/// daemon relabels per request, sized so recently finished requests
-/// stay visible on `/jobs` for a while.
+/// Telemetry job-board slots per worker: each worker owns a ring of
+/// this many slots and relabels the next one per request, so recently
+/// finished requests stay visible on `/jobs` for a while and a request
+/// still running is never relabeled (its worker is busy with it).
 const SLOTS_PER_WORKER: usize = 4;
 
 /// Configuration of one daemon.
@@ -67,15 +68,15 @@ pub struct ServeOptions {
     pub workers: usize,
     /// Queued-request bound; beyond it new requests are shed with 429.
     pub queue_capacity: usize,
-    /// Deadline for requests that do not carry their own
-    /// `deadline_ms`. `None` leaves only the search's node budget.
-    pub default_deadline: Option<Duration>,
     /// Largest accepted request body; larger POSTs get 413.
     pub max_body_bytes: usize,
     /// Request-journal path; `None` disables crash recovery.
     pub journal_path: Option<String>,
     /// Engine configuration shared by every request (cache sizing,
     /// canonicalization, verification, fallback ladder, budgets).
+    /// `batch.deadline` is the deadline of every request that does not
+    /// carry its own `deadline_ms`; `None` leaves only the search's
+    /// node budget.
     pub batch: BatchOptions,
 }
 
@@ -87,7 +88,6 @@ impl Default for ServeOptions {
             addr: "127.0.0.1:0".to_string(),
             workers: 2,
             queue_capacity: 16,
-            default_deadline: None,
             max_body_bytes: 256 * 1024,
             journal_path: None,
             batch: BatchOptions::default(),
@@ -103,7 +103,6 @@ struct Shared {
     queue: Mutex<VecDeque<Arc<RequestEntry>>>,
     queue_cv: Condvar,
     queue_capacity: usize,
-    default_deadline: Option<Duration>,
     max_body_bytes: usize,
     /// The per-request search budget's memory caps, consulted at
     /// admission: when the sampled live-term gauge is over a cap, new
@@ -112,7 +111,6 @@ struct Shared {
     shutdown: ShutdownHandles,
     stop: AtomicBool,
     journal: Option<RequestJournal>,
-    slots: usize,
     requests_total: Arc<SyncCounter>,
     bad_requests: Arc<SyncCounter>,
     requests_shed: Arc<SyncCounter>,
@@ -254,13 +252,11 @@ impl ServeDaemon {
             queue: Mutex::new(VecDeque::new()),
             queue_cv: Condvar::new(),
             queue_capacity: opts.queue_capacity.max(1),
-            default_deadline: opts.default_deadline,
             max_body_bytes: opts.max_body_bytes,
             memory_budget,
             shutdown,
             stop: AtomicBool::new(false),
             journal,
-            slots,
             requests_total: r.counter("requests_total"),
             bad_requests: r.counter("serve_bad_requests"),
             requests_shed: r.counter("requests_shed"),
@@ -302,7 +298,7 @@ impl ServeDaemon {
             let shared = Arc::clone(&shared);
             worker_handles.push(spawn(
                 format!("rmrls-serve-worker-{i}"),
-                Box::new(move || worker_loop(&shared)),
+                Box::new(move || worker_loop(&shared, i)),
             )?);
         }
         let mut aux = Vec::with_capacity(3);
@@ -402,8 +398,11 @@ impl Drop for ServeDaemon {
 }
 
 /// Pops queued requests and runs them; exits once draining and empty.
-fn worker_loop(shared: &Arc<Shared>) {
-    loop {
+/// Worker `worker` labels its requests' job-board slots round-robin
+/// within its own ring of [`SLOTS_PER_WORKER`].
+fn worker_loop(shared: &Arc<Shared>, worker: usize) {
+    let ring = worker * SLOTS_PER_WORKER..(worker + 1) * SLOTS_PER_WORKER;
+    for slot in ring.cycle() {
         let entry = {
             let mut q = shared.lock_queue();
             loop {
@@ -429,7 +428,7 @@ fn worker_loop(shared: &Arc<Shared>) {
             entry.finish(false, skipped_record(&entry));
             continue;
         }
-        run_entry(shared, &entry);
+        run_entry(shared, &entry, slot);
     }
 }
 
@@ -444,17 +443,14 @@ fn skipped_record(entry: &RequestEntry) -> Json {
     ])
 }
 
-/// Executes one request on the engine's single-job path.
-fn run_entry(shared: &Arc<Shared>, entry: &Arc<RequestEntry>) {
+/// Executes one request on the engine's single-job path, on job-board
+/// slot `slot`. A request without its own `deadline_ms` runs under the
+/// runner's configured deadline.
+fn run_entry(shared: &Arc<Shared>, entry: &Arc<RequestEntry>, slot: usize) {
     entry.set_running();
-    let slot = (entry.id as usize) % shared.slots;
     shared.telemetry.jobs.assign(slot, &entry.request.name);
     let admission: Admission = entry.request.admit(entry.id);
-    let deadline = entry
-        .request
-        .deadline_ms
-        .map(Duration::from_millis)
-        .or(shared.default_deadline);
+    let deadline = entry.request.deadline_ms.map(Duration::from_millis);
     let sink_entry = Arc::clone(entry);
     let factory = move || -> Box<dyn EventSink> {
         Box::new(EntrySink {
@@ -465,8 +461,9 @@ fn run_entry(shared: &Arc<Shared>, entry: &Arc<RequestEntry>) {
         &admission,
         deadline,
         &entry.cancel,
-        Some(slot),
+        slot,
         Some(&factory),
+        None,
     );
     let cache_hit = record.cache_hit;
     let json = record.to_json();

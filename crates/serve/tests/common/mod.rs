@@ -147,9 +147,9 @@ pub fn hard_body(name: &str) -> String {
 pub fn hard_opts() -> rmrls_serve::ServeOptions {
     let mut opts = rmrls_serve::ServeOptions {
         workers: 1,
-        default_deadline: Some(Duration::from_secs(60)),
         ..rmrls_serve::ServeOptions::default()
     };
+    opts.batch.deadline = Some(Duration::from_secs(60));
     opts.batch.synthesis = opts.batch.synthesis.clone().with_max_nodes(u64::MAX / 2);
     opts
 }

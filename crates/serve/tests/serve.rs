@@ -270,6 +270,39 @@ fn a_slow_loris_body_is_cut_off_by_the_read_timeout() {
 }
 
 #[test]
+fn a_running_request_keeps_its_job_board_slot() {
+    // Two workers own four board slots each. The long request parks
+    // one worker; the eight quick ones all run on the other, so the
+    // request ids wrap past all eight slots while it is still running.
+    let opts = ServeOptions {
+        workers: 2,
+        ..hard_opts()
+    };
+    let daemon = start(opts);
+    let addr = daemon.local_addr();
+    let _long = post_open(addr, "/synthesize", &hard_body("long"));
+    wait_for_state(addr, 1, "running", 200);
+    for i in 0..8 {
+        let quick = post(addr, "/synthesize", &easy_body(&format!("quick-{i}")));
+        assert_eq!(quick.status, 200, "{}", quick.body);
+    }
+    let jobs = get(addr, "/jobs").json();
+    let rows = jobs.as_arr().expect("/jobs is an array");
+    let long: Vec<&Json> = rows
+        .iter()
+        .filter(|r| r.get("job").and_then(Json::as_str) == Some("long"))
+        .collect();
+    assert_eq!(long.len(), 1, "the long request keeps its slot: {jobs}");
+    assert_eq!(
+        long[0].get("state").and_then(Json::as_str),
+        Some("running"),
+        "{jobs}"
+    );
+    daemon.abort();
+    daemon.wait();
+}
+
+#[test]
 fn a_disconnected_client_cancels_its_request() {
     let daemon = start(hard_opts());
     let addr = daemon.local_addr();
@@ -373,10 +406,8 @@ fn drain_skips_queued_work_and_a_restart_replays_the_journal() {
 
     // Second life: the interrupted request replays to completion, the
     // finished one is restored read-only, ids continue past both.
-    let restart = ServeOptions {
-        default_deadline: Some(Duration::from_millis(200)),
-        ..opts
-    };
+    let mut restart = opts;
+    restart.batch.deadline = Some(Duration::from_millis(200));
     let daemon2 = start(restart);
     let addr2 = daemon2.local_addr();
     let replayed = wait_for_state(addr2, 2, "done", 400);

@@ -51,12 +51,12 @@ fn a_second_sigint_aborts_in_flight_work_for_replay() {
     reset_sigint_count();
     let dir = scratch("sigint-abort");
     let journal_path = dir.join("requests.jsonl").to_string_lossy().into_owned();
-    let opts = ServeOptions {
+    let mut opts = ServeOptions {
         workers: 1,
         journal_path: Some(journal_path.clone()),
-        default_deadline: Some(Duration::from_secs(60)),
         ..ServeOptions::default()
     };
+    opts.batch.deadline = Some(Duration::from_secs(60));
     let daemon = ServeDaemon::start(opts, ShutdownHandles::new()).expect("daemon starts");
     let addr = daemon.local_addr();
     let _open = post_open(addr, "/synthesize", &hard_body("interrupted"));

@@ -13,9 +13,10 @@
 //! closures to `rmrls-obs`'s `SyncRegistry` and the engine's job
 //! status registry.
 //!
-//! The accept-loop/socket plumbing here is the seed of the future
-//! `rmrls serve` subcommand; keeping it in its own crate means the
-//! engine never links a socket unless telemetry is requested.
+//! Keeping the server in its own crate means the engine never links a
+//! socket unless telemetry is requested. The `rmrls serve` daemon
+//! reuses the request parser and response writers in [`http`] but runs
+//! its own accept loop.
 //!
 //! ```no_run
 //! use rmrls_telemetry::{Providers, TelemetryServer};
