@@ -1940,37 +1940,122 @@ mod tests {
                 .live_terms_peak;
             let shed = undived.clone().with_max_live_terms(peak * 3 / 4);
             for (name, opts) in [("serve", &serve), ("beam", &beam), ("shed", &shed)] {
-                let (circuit, s) = match synthesize(spec, opts) {
-                    Ok(r) => {
-                        verify(spec, &r);
-                        (Some(r.circuit.to_string()), r.stats)
-                    }
-                    Err(e) => (None, e.stats),
-                };
-                let got = [
-                    s.nodes_expanded,
-                    s.children_pushed,
-                    s.dedup_hits,
-                    s.depth_pruned,
-                    s.beam_trims,
-                    s.beam_dropped,
-                    s.memory_sheds,
-                    s.memory_shed_dropped,
-                    s.live_terms_peak,
-                    s.queue_bytes_peak,
-                    s.queue_peak,
-                ];
-                let (want_circuit, want) = rows.next().unwrap();
-                assert_eq!(circuit.as_deref(), *want_circuit, "spec {i} {name}");
-                assert_eq!(got, *want, "spec {i} {name}");
-                // Only popped nodes and solution confirmations build a
-                // state; queued children stay scored values.
-                assert!(
-                    s.candidates_materialized <= s.nodes_expanded + s.solutions_seen,
-                    "spec {i} {name}: materialized {} > expanded {} + solutions {}",
-                    s.candidates_materialized,
-                    s.nodes_expanded,
-                    s.solutions_seen
+                check_pinned(
+                    spec,
+                    opts,
+                    rows.next().unwrap(),
+                    &format!("spec {i} {name}"),
+                );
+            }
+        }
+    }
+
+    /// Runs one pinned search and compares its circuit and decision
+    /// counters with `want`.
+    fn check_pinned(spec: &MultiPprm, opts: &SynthesisOptions, want: &Pinned, label: &str) {
+        let (circuit, s) = match synthesize(spec, opts) {
+            Ok(r) => {
+                verify(spec, &r);
+                (Some(r.circuit.to_string()), r.stats)
+            }
+            Err(e) => (None, e.stats),
+        };
+        let got = [
+            s.nodes_expanded,
+            s.children_pushed,
+            s.dedup_hits,
+            s.depth_pruned,
+            s.beam_trims,
+            s.beam_dropped,
+            s.memory_sheds,
+            s.memory_shed_dropped,
+            s.live_terms_peak,
+            s.queue_bytes_peak,
+            s.queue_peak,
+        ];
+        let (want_circuit, want) = want;
+        assert_eq!(circuit.as_deref(), *want_circuit, "{label}");
+        assert_eq!(got, *want, "{label}");
+        // Only popped nodes and solution confirmations build a state;
+        // queued children stay scored values.
+        assert!(
+            s.candidates_materialized <= s.nodes_expanded + s.solutions_seen,
+            "{label}: materialized {} > expanded {} + solutions {}",
+            s.candidates_materialized,
+            s.nodes_expanded,
+            s.solutions_seen
+        );
+    }
+
+    /// Seeded 5- and 6-variable searches: a random permutation and a
+    /// random 8-gate GT circuit at each width, each under two
+    /// configurations: greedy first-solution with a 1500-node budget
+    /// (the batch benchmark's hard-job setting) and `TopK(4)` with the
+    /// same budget. Rows run spec by spec, configuration by
+    /// configuration. The greedy dive alone solves both circuit specs,
+    /// so their greedy rows pin the circuit with zero queue counters.
+    const PINNED_WIDE: [Pinned; 8] = [
+        (
+            None,
+            [1501, 7280, 225, 0, 0, 0, 0, 0, 284681, 1832324, 5780],
+        ),
+        (
+            None,
+            [1501, 28327, 1249, 0, 0, 0, 0, 0, 1322954, 8511056, 26827],
+        ),
+        (
+            Some("TOF3(c,e,d) TOF5(a,c,d,e,b) TOF1(e) TOF3(b,d,a) TOF1(c) TOF4(a,b,e,d)"),
+            [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+        ),
+        (
+            Some("TOF3(c,e,d) TOF5(a,c,d,e,b) TOF1(e) TOF3(b,d,a) TOF1(c) TOF4(a,b,e,d)"),
+            [1501, 2980, 1052, 13018, 0, 0, 0, 0, 32232, 306888, 1483],
+        ),
+        (
+            None,
+            [1501, 8866, 140, 0, 0, 0, 0, 0, 963892, 4916272, 7366],
+        ),
+        (
+            None,
+            [1501, 34756, 1268, 0, 0, 0, 0, 0, 4137303, 21338076, 33256],
+        ),
+        (
+            Some("TOF6(b,c,d,e,f,a) TOF3(b,d,f) TOF4(a,b,c,e) TOF5(a,b,c,f,e) TOF5(a,b,c,d,f) TOF4(b,d,e,a) TOF5(b,c,d,e,a) TOF1(d)"),
+            [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+        ),
+        (
+            Some("TOF3(b,d,f) TOF4(b,d,e,a) TOF6(b,c,d,e,f,a) TOF5(a,b,c,f,e) TOF5(a,b,c,d,f) TOF1(d) TOF4(a,b,c,e)"),
+            [1501, 5700, 1791, 10305, 0, 0, 0, 0, 82776, 934464, 4190],
+        ),
+    ];
+
+    #[test]
+    fn wide_search_decisions_are_pinned() {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        use rmrls_spec::GateLibrary;
+        let mut rng = StdRng::seed_from_u64(21);
+        let mut specs = Vec::new();
+        for n in [5, 6] {
+            specs.push(rmrls_spec::random_permutation(n, &mut rng).to_multi_pprm());
+            let (perm, _) = rmrls_spec::random_circuit_spec(n, 8, GateLibrary::Gt, &mut rng);
+            specs.push(perm.to_multi_pprm());
+        }
+        let greedy = SynthesisOptions::new()
+            .with_pruning(P::Greedy)
+            .with_stop_at_first(true)
+            .with_max_nodes(1500);
+        let top4 = SynthesisOptions::new()
+            .with_pruning(P::TopK(4))
+            .with_max_nodes(1500);
+        let mut rows = PINNED_WIDE.iter();
+        for (i, spec) in specs.iter().enumerate() {
+            for (name, opts) in [("greedy", &greedy), ("top4", &top4)] {
+                check_pinned(
+                    spec,
+                    opts,
+                    rows.next().unwrap(),
+                    &format!("wide spec {i} {name}"),
                 );
             }
         }
