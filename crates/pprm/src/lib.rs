@@ -8,6 +8,18 @@
 //! [`MultiPprm`] search state with its substitution engine, and the fast
 //! [`anf_transform`] deriving PPRM coefficients from truth tables.
 //!
+//! # Substitution kernels
+//!
+//! The search scores every candidate substitution with
+//! [`MultiPprm::count_substitute`] and builds the few it keeps with
+//! [`MultiPprm::substitute_with`]. Up to 6 variables an output's PPRM is
+//! a subset of at most 64 monomials, so the state caches it as one `u64`
+//! membership word and both kernels run on word operations. Wider
+//! states, and Fredkin moves at every width, stage, sort and merge term
+//! vectors in a reusable [`SubstScratch`]. Both kernels produce
+//! bit-identical counts, fingerprints and states; debug builds check one
+//! against the other on every call.
+//!
 //! # Example
 //!
 //! Derive the PPRM expansion of the paper's Fig. 1 function and reduce it

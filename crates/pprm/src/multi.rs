@@ -6,14 +6,16 @@ use crate::{BitTable, Pprm, Term};
 
 /// Reusable buffers for the substitution kernels.
 ///
-/// Scoring a candidate substitution ([`MultiPprm::count_substitute`])
-/// and materializing a surviving one ([`MultiPprm::substitute_with`])
-/// both stage the generated terms of each rewritten output in a scratch
-/// vector before merging them into the sorted expansion. Owning the
-/// scratch outside the state lets a search loop evaluate millions of
-/// candidates without a single heap allocation in the scoring phase:
-/// the vector grows to the high-water mark of one output's generated
-/// terms and is reused from then on.
+/// Up to 6 variables (`WORD_VARS`), scoring a candidate substitution
+/// ([`MultiPprm::count_substitute`]) and materializing a surviving one
+/// ([`MultiPprm::substitute_with`]) work on one-word term masks and
+/// never touch the scratch. Wider states, and every Fredkin move, use
+/// the sorted kernel: it stages the generated terms of each rewritten
+/// output in this scratch vector before merging them into the sorted
+/// expansion. Owning the scratch outside the state lets a search loop
+/// evaluate millions of candidates without a single heap allocation in
+/// the scoring phase: the vector grows to the high-water mark of one
+/// output's generated terms and is reused from then on.
 ///
 /// The buffer carries no state between calls (every kernel clears it on
 /// entry), so one scratch per search thread is enough.
@@ -53,7 +55,7 @@ const GOLDEN: u64 = 0x9e37_79b9_7f4a_7c15;
 /// mixer built from two multiply-xorshift rounds (the same family as
 /// FNV/Fx folds, but with full avalanche).
 #[inline]
-fn mix64(mut x: u64) -> u64 {
+const fn mix64(mut x: u64) -> u64 {
     x = x.wrapping_add(GOLDEN);
     x ^= x >> 30;
     x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -65,8 +67,93 @@ fn mix64(mut x: u64) -> u64 {
 
 /// Hash contribution of one `(output, term)` membership pair.
 #[inline]
-fn term_hash(output: usize, term: Term) -> u64 {
-    mix64(((output as u64) << 32) | u64::from(term.mask()))
+const fn term_hash(output: usize, term: Term) -> u64 {
+    mix64(((output as u64) << 32) | term.mask() as u64)
+}
+
+/// The widest state whose outputs each fit in one `u64` membership word:
+/// `2^6 = 64` monomial masks. Up to this width the substitution kernels
+/// work on the words; above it they merge sorted term vectors.
+const WORD_VARS: usize = 6;
+
+/// `SEL[u]` has bit `t` set iff monomial mask `t` contains `x_u`.
+const SEL: [u64; WORD_VARS] = [
+    0xaaaa_aaaa_aaaa_aaaa,
+    0xcccc_cccc_cccc_cccc,
+    0xf0f0_f0f0_f0f0_f0f0,
+    0xff00_ff00_ff00_ff00,
+    0xffff_0000_ffff_0000,
+    0xffff_ffff_0000_0000,
+];
+
+/// `TERM_HASH[i][t]` is [`term_hash`]`(i, t)` for every output and
+/// monomial of a word-width state, so the word kernel's fingerprint
+/// delta is one table load per generated term.
+const TERM_HASH: [[u64; 64]; WORD_VARS] = {
+    let mut table = [[0u64; 64]; WORD_VARS];
+    let mut i = 0;
+    while i < WORD_VARS {
+        let mut t = 0;
+        while t < 64 {
+            table[i][t] = term_hash(i, Term::from_mask(t as u32));
+            t += 1;
+        }
+        i += 1;
+    }
+    table
+};
+
+/// The membership words of a state (bit `t` of word `i` set iff
+/// monomial mask `t` is a term of output `i`), or all zeros above
+/// `WORD_VARS`.
+fn term_words(num_vars: usize, outputs: &[Pprm]) -> [u64; WORD_VARS] {
+    let mut words = [0; WORD_VARS];
+    if num_vars <= WORD_VARS {
+        for (w, p) in words.iter_mut().zip(outputs) {
+            *w = p.terms().iter().fold(0, |w, t| w | 1 << t.mask());
+        }
+    }
+    words
+}
+
+/// The terms that `x_var := x_var ⊕ factor` generates on an output with
+/// membership word `w`, as a word: the terms containing `x_var` with
+/// `x_var` removed, then multiplied by each literal `x_u` of `factor` in
+/// turn. A term already containing `x_u` stays put; any other moves up
+/// by `2^u`. Colliding terms cancel in the XOR, exactly as generated
+/// terms cancel in pairs.
+#[inline]
+fn generated_word(w: u64, var: usize, factor: Term) -> u64 {
+    let mut g = (w & SEL[var]) >> (1u32 << var);
+    let mut literals = factor.mask();
+    while literals != 0 {
+        let u = literals.trailing_zeros() as usize;
+        literals &= literals - 1;
+        g = (g & SEL[u]) ^ ((g & !SEL[u]) << (1u32 << u));
+    }
+    g
+}
+
+/// The fingerprint flip of toggling the terms in `g` on `output`.
+#[inline]
+fn word_delta(output: usize, mut g: u64) -> u64 {
+    let mut delta = 0;
+    while g != 0 {
+        delta ^= TERM_HASH[output][g.trailing_zeros() as usize];
+        g &= g - 1;
+    }
+    delta
+}
+
+/// The sorted term vector of a membership word: set bits walked in
+/// ascending order are already ascending masks.
+fn word_terms(mut w: u64) -> Vec<Term> {
+    let mut terms = Vec::with_capacity(w.count_ones() as usize);
+    while w != 0 {
+        terms.push(Term::from_mask(w.trailing_zeros()));
+        w &= w - 1;
+    }
+    terms
 }
 
 /// Base fingerprint of a state with no terms at all.
@@ -176,6 +263,11 @@ pub struct MultiPprm {
     /// Cached order-independent state fingerprint; see
     /// [`fingerprint`](MultiPprm::fingerprint).
     fp: u64,
+    /// Cached membership word of each output when `num_vars <=
+    /// WORD_VARS` (bit `t` set iff monomial mask `t` is a term), all
+    /// zeros otherwise. Invariant: always equals `term_words(num_vars,
+    /// &outputs)`; the derived equality compares it too.
+    words: [u64; WORD_VARS],
 }
 
 impl MultiPprm {
@@ -189,12 +281,30 @@ impl MultiPprm {
                 fp ^= term_hash(i, t);
             }
         }
+        let words = term_words(num_vars, &outputs);
         MultiPprm {
             num_vars,
             outputs,
             total_terms,
             fp,
+            words,
         }
+    }
+
+    /// Builds a substitution's child from its outputs and its
+    /// incrementally maintained term count and fingerprint, refreshing
+    /// the membership words from the outputs.
+    fn child(&self, outputs: Vec<Pprm>, total_terms: usize, fp: u64) -> MultiPprm {
+        let words = term_words(self.num_vars, &outputs);
+        let new = MultiPprm {
+            num_vars: self.num_vars,
+            outputs,
+            total_terms,
+            fp,
+            words,
+        };
+        debug_assert_eq!(new.total_terms, new.outputs.iter().map(Pprm::len).sum());
+        new
     }
 
     /// Builds the multi-output PPRM of a reversible function given as a
@@ -314,6 +424,10 @@ impl MultiPprm {
             "factor {factor} mentions a variable >= {}",
             self.num_vars
         );
+        assert!(
+            !factor.contains_var(var),
+            "factor {factor} contains the target variable {var}"
+        );
     }
 
     /// Stages the terms generated by `x_var := x_var ⊕ factor` on one
@@ -346,8 +460,16 @@ impl MultiPprm {
     /// Scores the substitution `x_var := x_var ⊕ factor` without
     /// materializing the child state: returns the child's total term
     /// count, the terms eliminated, and the child's
-    /// [`fingerprint`](Self::fingerprint), allocation-free (the scratch
-    /// buffer is reused across calls).
+    /// [`fingerprint`](Self::fingerprint), allocation-free.
+    ///
+    /// Up to 6 variables this is a handful of word operations
+    /// per output on the cached membership words: the generated terms
+    /// `g` come out as one word, the output's count changes by
+    /// `popcnt(g) − 2·popcnt(g & w)`, and the fingerprint flips by a
+    /// table lookup per bit of `g`. Wider states use
+    /// [`count_substitute_sorted`](Self::count_substitute_sorted). In
+    /// debug builds the word path is checked against the sorted kernel
+    /// on every call.
     ///
     /// Guaranteed to agree exactly with [`substitute`](Self::substitute)
     /// on the same `(var, factor)` — the scoring phase of the two-phase
@@ -357,6 +479,46 @@ impl MultiPprm {
     ///
     /// Same conditions as [`substitute`](Self::substitute).
     pub fn count_substitute(
+        &self,
+        var: usize,
+        factor: Term,
+        scratch: &mut SubstScratch,
+    ) -> SubstCount {
+        if self.num_vars > WORD_VARS {
+            return self.count_substitute_sorted(var, factor, scratch);
+        }
+        self.assert_substitution(var, factor);
+        let mut terms = self.total_terms;
+        let mut fp = self.fp;
+        for (i, &w) in self.words[..self.num_vars].iter().enumerate() {
+            if w & SEL[var] == 0 {
+                continue;
+            }
+            let g = generated_word(w, var, factor);
+            terms = terms + g.count_ones() as usize - 2 * (g & w).count_ones() as usize;
+            fp ^= word_delta(i, g);
+        }
+        let count = SubstCount {
+            terms,
+            eliminated: self.total_terms as i64 - terms as i64,
+            fingerprint: fp,
+        };
+        debug_assert_eq!(count, self.count_substitute_sorted(var, factor, scratch));
+        count
+    }
+
+    /// The sorted scoring kernel: stages each rewritten output's
+    /// generated terms in `scratch`, sorts them and merge-walks them
+    /// against the parent's sorted terms. [`count_substitute`] uses it
+    /// above 6 variables; it works at every width, which
+    /// makes it the reference the word kernel is checked against.
+    ///
+    /// [`count_substitute`]: Self::count_substitute
+    ///
+    /// # Panics
+    ///
+    /// Same conditions as [`substitute`](Self::substitute).
+    pub fn count_substitute_sorted(
         &self,
         var: usize,
         factor: Term,
@@ -430,13 +592,71 @@ impl MultiPprm {
 
     /// [`substitute`](Self::substitute) with a caller-owned scratch
     /// buffer — the materialization phase of the two-phase kernel. The
-    /// only allocations are the child's own term vectors (sized exactly);
-    /// all staging goes through `scratch`.
+    /// only allocations are the child's own term vectors (sized exactly).
+    ///
+    /// Up to 6 variables each rewritten output's child word
+    /// is `w ^ g` (see [`count_substitute`](Self::count_substitute)), and
+    /// its term vector is the word's set bits walked in ascending order,
+    /// which is already sorted: nothing is staged, sorted or merged.
+    /// Wider states use [`substitute_sorted_with`](Self::substitute_sorted_with).
+    /// In debug builds the word path is checked against the sorted
+    /// kernel on every call.
     ///
     /// # Panics
     ///
     /// Same conditions as [`substitute`](Self::substitute).
     pub fn substitute_with(
+        &self,
+        var: usize,
+        factor: Term,
+        scratch: &mut SubstScratch,
+    ) -> (MultiPprm, i64) {
+        if self.num_vars > WORD_VARS {
+            return self.substitute_sorted_with(var, factor, scratch);
+        }
+        self.assert_substitution(var, factor);
+        let mut total = self.total_terms;
+        let mut fp = self.fp;
+        let mut words = self.words;
+        let mut outputs = Vec::with_capacity(self.num_vars);
+        for (i, p) in self.outputs.iter().enumerate() {
+            let w = words[i];
+            if w & SEL[var] == 0 {
+                outputs.push(p.clone());
+                continue;
+            }
+            let g = generated_word(w, var, factor);
+            words[i] = w ^ g;
+            total = total - p.len() + words[i].count_ones() as usize;
+            fp ^= word_delta(i, g);
+            outputs.push(Pprm::from_sorted_terms(word_terms(words[i])));
+        }
+        let elim = self.total_terms as i64 - total as i64;
+        let new = MultiPprm {
+            num_vars: self.num_vars,
+            outputs,
+            total_terms: total,
+            fp,
+            words,
+        };
+        debug_assert_eq!(
+            (new.clone(), elim),
+            self.substitute_sorted_with(var, factor, scratch)
+        );
+        (new, elim)
+    }
+
+    /// The sorted materialization kernel: merges each rewritten output's
+    /// staged generated terms into its sorted expansion.
+    /// [`substitute_with`](Self::substitute_with) uses it above
+    /// 6 variables; it works at every width (refreshing the
+    /// membership words of a narrow child) as the reference the word
+    /// kernel is checked against.
+    ///
+    /// # Panics
+    ///
+    /// Same conditions as [`substitute`](Self::substitute).
+    pub fn substitute_sorted_with(
         &self,
         var: usize,
         factor: Term,
@@ -458,14 +678,7 @@ impl MultiPprm {
             outputs.push(Pprm::from_sorted_terms(new_terms));
         }
         let elim = self.total_terms as i64 - total as i64;
-        let new = MultiPprm {
-            num_vars: self.num_vars,
-            outputs,
-            total_terms: total,
-            fp,
-        };
-        debug_assert_eq!(new.total_terms, new.outputs.iter().map(Pprm::len).sum());
-        (new, elim)
+        (self.child(outputs, total, fp), elim)
     }
 
     fn assert_fredkin(&self, a: usize, b: usize, control: Term) {
@@ -536,14 +749,7 @@ impl MultiPprm {
             outputs.push(Pprm::from_sorted_terms(new_terms));
         }
         let elim = self.total_terms as i64 - total as i64;
-        let new = MultiPprm {
-            num_vars: self.num_vars,
-            outputs,
-            total_terms: total,
-            fp,
-        };
-        debug_assert_eq!(new.total_terms, new.outputs.iter().map(Pprm::len).sum());
-        (new, elim)
+        (self.child(outputs, total, fp), elim)
     }
 
     /// Evaluates all outputs at input word `x`, returning the output word.
@@ -859,5 +1065,32 @@ mod tests {
     fn count_substitute_checks_factor_range() {
         let m = MultiPprm::identity(2);
         let _ = m.count_substitute(0, Term::var(3), &mut SubstScratch::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "contains the target variable")]
+    fn factor_containing_the_target_panics() {
+        // b := b ⊕ ab is not a Toffoli gate: b cannot control itself.
+        let m = MultiPprm::from_permutation(&FIG1, 3);
+        let _ = m.substitute(1, Term::of(&[0, 1]));
+    }
+
+    #[test]
+    #[should_panic(expected = "contains the target variable")]
+    fn count_substitute_checks_factor_excludes_target() {
+        let m = MultiPprm::from_permutation(&FIG1, 3);
+        let _ = m.count_substitute(1, Term::of(&[0, 1]), &mut SubstScratch::new());
+    }
+
+    #[test]
+    fn term_words_follow_the_outputs() {
+        let m = MultiPprm::from_permutation(&FIG1, 3);
+        // a_o = 1 ⊕ a, b_o = b ⊕ c ⊕ ac, c_o = b ⊕ ab ⊕ ac.
+        let b_o = 1 << 0b010 | 1 << 0b100 | 1 << 0b101;
+        let c_o = 1 << 0b010 | 1 << 0b011 | 1 << 0b101;
+        assert_eq!(m.words[..3], [0b11, b_o, c_o]);
+        let (m, _) = m.substitute(0, Term::ONE);
+        assert_eq!(m.words[0], 1 << 0b001);
+        assert_eq!(MultiPprm::identity(WORD_VARS + 1).words, [0; WORD_VARS]);
     }
 }

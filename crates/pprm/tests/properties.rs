@@ -4,15 +4,31 @@ use proptest::prelude::*;
 
 use rmrls_pprm::{anf_transform, BitTable, MultiPprm, Pprm, SubstScratch, Term};
 
-/// A random 4-variable reversible state: a seeded random permutation
-/// of 0..16 lifted to its multi-output PPRM expansion.
-fn random_state(seed: u64) -> MultiPprm {
+/// A random `num_vars`-variable reversible state: a seeded random
+/// permutation of `0..2^num_vars` lifted to its multi-output PPRM
+/// expansion.
+fn random_state(seed: u64, num_vars: usize) -> MultiPprm {
     use rand::seq::SliceRandom;
     use rand::SeedableRng;
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let mut map: Vec<u64> = (0..16).collect();
+    let mut map: Vec<u64> = (0..1 << num_vars).collect();
     map.shuffle(&mut rng);
-    MultiPprm::from_permutation(&map, 4)
+    MultiPprm::from_permutation(&map, num_vars)
+}
+
+/// A valid Toffoli move on `num_vars` variables from raw draws: the
+/// target `var % num_vars` and a factor of the other variables.
+fn toffoli_move(num_vars: usize, var: usize, mask: u32) -> (usize, Term) {
+    let var = var % num_vars;
+    let factor = Term::from_mask(mask & ((1 << num_vars) - 1) & !(1 << var));
+    (var, factor)
+}
+
+/// `m` rebuilt from scratch from its outputs. Equality with the rebuild
+/// covers every cache a state keeps: term count, fingerprint and, up to
+/// 6 variables, the per-output membership words.
+fn rebuilt(m: &MultiPprm) -> MultiPprm {
+    MultiPprm::from_outputs(m.outputs().to_vec(), m.num_vars())
 }
 
 fn bools(n: usize) -> impl Strategy<Value = Vec<bool>> {
@@ -101,20 +117,24 @@ proptest! {
 
     /// The allocation-free scoring kernel predicts exactly what
     /// materialization produces: term count, elimination, fingerprint.
+    /// Widths 1–8 run both sides of the word/sorted boundary, and the
+    /// sorted kernel, callable at every width, agrees with both.
     #[test]
     fn count_substitute_agrees_with_materialization(
         seed in any::<u64>(),
-        var in 0usize..4,
-        mask in 0u32..16,
+        num_vars in 1usize..9,
+        var in any::<usize>(),
+        mask in any::<u32>(),
     ) {
-        let factor = Term::from_mask(mask & !(1 << var));
-        let m = random_state(seed);
+        let (var, factor) = toffoli_move(num_vars, var, mask);
+        let m = random_state(seed, num_vars);
         let mut scratch = SubstScratch::new();
         let score = m.count_substitute(var, factor, &mut scratch);
         let (child, elim) = m.substitute(var, factor);
         prop_assert_eq!(score.terms, child.total_terms());
         prop_assert_eq!(score.eliminated, elim);
         prop_assert_eq!(score.fingerprint, child.fingerprint());
+        prop_assert_eq!(score, m.count_substitute_sorted(var, factor, &mut scratch));
     }
 
     /// Same agreement for the Fredkin kernel (§VI).
@@ -124,33 +144,40 @@ proptest! {
         control in 0u32..16,
     ) {
         let c = Term::from_mask(control & !0b0011);
-        let m = random_state(seed);
+        let m = random_state(seed, 4);
         let mut scratch = SubstScratch::new();
         let score = m.count_substitute_fredkin(0, 1, c, &mut scratch);
         let (child, elim) = m.substitute_fredkin(0, 1, c);
         prop_assert_eq!(score.terms, child.total_terms());
         prop_assert_eq!(score.eliminated, elim);
         prop_assert_eq!(score.fingerprint, child.fingerprint());
+        prop_assert_eq!(&rebuilt(&child), &child);
     }
 
     /// The scratch-buffer kernel is the same function as the allocating
-    /// entry point, and the child's cached fingerprint/term count match
-    /// a from-scratch rebuild of the same outputs.
+    /// entry point and the sorted kernel, and the child's cached
+    /// fingerprint, term count and membership words match a
+    /// from-scratch rebuild of the same outputs, at widths 1–8.
     #[test]
     fn substitute_with_matches_substitute_and_rebuild(
         seed in any::<u64>(),
-        var in 0usize..4,
-        mask in 0u32..16,
+        num_vars in 1usize..9,
+        var in any::<usize>(),
+        mask in any::<u32>(),
     ) {
-        let factor = Term::from_mask(mask & !(1 << var));
-        let m = random_state(seed);
+        let (var, factor) = toffoli_move(num_vars, var, mask);
+        let m = random_state(seed, num_vars);
         let mut scratch = SubstScratch::new();
         let (a, elim_a) = m.substitute(var, factor);
         let (b, elim_b) = m.substitute_with(var, factor, &mut scratch);
         prop_assert_eq!(&a, &b);
         prop_assert_eq!(elim_a, elim_b);
-        let rebuilt = MultiPprm::from_outputs(a.outputs().to_vec(), a.num_vars());
+        let (c, elim_c) = m.substitute_sorted_with(var, factor, &mut scratch);
+        prop_assert_eq!(&a, &c);
+        prop_assert_eq!(elim_a, elim_c);
+        let rebuilt = rebuilt(&a);
         prop_assert_eq!(rebuilt.fingerprint(), a.fingerprint());
         prop_assert_eq!(rebuilt.total_terms(), a.total_terms());
+        prop_assert_eq!(&rebuilt, &a);
     }
 }
