@@ -1687,21 +1687,9 @@ pub fn run(command: Command, out: &mut impl fmt::Write) -> Result<(), CliError> 
 fn bind_telemetry_server(
     addr: &str,
     telemetry: &std::sync::Arc<rmrls_engine::BatchTelemetry>,
-) -> Result<rmrls_telemetry::TelemetryServer, CliError> {
-    let (m, h, j) = (
-        std::sync::Arc::clone(telemetry),
-        std::sync::Arc::clone(telemetry),
-        std::sync::Arc::clone(telemetry),
-    );
-    let server = rmrls_telemetry::TelemetryServer::bind(
-        addr,
-        rmrls_telemetry::Providers {
-            metrics: Box::new(move || m.metrics_text()),
-            healthz: Box::new(move || h.healthz_json()),
-            jobs: Box::new(move || j.jobs_json()),
-        },
-    )
-    .map_err(|e| err(format!("cannot bind --metrics-addr {addr}: {e}")))?;
+) -> Result<rmrls_telemetry::HttpServer, CliError> {
+    let server = rmrls_serve::serve_board(addr, std::sync::Arc::clone(telemetry))
+        .map_err(|e| err(format!("cannot bind --metrics-addr {addr}: {e}")))?;
     eprintln!("telemetry: serving http://{}/metrics", server.local_addr());
     Ok(server)
 }

@@ -42,6 +42,10 @@ pub const SAMPLE_INTERVAL: Duration = Duration::from_millis(250);
 /// Sentinel for "not yet" in the per-slot millisecond timestamps.
 const UNSET: u64 = u64::MAX;
 
+/// Slot state of a serve board slot no request has used yet: not a
+/// job, so it is neither listed on `/jobs` nor counted in any state.
+const IDLE: u8 = 4;
+
 /// Lifecycle of one batch job, as exposed on `/jobs`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum JobState {
@@ -67,12 +71,14 @@ impl JobState {
         }
     }
 
-    fn from_u8(v: u8) -> JobState {
+    /// `None` for an [`IDLE`] slot.
+    fn from_u8(v: u8) -> Option<JobState> {
         match v {
-            1 => JobState::Running,
-            2 => JobState::Done,
-            3 => JobState::Failed,
-            _ => JobState::Pending,
+            0 => Some(JobState::Pending),
+            1 => Some(JobState::Running),
+            2 => Some(JobState::Done),
+            3 => Some(JobState::Failed),
+            _ => None,
         }
     }
 }
@@ -95,10 +101,10 @@ struct JobSlot {
 }
 
 impl JobSlot {
-    fn new(name: String) -> JobSlot {
+    fn new(name: String, state: u8) -> JobSlot {
         JobSlot {
             name: Mutex::new(name),
-            state: AtomicU8::new(0),
+            state: AtomicU8::new(state),
             solved_by: AtomicU8::new(0),
             started_ms: AtomicU64::new(UNSET),
             ended_ms: AtomicU64::new(UNSET),
@@ -168,18 +174,30 @@ pub struct JobStatusRegistry {
 impl JobStatusRegistry {
     /// One pending slot per job name, in admission order.
     pub fn new(names: Vec<String>) -> JobStatusRegistry {
+        JobStatusRegistry::with_slots(names.into_iter().map(|n| JobSlot::new(n, 0)))
+    }
+
+    /// `slots` idle slots for [`assign`](JobStatusRegistry::assign) to
+    /// label. Until assigned, a slot is not a job:
+    /// [`statuses`](JobStatusRegistry::statuses) skips it and no state
+    /// counts it.
+    pub fn idle(slots: usize) -> JobStatusRegistry {
+        JobStatusRegistry::with_slots((0..slots).map(|_| JobSlot::new(String::new(), IDLE)))
+    }
+
+    fn with_slots(slots: impl Iterator<Item = JobSlot>) -> JobStatusRegistry {
         JobStatusRegistry {
             t0: Instant::now(),
-            slots: names.into_iter().map(JobSlot::new).collect(),
+            slots: slots.collect(),
         }
     }
 
-    /// Number of tracked jobs.
+    /// Number of slots (idle ones included).
     pub fn len(&self) -> usize {
         self.slots.len()
     }
 
-    /// True when tracking no jobs.
+    /// True when there are no slots.
     pub fn is_empty(&self) -> bool {
         self.slots.is_empty()
     }
@@ -269,10 +287,10 @@ impl JobStatusRegistry {
         slot.memory_sheds.store(memory_sheds, Ordering::Relaxed);
     }
 
-    /// Reads one job's current status.
+    /// Reads one job's current status (`None` for an idle slot).
     pub fn status(&self, index: usize) -> Option<JobStatus> {
         let slot = self.slots.get(index)?;
-        let state = JobState::from_u8(slot.state.load(Ordering::Acquire));
+        let state = JobState::from_u8(slot.state.load(Ordering::Acquire))?;
         let started = slot.started_ms.load(Ordering::Relaxed);
         let ended = slot.ended_ms.load(Ordering::Relaxed);
         let elapsed_ms = match (state, started, ended) {
@@ -309,7 +327,7 @@ impl JobStatusRegistry {
         })
     }
 
-    /// Snapshot of every job, in admission order.
+    /// Snapshot of every job, in admission order (idle slots skipped).
     pub fn statuses(&self) -> Vec<JobStatus> {
         (0..self.slots.len())
             .filter_map(|i| self.status(i))
@@ -320,7 +338,7 @@ impl JobStatusRegistry {
     pub fn count_in(&self, state: JobState) -> u64 {
         self.slots
             .iter()
-            .filter(|s| JobState::from_u8(s.state.load(Ordering::Acquire)) == state)
+            .filter(|s| JobState::from_u8(s.state.load(Ordering::Acquire)) == Some(state))
             .count() as u64
     }
 
@@ -382,6 +400,16 @@ impl fmt::Debug for BatchTelemetry {
 impl BatchTelemetry {
     /// Builds the telemetry board for a run over the named jobs.
     pub fn new(job_names: Vec<String>) -> BatchTelemetry {
+        BatchTelemetry::with_jobs(JobStatusRegistry::new(job_names))
+    }
+
+    /// Builds the serve daemon's board: `slots` idle slots that its
+    /// workers label per request (see [`JobStatusRegistry::idle`]).
+    pub fn idle(slots: usize) -> BatchTelemetry {
+        BatchTelemetry::with_jobs(JobStatusRegistry::idle(slots))
+    }
+
+    fn with_jobs(jobs: JobStatusRegistry) -> BatchTelemetry {
         let registry = SyncRegistry::new();
         let latency = rmrls_obs::log2_bounds(1e-6, 128.0);
         BatchTelemetry {
@@ -401,7 +429,7 @@ impl BatchTelemetry {
             trace_write_errors: registry.counter("trace_write_errors"),
             memory_shed_jobs: registry.counter("memory_shed_jobs"),
             backpressure: registry.gauge("admission_backpressure"),
-            jobs: JobStatusRegistry::new(job_names),
+            jobs,
             registry,
         }
     }
@@ -660,6 +688,20 @@ mod tests {
         assert_eq!(s.elapsed_seconds, 0.0);
         // Out-of-range assigns are ignored, not panics.
         t.jobs.assign(99, "x");
+    }
+
+    #[test]
+    fn idle_slots_are_not_jobs_until_assigned() {
+        let t = BatchTelemetry::idle(3);
+        t.sample(None);
+        assert_eq!(t.jobs.count_in(JobState::Pending), 0);
+        assert!(t.jobs.statuses().is_empty());
+        assert_eq!(t.jobs_json(), "[]");
+        t.jobs.assign(1, "request:1");
+        let rows = t.jobs.statuses();
+        assert_eq!(rows.len(), 1);
+        assert_eq!((rows[0].index, rows[0].state), (1, JobState::Pending));
+        assert_eq!(t.jobs.count_in(JobState::Pending), 1);
     }
 
     #[test]

@@ -1,17 +1,15 @@
 //! Integration tests for live telemetry: the byte-identity guarantee
-//! (enabling telemetry changes no synthesized circuit byte), live job
-//! state transitions observed mid-run, and an end-to-end HTTP scrape
-//! against the real server while a batch executes.
+//! (enabling telemetry changes no synthesized circuit byte) and the
+//! board a finished run leaves. The HTTP scrape of a live run is in
+//! `rmrls-serve`, next to the board routes.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rmrls_engine::manifest::{Admission, BatchJob, SpecData};
 use rmrls_engine::{run_batch, BatchOptions, BatchTelemetry, JobState, ShutdownHandles};
 use rmrls_obs::Json;
-use rmrls_telemetry::{Providers, TelemetryServer};
 
 fn workload(n: usize, seed: u64) -> Vec<Admission> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -102,93 +100,4 @@ fn board_and_registry_reflect_a_finished_run() {
     assert_eq!(health.get("degraded"), Some(&Json::Bool(false)));
     let rows = Json::parse(&telemetry.jobs_json()).unwrap();
     assert_eq!(rows.as_arr().unwrap().len(), 6);
-}
-
-/// Scrapes the real HTTP server while the batch is still executing:
-/// /metrics must expose histogram buckets and counters, /jobs must
-/// show non-final states, and the scrape must not perturb results.
-#[test]
-fn http_scrape_mid_run_sees_live_state() {
-    use std::io::{Read, Write};
-
-    let jobs = workload(12, 99);
-    let reference =
-        run_batch(&jobs, &BatchOptions::default(), &ShutdownHandles::new()).results_jsonl();
-
-    let telemetry = telemetry_for(&jobs);
-    let server = {
-        let (m, h, j) = (
-            Arc::clone(&telemetry),
-            Arc::clone(&telemetry),
-            Arc::clone(&telemetry),
-        );
-        TelemetryServer::bind(
-            "127.0.0.1:0",
-            Providers {
-                metrics: Box::new(move || m.metrics_text()),
-                healthz: Box::new(move || h.healthz_json()),
-                jobs: Box::new(move || j.jobs_json()),
-            },
-        )
-        .unwrap()
-    };
-    let addr = server.local_addr();
-    let get = move |path: &str| {
-        let mut s = std::net::TcpStream::connect(addr).unwrap();
-        write!(s, "GET {path} HTTP/1.1\r\nHost: t\r\n\r\n").unwrap();
-        let mut raw = String::new();
-        s.read_to_string(&mut raw).unwrap();
-        raw.split_once("\r\n\r\n").unwrap().1.to_string()
-    };
-
-    let opts = BatchOptions {
-        workers: 1,
-        telemetry: Some(Arc::clone(&telemetry)),
-        ..BatchOptions::default()
-    };
-    let (run, scrapes) = std::thread::scope(|scope| {
-        let runner = scope.spawn(|| run_batch(&jobs, &opts, &ShutdownHandles::new()));
-        // Scrape repeatedly until we catch the run in progress (or it
-        // finishes first — possible on a fast machine, handled below).
-        let mut saw_live = false;
-        let mut bodies = Vec::new();
-        for _ in 0..200 {
-            let jobs_body = get("/jobs");
-            let parsed = Json::parse(&jobs_body).unwrap();
-            let live = parsed.as_arr().unwrap().iter().any(|row| {
-                matches!(
-                    row.get("state").and_then(|s| s.as_str()),
-                    Some("pending") | Some("running")
-                )
-            });
-            if live {
-                saw_live = true;
-                bodies.push(get("/metrics"));
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        (runner.join().unwrap(), (saw_live, bodies))
-    });
-    let (saw_live, bodies) = scrapes;
-
-    // Results still byte-identical despite concurrent scraping.
-    assert_eq!(run.results_jsonl(), reference);
-
-    // The mid-run metrics scrape (when we caught one) is well-formed
-    // prometheus text with the histogram families present.
-    let final_metrics = get("/metrics");
-    for body in bodies.iter().chain([&final_metrics]) {
-        assert!(
-            body.contains("# TYPE rmrls_job_seconds histogram"),
-            "{body}"
-        );
-        assert!(body.contains("rmrls_job_seconds_bucket{le=\"+Inf\"}"));
-        assert!(body.contains("# TYPE rmrls_cache_hits counter"));
-        assert!(body.contains("# TYPE rmrls_queue_depth gauge"));
-    }
-    assert!(saw_live, "never caught the batch mid-run");
-    assert!(final_metrics.contains("rmrls_job_seconds_count 12\n"));
-    assert!(get("/healthz").contains("\"status\":\"ok\""));
-    server.shutdown();
 }

@@ -23,7 +23,7 @@
 
 use std::collections::VecDeque;
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
@@ -36,18 +36,14 @@ use rmrls_engine::{
 };
 use rmrls_obs::{Event, EventSink, Json, SyncCounter, SyncGauge};
 use rmrls_telemetry::{
-    read_request_limited, respond_to_error, write_response, write_stream_head, Request, Response,
-    PROMETHEUS_CONTENT_TYPE,
+    read_request_limited, respond_to_error, write_response, write_stream_head, HttpServer, Request,
+    Response, IO_TIMEOUT,
 };
 
+use crate::board::board_route;
 use crate::journal::RequestJournal;
 use crate::registry::{RequestEntry, RequestRegistry};
 use crate::request::SynthesisRequest;
-
-/// Per-connection socket timeout. Generous enough for slow POST
-/// bodies, small enough that a stalled client cannot pin a connection
-/// thread for long.
-const IO_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// How long the synthesize handler sleeps between completion checks
 /// and client-liveness probes.
@@ -95,7 +91,7 @@ impl Default for ServeOptions {
     }
 }
 
-/// State shared by the accept loop, connection threads, and workers.
+/// State shared by the connection threads and workers.
 struct Shared {
     telemetry: Arc<BatchTelemetry>,
     runner: JobRunner,
@@ -131,7 +127,6 @@ struct Shared {
     store_file_bytes: Arc<SyncGauge>,
     store_quarantined: Arc<SyncGauge>,
     store_verify_rejected: Arc<SyncGauge>,
-    store_append_errors: Arc<SyncGauge>,
 }
 
 impl Shared {
@@ -197,20 +192,20 @@ impl EventSink for EntrySink {
 pub struct ServeDaemon {
     shared: Arc<Shared>,
     addr: SocketAddr,
+    http: Option<HttpServer>,
     workers: Vec<JoinHandle<()>>,
     aux: Vec<JoinHandle<()>>,
 }
 
 impl ServeDaemon {
-    /// Binds the listener, replays the journal if one is configured,
-    /// and starts the worker pool, accept loop, gauge sampler, and
-    /// SIGINT monitor. `shutdown` carries the daemon's drain/abort
-    /// tokens (use [`ShutdownHandles::install_sigint`] in the CLI, a
-    /// plain [`ShutdownHandles::new`] in tests).
+    /// Replays the journal if one is configured, binds the listener,
+    /// and starts the worker pool, gauge sampler, and SIGINT monitor.
+    /// `shutdown` carries the daemon's drain/abort tokens (use
+    /// [`ShutdownHandles::install_sigint`] in the CLI, a plain
+    /// [`ShutdownHandles::new`] in tests).
     pub fn start(opts: ServeOptions, shutdown: ShutdownHandles) -> Result<ServeDaemon, String> {
         let workers = opts.workers.max(1);
-        let slots = workers * SLOTS_PER_WORKER;
-        let telemetry = Arc::new(BatchTelemetry::new(vec!["idle".to_string(); slots]));
+        let telemetry = Arc::new(BatchTelemetry::idle(workers * SLOTS_PER_WORKER));
         telemetry.set_workers_total(workers as u64);
         let mut batch = opts.batch.clone();
         batch.telemetry = Some(Arc::clone(&telemetry));
@@ -238,12 +233,6 @@ impl ServeDaemon {
                 Some(journal)
             }
         };
-
-        let listener =
-            TcpListener::bind(&opts.addr).map_err(|e| format!("cannot bind {}: {e}", opts.addr))?;
-        let addr = listener
-            .local_addr()
-            .map_err(|e| format!("cannot resolve bound address: {e}"))?;
 
         let r = telemetry.registry();
         let shared = Arc::new(Shared {
@@ -274,7 +263,6 @@ impl ServeDaemon {
             store_file_bytes: r.gauge("store_file_bytes"),
             store_quarantined: r.gauge("store_quarantined_records"),
             store_verify_rejected: r.gauge("store_verify_rejected"),
-            store_append_errors: r.gauge("store_append_errors"),
             telemetry,
         });
         sample_once(&shared);
@@ -285,6 +273,12 @@ impl ServeDaemon {
             q.extend(replayed);
             shared.queue_depth.set(q.len() as u64);
         }
+
+        let http = {
+            let shared = Arc::clone(&shared);
+            HttpServer::bind(&opts.addr, move |stream| handle_conn(&shared, stream))
+                .map_err(|e| format!("cannot bind {}: {e}", opts.addr))?
+        };
 
         let spawn = |name: String, f: Box<dyn FnOnce() + Send>| -> Result<JoinHandle<()>, String> {
             std::thread::Builder::new()
@@ -301,14 +295,7 @@ impl ServeDaemon {
                 Box::new(move || worker_loop(&shared, i)),
             )?);
         }
-        let mut aux = Vec::with_capacity(3);
-        {
-            let shared = Arc::clone(&shared);
-            aux.push(spawn(
-                "rmrls-serve-accept".to_string(),
-                Box::new(move || accept_loop(&shared, &listener)),
-            )?);
-        }
+        let mut aux = Vec::with_capacity(2);
         {
             let shared = Arc::clone(&shared);
             aux.push(spawn(
@@ -326,7 +313,8 @@ impl ServeDaemon {
 
         Ok(ServeDaemon {
             shared,
-            addr,
+            addr: http.local_addr(),
+            http: Some(http),
             workers: worker_handles,
             aux,
         })
@@ -374,9 +362,9 @@ impl ServeDaemon {
             let _ = w.join();
         }
         self.shared.stop.store(true, Ordering::SeqCst);
-        // `accept` has no timeout; one throwaway self-connection wakes
-        // the loop so it observes the stop flag.
-        let _ = TcpStream::connect_timeout(&self.addr, IO_TIMEOUT);
+        if let Some(http) = self.http.take() {
+            http.shutdown();
+        }
         for t in self.aux.drain(..) {
             let _ = t.join();
         }
@@ -507,7 +495,6 @@ fn sample_once(shared: &Shared) {
         shared.store_file_bytes.set(st.file_bytes);
         shared.store_quarantined.set(st.quarantined_records);
         shared.store_verify_rejected.set(st.verify_rejected);
-        shared.store_append_errors.set(st.append_errors);
     }
 }
 
@@ -524,25 +511,7 @@ fn signal_loop(shared: &Arc<Shared>) {
     }
 }
 
-fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
-    for conn in listener.incoming() {
-        if shared.stop.load(Ordering::SeqCst) {
-            break;
-        }
-        let Ok(stream) = conn else { continue };
-        let shared = Arc::clone(shared);
-        // Connection threads are detached: each one answers exactly one
-        // request and exits; the ones blocked on a running job are
-        // unblocked by the worker's `finish` even during teardown.
-        let _ = std::thread::Builder::new()
-            .name("rmrls-serve-conn".to_string())
-            .spawn(move || handle_conn(&shared, stream));
-    }
-}
-
 fn handle_conn(shared: &Arc<Shared>, mut stream: TcpStream) {
-    let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
-    let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
     let request = match read_request_limited(&mut stream, shared.max_body_bytes) {
         Ok(r) => r,
         Err(e) => {
@@ -560,10 +529,13 @@ fn handle_conn(shared: &Arc<Shared>, mut stream: TcpStream) {
     };
     match (request.method.as_str(), request.path.as_str()) {
         ("POST", "/synthesize") => handle_synthesize(shared, &mut stream, &request),
-        ("GET" | "HEAD", "/metrics") => respond(
-            &mut stream,
-            Response::ok(PROMETHEUS_CONTENT_TYPE, shared.telemetry.metrics_text()),
-        ),
+        (_, "/synthesize") => {
+            shared.bad_requests.inc();
+            respond(
+                &mut stream,
+                Response::text(405, "use POST /synthesize").with_header("Allow", "POST"),
+            );
+        }
         ("GET" | "HEAD", "/healthz") => {
             let status = if shared.telemetry.degraded() {
                 503
@@ -572,19 +544,8 @@ fn handle_conn(shared: &Arc<Shared>, mut stream: TcpStream) {
             };
             respond(&mut stream, Response::json(status, shared.healthz_json()));
         }
-        ("GET" | "HEAD", "/jobs") => respond(
-            &mut stream,
-            Response::json(200, shared.telemetry.jobs_json()),
-        ),
         ("GET" | "HEAD", path) if path.starts_with("/requests/") => {
             handle_request_lookup(shared, &mut stream, path, head)
-        }
-        (_, "/synthesize") => {
-            shared.bad_requests.inc();
-            respond(
-                &mut stream,
-                Response::text(405, "use POST /synthesize").with_header("Allow", "POST"),
-            );
         }
         ("POST", _) => {
             shared.bad_requests.inc();
@@ -594,7 +555,12 @@ fn handle_conn(shared: &Arc<Shared>, mut stream: TcpStream) {
                     .with_header("Allow", "GET, HEAD"),
             );
         }
-        _ => respond(&mut stream, Response::text(404, "not found")),
+        // The parser admits only GET, HEAD and POST, so this is a read.
+        (_, path) => respond(
+            &mut stream,
+            board_route(&shared.telemetry, path)
+                .unwrap_or_else(|| Response::text(404, "not found")),
+        ),
     }
 }
 

@@ -101,6 +101,33 @@ fn telemetry_routes_report_service_state() {
 }
 
 #[test]
+fn an_idle_daemon_reports_no_pending_jobs() {
+    let daemon = start(ServeOptions {
+        workers: 1,
+        ..ServeOptions::default()
+    });
+    let addr = daemon.local_addr();
+    let metrics = get(addr, "/metrics").body;
+    assert!(metrics.contains("\nrmrls_jobs_pending 0\n"), "{metrics}");
+    let jobs = get(addr, "/jobs").json();
+    let rows = jobs.as_arr().expect("/jobs is an array");
+    assert!(
+        rows.iter()
+            .all(|r| r.get("state").and_then(Json::as_str) != Some("pending")),
+        "{jobs}"
+    );
+    // A request that has run takes a slot and shows on the board.
+    assert_eq!(post(addr, "/synthesize", &easy_body("first")).status, 200);
+    let jobs = get(addr, "/jobs").json();
+    let rows = jobs.as_arr().expect("/jobs is an array");
+    assert_eq!(rows.len(), 1, "{jobs}");
+    assert_eq!(rows[0].get("job").and_then(Json::as_str), Some("first"));
+    assert_eq!(rows[0].get("state").and_then(Json::as_str), Some("done"));
+    daemon.drain();
+    daemon.wait();
+}
+
+#[test]
 fn malformed_requests_get_clean_errors_and_the_daemon_survives() {
     let daemon = start(ServeOptions::default());
     let addr = daemon.local_addr();

@@ -81,6 +81,18 @@ fn the_warm_cache_survives_a_restart_through_the_store() {
         "{}",
         metrics.body
     );
+    // One `# TYPE` line per family: Prometheus rejects an exposition
+    // that declares a name twice (say, as a counter and a gauge).
+    let mut families: Vec<&str> = metrics
+        .body
+        .lines()
+        .filter_map(|l| l.strip_prefix("# TYPE "))
+        .filter_map(|l| l.split(' ').next())
+        .collect();
+    let declared = families.len();
+    families.sort_unstable();
+    families.dedup();
+    assert_eq!(families.len(), declared, "{}", metrics.body);
 
     daemon2.drain();
     daemon2.wait();

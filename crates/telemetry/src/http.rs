@@ -9,7 +9,7 @@
 //! with a typed error that maps onto the right status code (405 for
 //! unsupported methods, 413 for oversized bodies, 400 for everything
 //! malformed). Each connection serves one request and closes, which
-//! keeps the server loops free of keep-alive state.
+//! keeps the connection handlers free of keep-alive state.
 //!
 //! The head is read byte-at-a-time so that after the blank line the
 //! stream is positioned exactly at the body — no buffered over-read to

@@ -1,36 +1,33 @@
-//! Live telemetry endpoint for RMRLS.
+//! The HTTP front end shared by every RMRLS server.
 //!
-//! A zero-dependency (std-only; the build is offline) HTTP/1.1 server
-//! that exposes a running synthesis process to scrapers:
+//! A zero-dependency (std-only; the build is offline) HTTP/1.1 stack:
 //!
-//! - `GET /metrics` — Prometheus text exposition of a live registry
-//! - `GET /healthz` — JSON liveness document with a degraded flag
-//! - `GET /jobs` — JSON snapshot of per-job batch state
+//! - [`http`] — request parsing with head and body caps, typed parse
+//!   errors that map onto 400/405/413, `Connection: close` responses
+//!   and streaming response heads;
+//! - [`server`] — [`HttpServer`], the workspace's one accept loop: it
+//!   binds, sets the per-connection read/write timeouts
+//!   ([`IO_TIMEOUT`]), and hands each connection to a caller-supplied
+//!   handler on a thread of its own, so one stalled client never
+//!   blocks another.
 //!
-//! The crate is intentionally ignorant of the engine: route bodies
-//! come from caller-supplied [`Providers`] closures, evaluated at
-//! request time so every scrape sees current state. The CLI wires the
-//! closures to `rmrls-obs`'s `SyncRegistry` and the engine's job
-//! status registry.
-//!
-//! Keeping the server in its own crate means the engine never links a
-//! socket unless telemetry is requested. The `rmrls serve` daemon
-//! reuses the request parser and response writers in [`http`] but runs
-//! its own accept loop.
+//! The crate is intentionally ignorant of the engine: routing is the
+//! handler's business. `rmrls-serve` builds both front ends on it —
+//! the `rmrls serve` daemon and the `/metrics`, `/healthz`, `/jobs`
+//! board that `synth`/`batch --metrics-addr` expose. Keeping the
+//! server in its own crate means the engine never links a socket.
 //!
 //! ```no_run
-//! use rmrls_telemetry::{Providers, TelemetryServer};
+//! use rmrls_telemetry::{read_request, write_response, HttpServer, Response};
 //!
-//! let server = TelemetryServer::bind(
-//!     "127.0.0.1:0",
-//!     Providers {
-//!         metrics: Box::new(|| "rmrls_up 1\n".into()),
-//!         healthz: Box::new(|| "{\"status\":\"ok\"}".into()),
-//!         jobs: Box::new(|| "[]".into()),
-//!     },
-//! )
+//! let server = HttpServer::bind("127.0.0.1:0", |stream| {
+//!     if let Ok(request) = read_request(&stream) {
+//!         let body = format!("you asked for {}", request.path);
+//!         let _ = write_response(&stream, &Response::text(200, &body), false);
+//!     }
+//! })
 //! .unwrap();
-//! println!("scrape me at http://{}/metrics", server.local_addr());
+//! println!("listening on http://{}/", server.local_addr());
 //! server.shutdown();
 //! ```
 
@@ -44,4 +41,4 @@ pub use http::{
     read_request, read_request_limited, respond_to_error, write_response, write_stream_head,
     HttpError, Request, Response, DEFAULT_BODY_LIMIT,
 };
-pub use server::{Providers, TelemetryServer, PROMETHEUS_CONTENT_TYPE};
+pub use server::{HttpServer, IO_TIMEOUT, PROMETHEUS_CONTENT_TYPE};

@@ -1,22 +1,24 @@
-//! The scrape server: a blocking accept loop on a dedicated thread,
-//! answering `GET /metrics`, `GET /healthz`, and `GET /jobs` from
-//! provider closures.
+//! The accept loop: one listener thread that hands every connection,
+//! with its socket timeouts set, to a caller-supplied handler on a
+//! thread of its own.
 //!
-//! Providers are plain `Fn() -> String` closures so the server knows
-//! nothing about registries, engines, or job state — the caller wires
-//! those in. Each scrape calls the provider at request time, so
-//! responses always reflect *current* state, not state captured at
-//! bind time.
+//! The handler owns the connection: it reads the request (choosing its
+//! own body cap), routes it and writes the response. Because each
+//! connection runs on its own thread, a stalled or slow client holds
+//! up only itself — other scrapes and submits are served meanwhile.
+//! Connection threads are detached; a handler that blocks (a
+//! synthesize request waiting on its job) is unblocked by whatever it
+//! waits on, not by the server.
 //!
-//! Shutdown is cooperative: [`TelemetryServer::shutdown`] flips a stop
-//! flag, then opens one throwaway connection to its own listener to
-//! unblock `accept`, then joins the thread. No request in flight is
-//! aborted; the loop finishes serving it, sees the flag, and exits.
+//! Shutdown is cooperative: [`HttpServer::shutdown`] (or `Drop`) flips
+//! a stop flag, opens one throwaway connection to its own listener to
+//! unblock `accept`, then joins the accept thread. The flag is checked
+//! before a connection is handed out, so the wake connection is never
+//! answered.
 
-use crate::http::{read_request, respond_to_error, write_response, Request, Response};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -24,52 +26,46 @@ use std::time::Duration;
 /// Prometheus text exposition content type (format version 0.0.4).
 pub const PROMETHEUS_CONTENT_TYPE: &str = "text/plain; version=0.0.4; charset=utf-8";
 
-/// Per-connection socket timeout: a scraper that stalls longer than
-/// this is cut off so it cannot wedge the accept loop.
-const IO_TIMEOUT: Duration = Duration::from_secs(2);
+/// Per-connection socket read and write timeout. Generous enough for
+/// slow POST bodies, small enough that a stalled client cannot pin a
+/// connection thread for long.
+pub const IO_TIMEOUT: Duration = Duration::from_secs(5);
 
-type Provider = Box<dyn Fn() -> String + Send + Sync>;
-
-/// The three route bodies the server can produce.
-pub struct Providers {
-    /// Body of `GET /metrics` (Prometheus text exposition format).
-    pub metrics: Provider,
-    /// Body of `GET /healthz` (JSON liveness document).
-    pub healthz: Provider,
-    /// Body of `GET /jobs` (JSON job-status snapshot).
-    pub jobs: Provider,
-}
-
-/// A running scrape endpoint. Dropping without calling
-/// [`shutdown`](TelemetryServer::shutdown) detaches the accept thread;
-/// prefer an explicit shutdown so the port is released promptly.
-pub struct TelemetryServer {
+/// A running HTTP listener. Dropping it shuts it down, so the port is
+/// released on every exit path.
+pub struct HttpServer {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    requests: Arc<AtomicU64>,
     thread: Option<JoinHandle<()>>,
 }
 
-impl TelemetryServer {
+impl HttpServer {
     /// Binds `addr` (e.g. `127.0.0.1:0` for an ephemeral port) and
-    /// starts the accept loop. The bound address — with the real port —
-    /// is available via [`local_addr`](TelemetryServer::local_addr).
-    pub fn bind<A: ToSocketAddrs>(addr: A, providers: Providers) -> io::Result<TelemetryServer> {
+    /// starts the accept loop; `handler` serves each connection on its
+    /// own thread. The bound address — with the real port — is
+    /// available via [`local_addr`](HttpServer::local_addr).
+    ///
+    /// # Errors
+    ///
+    /// When the address cannot be bound or the accept thread cannot be
+    /// spawned.
+    pub fn bind<A, H>(addr: A, handler: H) -> io::Result<HttpServer>
+    where
+        A: ToSocketAddrs,
+        H: Fn(TcpStream) + Send + Sync + 'static,
+    {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
-        let requests = Arc::new(AtomicU64::new(0));
         let thread = {
             let stop = Arc::clone(&stop);
-            let requests = Arc::clone(&requests);
             std::thread::Builder::new()
-                .name("rmrls-telemetry".into())
-                .spawn(move || accept_loop(&listener, &providers, &stop, &requests))?
+                .name("rmrls-http-accept".into())
+                .spawn(move || accept_loop(&listener, Arc::new(handler), &stop))?
         };
-        Ok(TelemetryServer {
+        Ok(HttpServer {
             addr,
             stop,
-            requests,
             thread: Some(thread),
         })
     }
@@ -80,12 +76,8 @@ impl TelemetryServer {
         self.addr
     }
 
-    /// Total requests served so far (any route, any status).
-    pub fn requests_served(&self) -> u64 {
-        self.requests.load(Ordering::Relaxed)
-    }
-
-    /// Stops the accept loop and joins its thread.
+    /// Stops the accept loop and joins its thread. Connections already
+    /// handed out finish on their own threads.
     pub fn shutdown(mut self) {
         self.stop_and_join();
     }
@@ -102,18 +94,16 @@ impl TelemetryServer {
     }
 }
 
-impl Drop for TelemetryServer {
+impl Drop for HttpServer {
     fn drop(&mut self) {
         self.stop_and_join();
     }
 }
 
-fn accept_loop(
-    listener: &TcpListener,
-    providers: &Providers,
-    stop: &AtomicBool,
-    requests: &AtomicU64,
-) {
+fn accept_loop<H>(listener: &TcpListener, handler: Arc<H>, stop: &AtomicBool)
+where
+    H: Fn(TcpStream) + Send + Sync + 'static,
+{
     for conn in listener.incoming() {
         if stop.load(Ordering::SeqCst) {
             break;
@@ -121,37 +111,11 @@ fn accept_loop(
         let Ok(stream) = conn else { continue };
         let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
         let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
-        requests.fetch_add(1, Ordering::Relaxed);
-        serve_one(stream, providers);
-    }
-}
-
-/// Serves a single connection. Errors are swallowed deliberately: a
-/// scraper disconnecting mid-response must never take the batch down.
-/// Parse failures map to their status via [`HttpError::to_response`];
-/// a vanished or stalled peer (`HttpError::Io`) gets no response.
-fn serve_one(stream: TcpStream, providers: &Providers) {
-    let request = match read_request(&stream) {
-        Ok(r) => r,
-        Err(e) => {
-            respond_to_error(&stream, &e);
-            return;
-        }
-    };
-    let head = request.method == "HEAD";
-    let response = route(&request, providers);
-    let _ = write_response(&stream, &response, head);
-}
-
-fn route(request: &Request, providers: &Providers) -> Response {
-    if request.method != "GET" && request.method != "HEAD" {
-        return Response::text(405, "only GET is supported");
-    }
-    match request.path.as_str() {
-        "/metrics" => Response::ok(PROMETHEUS_CONTENT_TYPE, (providers.metrics)()),
-        "/healthz" => Response::ok("application/json", (providers.healthz)()),
-        "/jobs" => Response::ok("application/json", (providers.jobs)()),
-        _ => Response::text(404, "no such route (try /metrics, /healthz, /jobs)"),
+        let handler = Arc::clone(&handler);
+        // A failed spawn drops the connection; the client sees a reset.
+        let _ = std::thread::Builder::new()
+            .name("rmrls-http-conn".into())
+            .spawn(move || handler(stream));
     }
 }
 
@@ -159,105 +123,72 @@ fn route(request: &Request, providers: &Providers) -> Response {
 mod tests {
     use super::*;
     use std::io::{Read, Write};
-    use std::sync::atomic::AtomicUsize;
 
-    fn constant_providers() -> Providers {
-        Providers {
-            metrics: Box::new(|| "rmrls_up 1\n".into()),
-            healthz: Box::new(|| "{\"ok\":true}".into()),
-            jobs: Box::new(|| "[]".into()),
-        }
-    }
-
-    fn get(addr: SocketAddr, target: &str) -> (u16, String, String) {
-        request(addr, "GET", target)
-    }
-
-    fn request(addr: SocketAddr, method: &str, target: &str) -> (u16, String, String) {
-        let mut stream = TcpStream::connect(addr).unwrap();
-        write!(stream, "{method} {target} HTTP/1.1\r\nHost: t\r\n\r\n").unwrap();
-        let mut raw = String::new();
-        stream.read_to_string(&mut raw).unwrap();
-        let status: u16 = raw.split(' ').nth(1).unwrap().parse().unwrap();
-        let (head, body) = raw.split_once("\r\n\r\n").unwrap();
-        (status, head.to_string(), body.to_string())
-    }
-
-    #[test]
-    fn serves_all_three_routes() {
-        let server = TelemetryServer::bind("127.0.0.1:0", constant_providers()).unwrap();
-        let addr = server.local_addr();
-        assert_ne!(addr.port(), 0);
-
-        let (status, head, body) = get(addr, "/metrics");
-        assert_eq!(status, 200);
-        assert!(head.contains("text/plain; version=0.0.4"));
-        assert_eq!(body, "rmrls_up 1\n");
-
-        let (status, head, body) = get(addr, "/healthz");
-        assert_eq!(status, 200);
-        assert!(head.contains("application/json"));
-        assert_eq!(body, "{\"ok\":true}");
-
-        let (status, _, body) = get(addr, "/jobs");
-        assert_eq!(status, 200);
-        assert_eq!(body, "[]");
-
-        assert_eq!(server.requests_served(), 3);
-        server.shutdown();
-    }
-
-    #[test]
-    fn providers_are_called_per_scrape_not_at_bind() {
-        let calls = Arc::new(AtomicUsize::new(0));
-        let c = Arc::clone(&calls);
-        let providers = Providers {
-            metrics: Box::new(move || {
-                let n = c.fetch_add(1, Ordering::SeqCst) + 1;
-                format!("rmrls_scrapes {n}\n")
-            }),
-            healthz: Box::new(|| "{}".into()),
-            jobs: Box::new(|| "[]".into()),
+    fn echo_path(stream: TcpStream) {
+        let Ok(request) = crate::read_request(&stream) else {
+            return;
         };
-        let server = TelemetryServer::bind("127.0.0.1:0", providers).unwrap();
-        assert_eq!(calls.load(Ordering::SeqCst), 0);
-        assert_eq!(get(server.local_addr(), "/metrics").2, "rmrls_scrapes 1\n");
-        assert_eq!(get(server.local_addr(), "/metrics").2, "rmrls_scrapes 2\n");
-        server.shutdown();
+        let _ = crate::write_response(
+            &stream,
+            &crate::Response::ok("text/plain", request.path),
+            false,
+        );
     }
 
     #[test]
-    fn unknown_routes_and_methods_are_rejected() {
-        let server = TelemetryServer::bind("127.0.0.1:0", constant_providers()).unwrap();
-        let addr = server.local_addr();
-        assert_eq!(get(addr, "/nope").0, 404);
-        assert_eq!(request(addr, "POST", "/metrics").0, 405);
-        let (status, head, body) = request(addr, "HEAD", "/healthz");
-        assert_eq!(status, 200);
-        assert!(head.contains("Content-Length: 11"));
-        assert_eq!(body, "");
-        server.shutdown();
-    }
-
-    #[test]
-    fn malformed_requests_get_400_and_do_not_kill_the_loop() {
-        let server = TelemetryServer::bind("127.0.0.1:0", constant_providers()).unwrap();
-        let addr = server.local_addr();
-        let mut stream = TcpStream::connect(addr).unwrap();
-        stream.write_all(b"definitely not http\r\n\r\n").unwrap();
+    fn hands_each_connection_to_the_handler_with_timeouts_set() {
+        let server = HttpServer::bind("127.0.0.1:0", |stream: TcpStream| {
+            let timeouts = (
+                stream.read_timeout().unwrap(),
+                stream.write_timeout().unwrap(),
+            );
+            assert_eq!(timeouts, (Some(IO_TIMEOUT), Some(IO_TIMEOUT)));
+            echo_path(stream);
+        })
+        .unwrap();
+        assert_ne!(server.local_addr().port(), 0);
+        let mut s = TcpStream::connect(server.local_addr()).unwrap();
+        s.write_all(b"GET /x HTTP/1.1\r\n\r\n").unwrap();
         let mut raw = String::new();
-        stream.read_to_string(&mut raw).unwrap();
-        assert!(raw.starts_with("HTTP/1.1 400 "), "{raw}");
-        // The loop survived and still serves.
-        assert_eq!(get(addr, "/healthz").0, 200);
+        s.read_to_string(&mut raw).unwrap();
+        assert!(
+            raw.starts_with("HTTP/1.1 200 OK\r\n") && raw.ends_with("/x"),
+            "{raw}"
+        );
         server.shutdown();
     }
 
     #[test]
-    fn shutdown_releases_the_port_and_joins() {
-        let server = TelemetryServer::bind("127.0.0.1:0", constant_providers()).unwrap();
+    fn a_stalled_connection_does_not_block_the_next_one() {
+        let server = HttpServer::bind("127.0.0.1:0", echo_path).unwrap();
+        let addr = server.local_addr();
+        // Half a request head, then silence: its handler waits out the
+        // read timeout on its own thread.
+        let mut stalled = TcpStream::connect(addr).unwrap();
+        stalled.write_all(b"GET /st").unwrap();
+        let mut s = TcpStream::connect(addr).unwrap();
+        s.set_read_timeout(Some(IO_TIMEOUT / 2)).unwrap();
+        s.write_all(b"GET /next HTTP/1.1\r\n\r\n").unwrap();
+        let mut raw = String::new();
+        s.read_to_string(&mut raw)
+            .expect("served before the stall times out");
+        assert!(raw.ends_with("/next"), "{raw}");
+        server.shutdown();
+    }
+
+    #[test]
+    fn shutdown_releases_the_port_and_never_answers_the_wake() {
+        let answered = Arc::new(AtomicBool::new(false));
+        let flag = Arc::clone(&answered);
+        let server =
+            HttpServer::bind("127.0.0.1:0", move |_| flag.store(true, Ordering::SeqCst)).unwrap();
         let addr = server.local_addr();
         server.shutdown();
+        std::thread::sleep(Duration::from_millis(50));
+        assert!(
+            !answered.load(Ordering::SeqCst),
+            "the wake connection reached the handler"
+        );
         // Rebinding the same port succeeds once the listener is gone.
         let rebound = TcpListener::bind(addr);
         assert!(rebound.is_ok(), "{rebound:?}");
@@ -269,7 +200,7 @@ mod tests {
     fn drop_also_shuts_down() {
         let addr;
         {
-            let server = TelemetryServer::bind("127.0.0.1:0", constant_providers()).unwrap();
+            let server = HttpServer::bind("127.0.0.1:0", echo_path).unwrap();
             addr = server.local_addr();
         }
         assert!(TcpListener::bind(addr).is_ok());
