@@ -2,16 +2,16 @@
 //! RMRLS against (Table I and §III):
 //!
 //! - [`mmd_synthesize`] — the transformation-based algorithm of Miller,
-//!   Maslov and Dueck (reference [7]), unidirectional and bidirectional;
+//!   Maslov and Dueck (reference \[7\]), unidirectional and bidirectional;
 //!   always synthesizes a valid circuit.
 //! - [`OptimalTable`] — exhaustive BFS optimal synthesis for all 40 320
 //!   three-variable functions over the NCT and NCTS libraries
-//!   (reference [16]); reproduces the "Optimal" columns of Table I
+//!   (reference \[16\]); reproduces the "Optimal" columns of Table I
 //!   exactly.
 //! - [`naive_greedy`] — the no-search greedy PPRM cascade sketched in
 //!   the paper's introduction, as an ablation of the RMRLS search.
 //! - [`PeepholeOptimizer`] — windowed optimal resynthesis, the local
-//!   optimization of reference [17].
+//!   optimization of reference \[17\].
 //!
 //! ```
 //! use rmrls_baselines::{mmd_synthesize, MmdVariant};

@@ -1,21 +1,17 @@
 //! Flight-recorder overhead benchmark (PR 6): what observability costs.
 //!
 //! The search kernel is permanently instrumented — every expansion can
-//! report to an attached [`rmrls_obs::FlightRecorder`] and every phase
-//! can be timed by the profiler. The contract is that the *cheap path*
-//! (no recorder attached, profiling off) compiles down to a branch on
-//! an empty `Option`, so always-on instrumentation is affordable:
+//! report to an attached [`rmrls_obs::FlightRecorder`]. The contract is
+//! that the *cheap path* (no recorder attached) compiles down to a
+//! branch on an empty `Option`, so always-on instrumentation is
+//! affordable:
 //!
 //! 1. **Recorder disabled** — `synthesize_with_observer` with a null
 //!    observer must stay within 3% of the plain `synthesize` baseline.
 //! 2. **Recorder enabled** — a per-search recorder (sampled expansion
 //!    records, gauges, anomalies — what `--trace` turns on) must stay
 //!    within 10% of the baseline.
-//! 3. **Recorder + profiler** — adding per-phase timing (`--profile`)
-//!    reads the clock around every scoring / materialize / dedup span,
-//!    which is real per-node cost on a small kernel; its overhead is
-//!    reported but not capped (see DESIGN.md §5e).
-//! 4. **Live telemetry** (PR 8) — the `--metrics-addr` hook: a progress
+//! 3. **Live telemetry** — the `--metrics-addr` hook: a progress
 //!    beat per `TIME_CHECK_INTERVAL` pops updating the job board's
 //!    atomics and the latency histograms, exactly what the engine wires
 //!    up for a scrapeable run. Must stay within 3% of the baseline
@@ -111,7 +107,7 @@ fn main() {
     });
 
     // 3. Recorder enabled: a fresh per-search ring buffer, the way the
-    //    batch engine runs under `--trace` (profiling stays off).
+    //    batch engine runs under `--trace`.
     let mut records = 0u64;
     let (on_secs, on_solved) = timed(&specs, reps, |s| {
         let recorder = FlightRecorder::with_default_budget();
@@ -121,15 +117,7 @@ fn main() {
         ok
     });
 
-    // 4. Recorder + per-phase profiling (`--trace --profile`).
-    let profiled = opts.clone().with_profile(true);
-    let (prof_secs, prof_solved) = timed(&specs, reps, |s| {
-        let recorder = FlightRecorder::with_default_budget();
-        let mut obs = Observer::null().with_recorder(recorder.clone());
-        synthesize_with_observer(s, &profiled, &mut obs).is_ok()
-    });
-
-    // 5. Live telemetry: the --metrics-addr progress hook — job-board
+    // 4. Live telemetry: the --metrics-addr progress hook — job-board
     //    atomics plus expansion-batch histogram per beat, job latency
     //    histogram per search. (The HTTP server itself is off the hot
     //    path: scrapes happen on their own thread.)
@@ -163,7 +151,6 @@ fn main() {
 
     assert_eq!(base_solved, off_solved, "observer must not change results");
     assert_eq!(base_solved, on_solved, "recorder must not change results");
-    assert_eq!(base_solved, prof_solved, "profiler must not change results");
     assert_eq!(
         base_solved, tele_solved,
         "telemetry must not change results"
@@ -173,7 +160,6 @@ fn main() {
 
     let off_overhead = (off_secs - base_secs) / base_secs;
     let on_overhead = (on_secs - base_secs) / base_secs;
-    let prof_overhead = (prof_secs - base_secs) / base_secs;
     let tele_overhead = (tele_secs - base_secs) / base_secs;
     println!("baseline (plain synthesize): {base_secs:.3}s, {base_solved}/{count} solved");
     println!(
@@ -183,10 +169,6 @@ fn main() {
     println!(
         "recorder enabled:            {on_secs:.3}s ({:+.1}%)",
         on_overhead * 100.0
-    );
-    println!(
-        "recorder + profiler:         {prof_secs:.3}s ({:+.1}% — uncapped, see DESIGN §5e)",
-        prof_overhead * 100.0
     );
     println!(
         "live telemetry hook:         {tele_secs:.3}s ({:+.1}%)",
@@ -219,7 +201,6 @@ fn main() {
         ("seconds_baseline".to_string(), Json::Num(base_secs)),
         ("seconds_disabled".to_string(), Json::Num(off_secs)),
         ("seconds_enabled".to_string(), Json::Num(on_secs)),
-        ("seconds_profiled".to_string(), Json::Num(prof_secs)),
         (
             "disabled_overhead_fraction".to_string(),
             Json::Num(off_overhead),
@@ -227,10 +208,6 @@ fn main() {
         (
             "enabled_overhead_fraction".to_string(),
             Json::Num(on_overhead),
-        ),
-        (
-            "profiled_overhead_fraction".to_string(),
-            Json::Num(prof_overhead),
         ),
         ("seconds_telemetry".to_string(), Json::Num(tele_secs)),
         (

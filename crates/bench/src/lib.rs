@@ -369,7 +369,7 @@ mod tests {
             other => panic!("expected object, got {other:?}"),
         };
         let get = |k: &str| obj.iter().find(|(key, _)| key == k).map(|(_, v)| v);
-        assert_eq!(get("schema_version"), Some(&Json::Num(3.0)));
+        assert_eq!(get("schema_version"), Some(&Json::Num(4.0)));
         assert_eq!(get("solved"), Some(&Json::Bool(true)));
         assert!(matches!(get("circuit"), Some(Json::Obj(_))));
         assert!(matches!(get("stats"), Some(Json::Obj(_))));

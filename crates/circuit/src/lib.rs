@@ -5,7 +5,7 @@
 //! [`Circuit`] cascades with simulation and inversion, the quantum
 //! [`cost`](circuit_cost) model of §II-D, `.tfc` interchange
 //! [format support](tfc), template-based [simplification](simplify)
-//! (§III, [20]–[22]), and ASCII [rendering](render) in the style of the
+//! (§III, \[20\]–\[22\]), and ASCII [rendering](render) in the style of the
 //! paper's figures.
 //!
 //! # Example

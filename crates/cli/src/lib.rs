@@ -92,9 +92,6 @@ SYNTH OPTIONS:
   --progress                         print periodic search progress to stderr
   --log-json FILE                    stream search events as JSON lines
                                      (FILE '-' streams to stderr)
-  --profile                          collect a per-phase timing profile
-                                     (scoring / materialize / dedup) into
-                                     the output and --report
   --trace FILE                       write the flight-recorder dump as
                                      JSON (read it with 'rmrls trace')
   --trace-out FILE                   write a Chrome trace-event JSON file
@@ -129,8 +126,6 @@ BATCH OPTIONS:
                       <index>-<job>.trace.json; jobs with anomalies
                       (shed, escalation, deadline, panic) also write
                       <index>-<job>.anomaly.json
-  --profile           aggregate a per-phase timing profile across jobs
-                      into the batch report
   --store FILE        persistent circuit store: canonical results are
                       loaded (verified) at start and fresh syntheses are
                       appended, so reruns serve repeated specs from disk
@@ -289,8 +284,6 @@ pub enum Command {
         /// Stream search events as JSON lines to this file (`-` =
         /// stderr).
         log_json: Option<String>,
-        /// Collect a per-phase timing profile into output and report.
-        profile: bool,
         /// Write the flight-recorder dump (JSON) to this file.
         trace: Option<String>,
         /// Write a Chrome trace-event JSON export to this file.
@@ -325,8 +318,6 @@ pub enum Command {
         report: Option<String>,
         /// Write per-job flight-recorder dumps into this directory.
         trace_dir: Option<String>,
-        /// Aggregate a per-phase timing profile into the batch report.
-        profile: bool,
         /// Exit nonzero on any error, panic, or verification failure.
         strict: bool,
         /// Serve live telemetry over HTTP at this address during the
@@ -456,7 +447,6 @@ const FLAG_READERS: &[(&str, &[&str])] = &[
     ("--report", &["synth", "batch"]),
     ("--progress", &["synth"]),
     ("--log-json", &["synth"]),
-    ("--profile", &["synth", "batch"]),
     ("--trace", &["synth", "batch"]),
     ("--trace-out", &["synth"]),
     ("--metrics-out", &["synth"]),
@@ -544,7 +534,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Cl
     let mut results = None;
     let mut resume = None;
     let mut strict = false;
-    let mut profile = false;
     let mut trace = None;
     let mut trace_out = None;
     let mut metrics_out = None;
@@ -641,7 +630,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Cl
             "--results" => results = Some(take_value(&mut args, "--results")?),
             "--resume" => resume = Some(take_value(&mut args, "--resume")?),
             "--strict" => strict = true,
-            "--profile" => profile = true,
             "--trace" => trace = Some(take_value(&mut args, "--trace")?),
             "--trace-out" => trace_out = Some(take_value(&mut args, "--trace-out")?),
             "--metrics-out" => metrics_out = Some(take_value(&mut args, "--metrics-out")?),
@@ -706,7 +694,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Cl
                 report,
                 progress,
                 log_json,
-                profile,
                 trace,
                 trace_out,
                 metrics_out,
@@ -738,7 +725,6 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> Result<Command, Cl
                 resume,
                 report,
                 trace_dir: trace,
-                profile,
                 strict,
                 metrics_addr,
                 store,
@@ -848,7 +834,6 @@ pub fn run(command: Command, out: &mut impl fmt::Write) -> Result<(), CliError> 
             report: report_path,
             progress,
             log_json,
-            profile,
             trace,
             trace_out,
             metrics_out,
@@ -857,8 +842,7 @@ pub fn run(command: Command, out: &mut impl fmt::Write) -> Result<(), CliError> 
             let (pprm, name) = source.resolve()?;
             let mut opts = SynthesisOptions::new()
                 .with_pruning(pruning)
-                .with_fredkin_substitutions(fredkin)
-                .with_profile(profile);
+                .with_fredkin_substitutions(fredkin);
             if let Some(t) = time_limit {
                 opts = opts.with_time_limit(t);
             }
@@ -1038,19 +1022,6 @@ pub fn run(command: Command, out: &mut impl fmt::Write) -> Result<(), CliError> 
             write_observability(&obs, out)?;
             report(&circuit, &name, out).map_err(|e| err(e.to_string()))?;
             writeln!(out, "search: {}", result.stats).map_err(|e| err(e.to_string()))?;
-            if !result.stats.profile.is_empty() {
-                let total = result.stats.profile.total_seconds().max(f64::EPSILON);
-                let mut line = String::from("profile:");
-                for p in &result.stats.profile.phases {
-                    line.push_str(&format!(
-                        " {} {:.1}ms ({:.0}%)",
-                        p.name,
-                        p.seconds * 1e3,
-                        p.seconds / total * 100.0
-                    ));
-                }
-                writeln!(out, "{line}").map_err(|e| err(e.to_string()))?;
-            }
             if do_render {
                 out.write_str(&render(&circuit))
                     .map_err(|e| err(e.to_string()))?;
@@ -1080,7 +1051,6 @@ pub fn run(command: Command, out: &mut impl fmt::Write) -> Result<(), CliError> 
             resume,
             report: report_path,
             trace_dir,
-            profile,
             strict,
             metrics_addr,
             store,
@@ -1116,9 +1086,6 @@ pub fn run(command: Command, out: &mut impl fmt::Write) -> Result<(), CliError> 
                 trace_dir: trace_dir.clone(),
                 ..rmrls_engine::BatchOptions::default()
             };
-            if profile {
-                options.synthesis = options.synthesis.with_profile(true);
-            }
             // An unopenable store degrades to a store-less run: the
             // batch still produces correct results, it merely won't
             // remember them. The warning is the only difference.
@@ -1313,19 +1280,6 @@ pub fn run(command: Command, out: &mut impl fmt::Write) -> Result<(), CliError> 
                     c.anomaly_dumps, c.trace_records_dropped, c.trace_write_errors
                 )
                 .map_err(|e| err(e.to_string()))?;
-            }
-            if !run.profile.is_empty() {
-                let total = run.profile.total_seconds().max(f64::EPSILON);
-                let mut line = String::from("  profile:");
-                for p in &run.profile.phases {
-                    line.push_str(&format!(
-                        " {} {:.1}ms ({:.0}%)",
-                        p.name,
-                        p.seconds * 1e3,
-                        p.seconds / total * 100.0
-                    ));
-                }
-                writeln!(out, "{line}").map_err(|e| err(e.to_string()))?;
             }
             if let Some(path) = &journal_path {
                 // Rewrite the journal in admission order (journal order
@@ -1781,14 +1735,29 @@ mod tests {
     }
 
     #[test]
-    fn threads_flag_is_an_unknown_argument() {
-        for args in [
-            &["synth", "--spec", "0,1", "--threads", "2"][..],
-            &["batch", "--suite", "table4", "--threads", "2"][..],
-            &["serve", "--threads", "2"][..],
+    fn removed_flags_are_unknown_arguments() {
+        for (args, flag) in [
+            (
+                &["synth", "--spec", "0,1", "--threads", "2"][..],
+                "--threads",
+            ),
+            (
+                &["batch", "--suite", "table4", "--threads", "2"][..],
+                "--threads",
+            ),
+            (&["serve", "--threads", "2"][..], "--threads"),
+            (&["synth", "--spec", "0,1", "--profile"][..], "--profile"),
+            (
+                &["batch", "--suite", "table4", "--profile"][..],
+                "--profile",
+            ),
         ] {
             let e = parse(args).unwrap_err();
-            assert_eq!(e.to_string(), "unknown argument '--threads'", "{args:?}");
+            assert_eq!(
+                e.to_string(),
+                format!("unknown argument '{flag}'"),
+                "{args:?}"
+            );
         }
     }
 
@@ -2255,7 +2224,6 @@ mod tests {
             "--report",
             "--progress",
             "--log-json",
-            "--profile",
             "--trace",
             "--trace-out",
             "--metrics-out",
@@ -2269,12 +2237,11 @@ mod tests {
     }
 
     #[test]
-    fn trace_and_profile_flags_parse() {
+    fn trace_flags_parse() {
         match parse(&[
             "synth",
             "--spec",
             "0,1",
-            "--profile",
             "--trace",
             "dump.json",
             "--trace-out",
@@ -2285,13 +2252,11 @@ mod tests {
         .unwrap()
         {
             Command::Synth {
-                profile,
                 trace,
                 trace_out,
                 metrics_out,
                 ..
             } => {
-                assert!(profile);
                 assert_eq!(trace.as_deref(), Some("dump.json"));
                 assert_eq!(trace_out.as_deref(), Some("chrome.json"));
                 assert_eq!(metrics_out.as_deref(), Some("metrics.prom"));
@@ -2308,7 +2273,7 @@ mod tests {
         // The trace subcommand needs its input file.
         assert!(parse(&["trace"]).is_err());
         // Scope validation: flags stay with their commands.
-        assert!(parse(&["mmd", "--spec", "0,1", "--profile"]).is_err());
+        assert!(parse(&["mmd", "--spec", "0,1", "--trace", "d.json"]).is_err());
         assert!(parse(&["info", "--tfc", "x.tfc", "--trace", "d.json"]).is_err());
         assert!(parse(&["batch", "--suite", "table4", "--trace-out", "c.json"]).is_err());
         assert!(parse(&["batch", "--suite", "table4", "--metrics-out", "m"]).is_err());
@@ -2316,8 +2281,6 @@ mod tests {
         // --bidi runs two searches; one recorder cannot serve both.
         assert!(parse(&["synth", "--spec", "0,1", "--bidi", "--trace", "d.json"]).is_err());
         assert!(parse(&["synth", "--spec", "0,1", "--bidi", "--trace-out", "c.json"]).is_err());
-        // ... but the profile rides in the returned stats, so it composes.
-        assert!(parse(&["synth", "--spec", "0,1", "--bidi", "--profile"]).is_ok());
     }
 
     #[test]
@@ -2332,7 +2295,6 @@ mod tests {
             "synth",
             "--spec",
             "1,0,7,2,3,4,5,6",
-            "--profile",
             "--trace",
             trace.to_str().unwrap(),
             "--trace-out",
@@ -2345,7 +2307,6 @@ mod tests {
         .unwrap();
         let mut out = String::new();
         run(cmd, &mut out).unwrap();
-        assert!(out.contains("profile:"), "{out}");
 
         // The raw dump parses back as a snapshot bracketing the search.
         let json = rmrls_obs::Json::parse(&std::fs::read_to_string(&trace).unwrap()).unwrap();
@@ -2378,7 +2339,7 @@ mod tests {
             # HELP rmrls_queue_depth rmrls gauge `queue_depth`\n\
             # TYPE rmrls_queue_depth gauge\n\
             rmrls_queue_depth 7\n\
-            # HELP rmrls_queue_depth_high_water rmrls gauge `queue_depth`\n\
+            # HELP rmrls_queue_depth_high_water rmrls high-water mark of gauge `queue_depth`\n\
             # TYPE rmrls_queue_depth_high_water gauge\n\
             rmrls_queue_depth_high_water 7\n\
             # HELP rmrls_push_priority rmrls histogram `push_priority`\n\
@@ -2417,17 +2378,8 @@ mod tests {
         let prom = std::fs::read_to_string(&metrics).unwrap();
         assert_eq!(prom, FIG1_PROM);
 
-        // --profile lands a non-null phase table in the report.
         let report_json =
             rmrls_obs::Json::parse(&std::fs::read_to_string(&report).unwrap()).unwrap();
-        let phases = report_json
-            .get("stats")
-            .unwrap()
-            .get("profile")
-            .unwrap()
-            .as_arr()
-            .expect("profile is an array when --profile is set");
-        assert!(!phases.is_empty());
         assert_eq!(
             report_json.get("metrics").unwrap().to_string(),
             concat!(
@@ -2516,7 +2468,6 @@ mod tests {
             "examples",
             "--jobs",
             "2",
-            "--profile",
             "--trace",
             traces.to_str().unwrap(),
         ])
@@ -2524,7 +2475,6 @@ mod tests {
         let mut out = String::new();
         run(cmd, &mut out).unwrap();
         assert!(out.contains("traces:"), "{out}");
-        assert!(out.contains("profile:"), "{out}");
         let dumps = std::fs::read_dir(&traces)
             .unwrap()
             .filter(|e| {
@@ -2557,7 +2507,7 @@ mod tests {
 
         let text = std::fs::read_to_string(&path).unwrap();
         let json = rmrls_obs::Json::parse(&text).expect("report is valid JSON");
-        assert_eq!(json.get("schema_version").unwrap().as_u64(), Some(3));
+        assert_eq!(json.get("schema_version").unwrap().as_u64(), Some(4));
         assert_eq!(json.get("solved").unwrap().as_bool(), Some(true));
         // The report's gate count agrees with the human-readable output.
         let gates = json
@@ -2659,7 +2609,6 @@ mod tests {
             "old.jsonl",
             "--trace",
             "traces",
-            "--profile",
         ])
         .unwrap()
         {
@@ -2674,7 +2623,6 @@ mod tests {
                 results,
                 report,
                 trace_dir,
-                profile,
                 strict,
                 resume,
                 metrics_addr,
@@ -2692,7 +2640,6 @@ mod tests {
                 assert_eq!(results.as_deref(), Some("r.jsonl"));
                 assert_eq!(report.as_deref(), Some("report.json"));
                 assert_eq!(trace_dir.as_deref(), Some("traces"));
-                assert!(profile);
                 assert!(strict);
                 assert_eq!(resume.as_deref(), Some("old.jsonl"));
             }

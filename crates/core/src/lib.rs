@@ -58,7 +58,6 @@ pub use search::{
 };
 pub use stats::{RestartSpan, SearchStats, StopReason};
 
-// Re-exported so callers holding a `SearchStats` or building an
-// `Observer` don't need a direct `rmrls_obs` dependency for the types
-// that appear in this crate's API.
-pub use rmrls_obs::{FlightRecorder, PhaseProfile};
+// Re-exported so callers building an `Observer` don't need a direct
+// `rmrls_obs` dependency for the recorder type in this crate's API.
+pub use rmrls_obs::FlightRecorder;

@@ -83,7 +83,7 @@ pub enum FredkinMode {
     #[default]
     Off,
     /// Unconditional swaps only: together with the Toffoli family this
-    /// is the NCTS library of [6]/[7] (on three wires).
+    /// is the NCTS library of \[6\]/\[7\] (on three wires).
     SwapOnly,
     /// Controlled swaps with arbitrary control monomials (generalized
     /// Fredkin gates) — the full §VI extension.
@@ -213,10 +213,6 @@ pub struct SynthesisOptions {
     /// (used by the scalability experiments of §V-E, which only ask
     /// *whether* a solution is found).
     pub stop_at_first: bool,
-    /// Collect a per-phase timing profile (scoring / materialize /
-    /// dedup) into [`SearchStats::profile`](crate::SearchStats::profile).
-    /// Off by default: the disabled profiler costs one branch per span.
-    pub profile: bool,
 }
 
 impl SynthesisOptions {
@@ -241,7 +237,6 @@ impl SynthesisOptions {
             initial_dive: true,
             tie_break_cost: false,
             stop_at_first: false,
-            profile: false,
         }
     }
 
@@ -367,12 +362,6 @@ impl SynthesisOptions {
     /// Stop at the first solution found.
     pub fn with_stop_at_first(mut self, on: bool) -> Self {
         self.stop_at_first = on;
-        self
-    }
-
-    /// Enables per-phase profiling.
-    pub fn with_profile(mut self, on: bool) -> Self {
-        self.profile = on;
         self
     }
 

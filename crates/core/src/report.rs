@@ -16,7 +16,7 @@ use crate::{FredkinMode, PriorityMode, Pruning, SearchStats, SynthesisOptions};
 /// Version of the run-report JSON schema. Bumped whenever a field is
 /// renamed, removed, or changes meaning; additions are backwards
 /// compatible and do not bump it.
-pub const RUN_REPORT_SCHEMA_VERSION: u64 = 3;
+pub const RUN_REPORT_SCHEMA_VERSION: u64 = 4;
 
 fn opt_uint<T: Into<u64>>(v: Option<T>) -> Json {
     v.map(|x| Json::uint(x.into())).unwrap_or(Json::Null)
@@ -107,7 +107,6 @@ pub fn options_to_json(options: &SynthesisOptions) -> Json {
             "stop_at_first".to_string(),
             Json::Bool(options.stop_at_first),
         ),
-        ("profile".to_string(), Json::Bool(options.profile)),
     ])
 }
 
@@ -188,17 +187,6 @@ pub fn stats_to_json(stats: &SearchStats) -> Json {
                 .unwrap_or(Json::Null),
         ),
         ("restart_spans".to_string(), Json::Arr(spans)),
-        // The phase profile is null (not an empty array) when profiling
-        // was off, so consumers can tell "not measured" from "measured
-        // nothing".
-        (
-            "profile".to_string(),
-            if stats.profile.is_empty() {
-                Json::Null
-            } else {
-                stats.profile.to_json()
-            },
-        ),
     ])
 }
 
@@ -268,7 +256,7 @@ mod tests {
         let text = report.to_string();
         let parsed = Json::parse(&text).expect("report is valid JSON");
 
-        assert_eq!(parsed.get("schema_version").unwrap().as_u64(), Some(3));
+        assert_eq!(parsed.get("schema_version").unwrap().as_u64(), Some(4));
         assert_eq!(parsed.get("solved").unwrap().as_bool(), Some(true));
         let circuit = parsed.get("circuit").unwrap();
         assert_eq!(
@@ -331,8 +319,10 @@ mod tests {
         let json = options_to_json(&options);
         assert_eq!(json.get("pruning").unwrap().as_str(), Some("top-4"));
         assert_eq!(json.get("max_gates").unwrap().as_u64(), Some(40));
-        // Schema version 2 dropped the intra-job parallel search keys.
+        // Schema version 2 dropped the intra-job parallel search keys,
+        // version 4 the phase profile.
         assert!(json.get("threads").is_none());
+        assert!(json.get("profile").is_none());
         let stats = stats_to_json(&crate::synthesize(&fig1(), &options).unwrap().stats);
         for removed in [
             "threads_used",
@@ -344,6 +334,7 @@ mod tests {
             "shared_seen_hits",
             "spec_scored_wasted",
             "spec_materialized_wasted",
+            "profile",
         ] {
             assert!(stats.get(removed).is_none(), "stats.{removed} is gone");
         }

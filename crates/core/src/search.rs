@@ -19,7 +19,7 @@ use std::rc::Rc;
 use std::time::Instant;
 
 use rmrls_circuit::{Circuit, Gate};
-use rmrls_obs::{Profiler, TraceKind};
+use rmrls_obs::TraceKind;
 use rmrls_pprm::{MultiPprm, SubstCount, SubstScratch, Term};
 use rmrls_spec::Permutation;
 
@@ -384,9 +384,6 @@ struct Search<'a> {
     /// predicted fingerprint differs cannot be the identity — the
     /// fingerprint is a deterministic function of the state).
     identity_fp: u64,
-    /// Per-phase timing (scoring / materialize / dedup), enabled by
-    /// `options.profile`; disabled it costs one branch per span site.
-    profiler: Profiler,
 }
 
 impl<'a> Search<'a> {
@@ -416,11 +413,6 @@ impl<'a> Search<'a> {
             segment_start_nodes: 0,
             scratch: SubstScratch::new(),
             identity_fp,
-            profiler: if options.profile {
-                Profiler::enabled()
-            } else {
-                Profiler::disabled()
-            },
         }
     }
 
@@ -507,14 +499,11 @@ impl<'a> Search<'a> {
             self.obs.on_expand(node.depth, state.total_terms());
         }
 
-        let t_enum = self.profiler.start();
         let groups = enumerate_move_groups(state, self.options, parent_gate);
-        self.profiler.stop("scoring", t_enum);
 
         for group in &groups {
             let mut candidates: Vec<Candidate> = Vec::new();
             let mut solved = false;
-            let t_score = self.profiler.start();
             for em in group {
                 let score = score_move(state, em.mv, &mut self.scratch);
                 if self.consider_scored(node, em, score, child_depth, &mut candidates) {
@@ -522,7 +511,6 @@ impl<'a> Search<'a> {
                     break;
                 }
             }
-            self.profiler.stop("scoring", t_score);
             if solved {
                 return true;
             }
@@ -542,10 +530,7 @@ impl<'a> Search<'a> {
     /// search: once per popped node and once per solution confirmation.
     fn materialize(&mut self, parent: &MultiPprm, mv: Move) -> (MultiPprm, i64) {
         self.stats.candidates_materialized += 1;
-        let t = self.profiler.start();
-        let out = apply_move(parent, mv, &mut self.scratch);
-        self.profiler.stop("materialize", t);
-        out
+        apply_move(parent, mv, &mut self.scratch)
     }
 
     /// Builds a popped entry's node: its state, checked against the
@@ -694,7 +679,6 @@ impl<'a> Search<'a> {
             return;
         }
         if self.options.dedup_states {
-            let t_dedup = self.profiler.start();
             let terms32 = terms as u32;
             let duplicate = match self.visited.get(&fp) {
                 Some(&(_, seen_terms)) if seen_terms != terms32 => {
@@ -715,7 +699,6 @@ impl<'a> Search<'a> {
                     false
                 }
             };
-            self.profiler.stop("dedup", t_dedup);
             if duplicate {
                 return;
             }
@@ -804,7 +787,6 @@ impl<'a> Search<'a> {
     fn finish(mut self, num_vars: usize) -> Result<Synthesis, NoSolutionError> {
         self.stats.elapsed = self.start.elapsed();
         self.end_segment();
-        self.stats.profile = self.profiler.finish(self.stats.elapsed);
         if self.obs.is_active() {
             let reason = self
                 .stats
@@ -922,8 +904,9 @@ fn greedy_dive(spec: &MultiPprm, options: &SynthesisOptions) -> Option<Vec<Gate>
 ///
 /// Returns [`NoSolutionError`] when the search stops (time limit, node
 /// budget, queue exhaustion under pruning, or gate cap) without having
-/// found a solution. With [`Pruning::Exhaustive`] and no budgets the
-/// basic algorithm is complete and this cannot happen (§IV-F).
+/// found a solution. With
+/// [`Pruning::Exhaustive`](crate::Pruning::Exhaustive) and no budgets
+/// the basic algorithm is complete and this cannot happen (§IV-F).
 ///
 /// # Example
 ///
@@ -1174,7 +1157,7 @@ pub fn synthesize_permutation(
 ///
 /// The PPRM expansions of `f` and `f⁻¹` can differ wildly in size, so
 /// one direction is often much easier — the same observation that powers
-/// the bidirectional variant of the transformation-based algorithm [7].
+/// the bidirectional variant of the transformation-based algorithm \[7\].
 ///
 /// # Errors
 ///
@@ -1719,39 +1702,6 @@ mod tests {
             result.stats.stop_reason,
             Some(StopReason::MemoryExceeded),
             "a successful degraded run keeps its normal stop reason"
-        );
-    }
-
-    #[test]
-    fn profile_table_partitions_the_run() {
-        let spec = MultiPprm::from_permutation(&[0, 1, 2, 4, 3, 5, 6, 7], 3);
-        let result =
-            synthesize(&spec, &SynthesisOptions::new().with_profile(true)).expect("solution");
-        let profile = &result.stats.profile;
-        assert!(!profile.is_empty());
-        for phase in ["scoring", "materialize", "dedup", "other"] {
-            assert!(
-                profile.seconds(phase).is_some(),
-                "missing phase {phase}: {profile:?}"
-            );
-        }
-        // The derived "other" phase makes the table cover the wall time;
-        // solution-confirmation materializations inside the scoring span
-        // can push the sum slightly over, never under.
-        let wall = result.stats.elapsed.as_secs_f64();
-        assert!(
-            profile.total_seconds() >= wall * 0.999,
-            "phases sum to {} < wall {wall}",
-            profile.total_seconds()
-        );
-        verify(&spec, &result);
-
-        let plain = synthesize(&spec, &SynthesisOptions::new()).expect("solution");
-        assert!(plain.stats.profile.is_empty(), "profiling is opt-in");
-        assert_eq!(
-            plain.circuit.gate_count(),
-            result.circuit.gate_count(),
-            "profiling must not change the search"
         );
     }
 

@@ -3,8 +3,6 @@
 use std::fmt;
 use std::time::Duration;
 
-use rmrls_obs::PhaseProfile;
-
 /// Why the search loop stopped.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum StopReason {
@@ -128,11 +126,6 @@ pub struct SearchStats {
     /// per segment, so its length is `restarts + 1` after a completed
     /// search).
     pub restart_spans: Vec<RestartSpan>,
-    /// Per-phase timing table (scoring / materialize / dedup plus a
-    /// derived `other` entry), populated only when
-    /// [`SynthesisOptions::profile`](crate::SynthesisOptions::profile)
-    /// is set; empty otherwise. Its phases sum to `elapsed`.
-    pub profile: PhaseProfile,
     /// `1` for every search run: the search is serial. Kept only so
     /// the `perfbench` benchmark package builds; goes with the next
     /// benchmark change.

@@ -43,7 +43,7 @@ use rmrls_core::{
     synthesize_with_observer, CancelToken, Observer, Pruning, StopReason, Synthesis,
     SynthesisOptions,
 };
-use rmrls_obs::{FlightRecorder, Json, PhaseProfile, Profiler, SyncCounter, TraceKind};
+use rmrls_obs::{FlightRecorder, Json, SyncCounter, TraceKind};
 use rmrls_pprm::MultiPprm;
 use rmrls_spec::Permutation;
 
@@ -247,12 +247,6 @@ pub struct JobRecord {
     pub seconds: f64,
     /// How it ended.
     pub outcome: JobOutcome,
-    /// Merged per-phase timings of every search and engine stage this
-    /// job ran (empty unless `synthesis.profile` is set). Timings are
-    /// non-deterministic, so the profile stays out of [`to_json`]
-    /// (JobRecord::to_json) and is aggregated into the batch report
-    /// instead.
-    pub profile: PhaseProfile,
 }
 
 impl JobRecord {
@@ -325,7 +319,7 @@ impl JobRecord {
         Json::Obj(fields)
     }
 
-    /// Serializes the record as a journal line: [`to_json`] plus a
+    /// Serializes the record as a journal line: [`Self::to_json`] plus a
     /// leading `index` field tying it to its admission slot. Resumed
     /// records return their journaled JSON verbatim.
     pub fn to_json_indexed(&self, index: usize) -> Json {
@@ -572,10 +566,6 @@ pub struct BatchRun {
     pub elapsed: Duration,
     /// Worker threads used.
     pub workers: usize,
-    /// Per-phase timings merged across every job (empty unless
-    /// `synthesis.profile` was set). Lives here — not in the JSONL
-    /// stream — because timings vary run to run.
-    pub profile: PhaseProfile,
 }
 
 impl BatchRun {
@@ -648,15 +638,6 @@ impl BatchRun {
                     .cache_hit_rate()
                     .map(Json::Num)
                     .unwrap_or(Json::Null),
-            ),
-            // Null (not an empty array) when profiling was off.
-            (
-                "profile".to_string(),
-                if self.profile.is_empty() {
-                    Json::Null
-                } else {
-                    self.profile.to_json()
-                },
             ),
             ("counters".to_string(), self.counters.to_json()),
         ])
@@ -738,7 +719,6 @@ pub fn run_batch_resumable(
                 cache_hit: false,
                 seconds: 0.0,
                 outcome,
-                profile: PhaseProfile::default(),
             });
         }
     }
@@ -829,15 +809,10 @@ pub fn run_batch_resumable(
                     cache_hit: false,
                     seconds: 0.0,
                     outcome: JobOutcome::Skipped,
-                    profile: PhaseProfile::default(),
                 }
             })
         })
         .collect();
-    let mut profile = PhaseProfile::default();
-    for record in &records {
-        profile.merge(&record.profile);
-    }
     BatchRun {
         records,
         counters: runner
@@ -845,7 +820,6 @@ pub fn run_batch_resumable(
             .snapshot(admissions.len() as u64, jobs_skipped),
         elapsed: started.elapsed(),
         workers,
-        profile,
     }
 }
 
@@ -935,13 +909,13 @@ pub(crate) fn run_one(admission: &Admission, job: &JobContext) -> JobRecord {
     let started = Instant::now();
     let counters = &job.runner.counters;
     let (name, origin) = (admission.name().to_string(), admission.origin().to_string());
-    let (outcome, cache_hit, profile) = match admission {
+    let (outcome, cache_hit) = match admission {
         Admission::Error { message, .. } => {
             counters.jobs_errored.inc();
             let outcome = JobOutcome::Error {
                 message: message.clone(),
             };
-            (outcome, false, PhaseProfile::default())
+            (outcome, false)
         }
         Admission::Job(spec) => {
             if let Some(r) = job.recorder {
@@ -965,11 +939,7 @@ pub(crate) fn run_one(admission: &Admission, job: &JobContext) -> JobRecord {
                 } else {
                     "non-string panic payload".to_string()
                 };
-                (
-                    JobOutcome::Panicked { message },
-                    false,
-                    PhaseProfile::default(),
-                )
+                (JobOutcome::Panicked { message }, false)
             })
         }
     };
@@ -979,7 +949,6 @@ pub(crate) fn run_one(admission: &Admission, job: &JobContext) -> JobRecord {
         cache_hit,
         seconds: started.elapsed().as_secs_f64(),
         outcome,
-        profile,
     }
 }
 
@@ -995,14 +964,11 @@ fn relaxed_options(base: &SynthesisOptions) -> SynthesisOptions {
 }
 
 /// One ladder tier: runs the search with the job's flight recorder,
-/// progress hook and event sink attached (each when present) and folds
-/// the tier's phase timings into the job profile whether or not it
-/// solved.
+/// progress hook and event sink attached (each when present).
 fn run_search(
     spec: &MultiPprm,
     sopts: &SynthesisOptions,
     job: &JobContext,
-    profile: &mut PhaseProfile,
 ) -> Result<Synthesis, Option<StopReason>> {
     let mut observer = match job.sink {
         // Serve-path event streaming: a fresh sink per search attempt,
@@ -1025,7 +991,6 @@ fn run_search(
     if let Some((t, _)) = job.board {
         t.note_memory_sheds(stats.memory_sheds);
     }
-    profile.merge(&stats.profile);
     result.map_err(|e| e.stats.stop_reason)
 }
 
@@ -1061,10 +1026,9 @@ fn synthesize_ladder(
     spec: &MultiPprm,
     sopts: &SynthesisOptions,
     job: &JobContext,
-    profile: &mut PhaseProfile,
     perm_for_mmd: impl FnOnce() -> Option<Permutation>,
 ) -> Result<(Circuit, SolveTier), Option<StopReason>> {
-    let tier1 = match run_search(spec, sopts, job, profile) {
+    let tier1 = match run_search(spec, sopts, job) {
         Ok(s) => return Ok((s.circuit, SolveTier::Rmrls)),
         Err(reason) => reason,
     };
@@ -1072,7 +1036,7 @@ fn synthesize_ladder(
         return Err(tier1);
     }
     escalate(job.recorder, SolveTier::Rmrls, SolveTier::RmrlsRelaxed);
-    let tier2 = match run_search(spec, &relaxed_options(sopts), job, profile) {
+    let tier2 = match run_search(spec, &relaxed_options(sopts), job) {
         Ok(s) => return Ok((s.circuit, SolveTier::RmrlsRelaxed)),
         Err(reason) => reason.or(tier1),
     };
@@ -1153,29 +1117,16 @@ fn injected_error(
     }
 }
 
-/// Solves one job and tallies how it ended. Returns the outcome,
-/// whether the circuit came from the canonical cache layer, and the
-/// job's merged phase profile.
-fn execute_job(spec: &BatchJob, job: &JobContext) -> (JobOutcome, bool, PhaseProfile) {
+/// Solves one job and tallies how it ended. Returns the outcome and
+/// whether the circuit came from the canonical cache layer.
+fn execute_job(spec: &BatchJob, job: &JobContext) -> (JobOutcome, bool) {
     let opts = &job.runner.opts;
     let counters = &job.runner.counters;
-    // The engine-side profiler times the stages the search cannot see
-    // (canonicalization + cache, verification); the search's own phase
-    // table merges in through the ladder. `finish(ZERO)` contributes no
-    // "other" time, so the job's residual stays attributed to the
-    // search's wall clock, not double-counted here.
-    let mut profiler = if opts.synthesis.profile {
-        Profiler::enabled()
-    } else {
-        Profiler::disabled()
-    };
-    let mut profile = PhaseProfile::default();
     // Failpoint: a worker falling over as it picks the job up.
     if let Err(e) = rmrls_obs::fail::trigger("engine/worker/dispatch") {
         return (
             injected_error(e, "engine/worker/dispatch", job.recorder, counters),
             false,
-            profile,
         );
     }
     let mut sopts = opts.synthesis.clone().with_cancel_token(job.cancel.clone());
@@ -1183,12 +1134,12 @@ fn execute_job(spec: &BatchJob, job: &JobContext) -> (JobOutcome, bool, PhasePro
         sopts = sopts.with_deadline(Instant::now() + d);
     }
     let (solved, cache_hit) = match &spec.spec {
-        SpecData::Perm(p) => solve_permutation(p, &sopts, job, &mut profiler, &mut profile),
+        SpecData::Perm(p) => solve_permutation(p, &sopts, job),
         // Symbolic specs are not canonicalized or cached; the ladder
         // still applies, with tier 3 gated on the spec having a
         // materializable (reversible, narrow-enough) truth table.
         SpecData::Pprm(m) => {
-            let ladder = synthesize_ladder(m, &sopts, job, &mut profile, || {
+            let ladder = synthesize_ladder(m, &sopts, job, || {
                 (m.num_vars() <= MMD_FALLBACK_LIMIT)
                     .then(|| Permutation::from_vec(m.to_permutation()).ok())
                     .flatten()
@@ -1203,12 +1154,10 @@ fn execute_job(spec: &BatchJob, job: &JobContext) -> (JobOutcome, bool, PhasePro
         Ok((circuit, tier)) => match rmrls_obs::fail::trigger("engine/worker/pre-verify") {
             Err(e) => injected_error(e, "engine/worker/pre-verify", job.recorder, counters),
             Ok(()) => {
-                let t_verify = profiler.start();
                 let verified = opts.verify.then(|| match &spec.spec {
                     SpecData::Perm(p) => verify_permutation(&circuit, p),
                     SpecData::Pprm(m) => verify_pprm(&circuit, m),
                 });
-                profiler.stop("verify", t_verify);
                 tally_verify(verified, counters);
                 tally_tier(tier, counters);
                 counters.jobs_completed.inc();
@@ -1220,8 +1169,7 @@ fn execute_job(spec: &BatchJob, job: &JobContext) -> (JobOutcome, bool, PhasePro
             }
         },
     };
-    profile.merge(&profiler.finish(Duration::ZERO));
-    (outcome, cache_hit, profile)
+    (outcome, cache_hit)
 }
 
 /// Solves a tabulated permutation through its canonical
@@ -1236,13 +1184,10 @@ fn solve_permutation(
     p: &Permutation,
     sopts: &SynthesisOptions,
     job: &JobContext,
-    profiler: &mut Profiler,
-    profile: &mut PhaseProfile,
 ) -> (Result<(Circuit, SolveTier), Option<StopReason>>, bool) {
     let opts = &job.runner.opts;
     let counters = &job.runner.counters;
     let cache = job.runner.cache();
-    let t_cache = profiler.start();
     let lookup_started = job.board.map(|_| Instant::now());
     let (canon_table, sigma) = canonical_form(p, opts.canon_limit);
     let key = CacheKey {
@@ -1255,7 +1200,6 @@ fn solve_permutation(
         Ok(()) => cache.and_then(|c| c.lock().get(&key)),
         Err(_) => None,
     };
-    profiler.stop("cache", t_cache);
     if let (Some((t, _)), Some(at)) = (job.board, lookup_started) {
         t.cache_lookup_seconds.record(at.elapsed().as_secs_f64());
     }
@@ -1287,7 +1231,7 @@ fn solve_permutation(
         Some(solution) => solution,
         None => {
             let spec = MultiPprm::from_permutation(&key.table, key.num_vars);
-            let ladder = synthesize_ladder(&spec, sopts, job, profile, || {
+            let ladder = synthesize_ladder(&spec, sopts, job, || {
                 (key.num_vars <= MMD_FALLBACK_LIMIT)
                     .then(|| Permutation::from_vec(key.table.clone()).ok())
                     .flatten()

@@ -93,22 +93,15 @@ pub fn options_fingerprint(opts: &BatchOptions) -> u64 {
     fnv1a(&mut h, &(opts.canon_limit as u64).to_le_bytes());
     fnv1a(&mut h, &[opts.verify as u8, opts.fallback as u8]);
     let mut synthesis = options_to_json(&opts.synthesis);
-    // Journals written by older releases hashed two options the search
-    // no longer has: a `"trace":false` entry just before `"profile"`,
-    // and a trailing `"threads":0`. Putting both back keeps the hashed
-    // bytes, and so every existing journal's header, valid for
-    // `batch --resume`. Profiling only times the search, so it is
-    // always hashed as `"profile":false`: a journal written with
-    // `--profile` resumes without it, and the other way round.
+    // Journals written by older releases hashed three trailing options
+    // the search no longer has: `"trace":false`, `"profile":false` and
+    // `"threads":0`. Putting them back keeps the hashed bytes, and so
+    // every existing journal's header, valid for `batch --resume`.
+    // Profiling only timed the search, so those releases always hashed
+    // it as `false`: a journal written with `--profile` resumes too.
     if let Json::Obj(fields) = &mut synthesis {
-        let profile = fields
-            .iter()
-            .position(|(k, _)| k == "profile")
-            .unwrap_or(fields.len());
-        if let Some((_, value)) = fields.get_mut(profile) {
-            *value = Json::Bool(false);
-        }
-        fields.insert(profile, ("trace".to_string(), Json::Bool(false)));
+        fields.push(("trace".to_string(), Json::Bool(false)));
+        fields.push(("profile".to_string(), Json::Bool(false)));
         fields.push(("threads".to_string(), Json::uint(0)));
     }
     fnv1a(&mut h, synthesis.to_string().as_bytes());
@@ -441,21 +434,6 @@ mod tests {
             ..BatchOptions::default()
         };
         assert_ne!(options_fingerprint(&base), options_fingerprint(&deadline));
-    }
-
-    #[test]
-    fn options_fingerprint_ignores_profiling() {
-        let base = BatchOptions::default();
-        let profiled = BatchOptions {
-            synthesis: BatchOptions::default().synthesis.with_profile(true),
-            ..BatchOptions::default()
-        };
-        assert_eq!(
-            options_fingerprint(&base),
-            options_fingerprint(&profiled),
-            "profiling cannot change results"
-        );
-        assert_eq!(options_fingerprint(&profiled), 0x50205bfabf73c771);
     }
 
     #[test]

@@ -32,8 +32,8 @@ use crate::manifest::Admission;
 use crate::telemetry::BatchTelemetry;
 
 /// Executes admissions one at a time against a persistent shared cache
-/// and counter set. Cheap to share behind an `Arc`; [`run`]
-/// (JobRunner::run) takes `&self`, so any number of threads can run
+/// and counter set. Cheap to share behind an `Arc`;
+/// [`run`](JobRunner::run) takes `&self`, so any number of threads can run
 /// jobs concurrently (the cache is the only shared mutable state, and
 /// it has its own lock).
 pub struct JobRunner {

@@ -385,8 +385,9 @@ pub struct BatchTelemetry {
     trace_write_errors: Arc<SyncCounter>,
     memory_shed_jobs: Arc<SyncCounter>,
     /// 1 while the serve admission queue is shedding load (429s being
-    /// returned), 0 otherwise. Always 0 in batch mode.
-    backpressure: Arc<SyncGauge>,
+    /// returned), 0 otherwise. Registered on the serve board only:
+    /// batch has no admission queue to shed from.
+    backpressure: Option<Arc<SyncGauge>>,
 }
 
 impl fmt::Debug for BatchTelemetry {
@@ -404,9 +405,12 @@ impl BatchTelemetry {
     }
 
     /// Builds the serve daemon's board: `slots` idle slots that its
-    /// workers label per request (see [`JobStatusRegistry::idle`]).
+    /// workers label per request (see [`JobStatusRegistry::idle`]),
+    /// plus the admission backpressure gauge.
     pub fn idle(slots: usize) -> BatchTelemetry {
-        BatchTelemetry::with_jobs(JobStatusRegistry::idle(slots))
+        let mut board = BatchTelemetry::with_jobs(JobStatusRegistry::idle(slots));
+        board.backpressure = Some(board.registry.gauge("admission_backpressure"));
+        board
     }
 
     fn with_jobs(jobs: JobStatusRegistry) -> BatchTelemetry {
@@ -428,7 +432,7 @@ impl BatchTelemetry {
             journal_append_errors: registry.counter("journal_append_errors"),
             trace_write_errors: registry.counter("trace_write_errors"),
             memory_shed_jobs: registry.counter("memory_shed_jobs"),
-            backpressure: registry.gauge("admission_backpressure"),
+            backpressure: None,
             jobs,
             registry,
         }
@@ -471,14 +475,17 @@ impl BatchTelemetry {
             || self.journal_append_errors.get() > 0
             || self.trace_write_errors.get() > 0
             || self.memory_shed_jobs.get() > 0
-            || self.backpressure.get() > 0
+            || self.backpressure.as_ref().is_some_and(|g| g.get() > 0)
     }
 
     /// Flags (or clears) admission backpressure: the serve daemon sets
     /// this while it is shedding requests with 429, which also flips
-    /// `/healthz` to degraded for the duration.
+    /// `/healthz` to degraded for the duration. A no-op on a batch
+    /// board, which has no backpressure gauge.
     pub fn set_backpressure(&self, shedding: bool) {
-        self.backpressure.set(u64::from(shedding));
+        if let Some(g) = &self.backpressure {
+            g.set(u64::from(shedding));
+        }
     }
 
     /// The progress callback for a search running in board slot
@@ -657,7 +664,7 @@ mod tests {
 
     #[test]
     fn backpressure_degrades_health_while_set() {
-        let t = telemetry(1);
+        let t = BatchTelemetry::idle(1);
         assert!(!t.degraded());
         t.set_backpressure(true);
         assert!(t.degraded());
@@ -714,6 +721,13 @@ mod tests {
         assert_eq!(rows[0].get("job").unwrap().as_str(), Some("job-0"));
         assert_eq!(rows[1].get("state").unwrap().as_str(), Some("running"));
         assert_eq!(rows[0].get("solved_by"), Some(&Json::Null));
+    }
+
+    #[test]
+    fn admission_backpressure_is_a_serve_only_family() {
+        let family = "# TYPE rmrls_admission_backpressure gauge";
+        assert!(!telemetry(1).metrics_text().contains(family));
+        assert!(BatchTelemetry::idle(1).metrics_text().contains(family));
     }
 
     #[test]

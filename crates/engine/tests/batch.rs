@@ -111,6 +111,7 @@ fn results_jsonl_lines_are_valid_json() {
     let parsed = Json::parse(&report.to_string()).unwrap();
     assert_eq!(parsed.get("schema_version").unwrap().as_u64(), Some(1));
     assert!(parsed.get("counters").unwrap().get("cache_hits").is_some());
+    assert!(parsed.get("profile").is_none());
 }
 
 #[test]

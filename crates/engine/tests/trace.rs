@@ -1,7 +1,6 @@
 //! Integration tests for the batch flight recorder: per-job trace
-//! dumps, anomaly dumps on fallback escalation, profile aggregation in
-//! the batch report, and the no-perturbation guarantee (tracing must
-//! not change results).
+//! dumps, anomaly dumps on fallback escalation, and the
+//! no-perturbation guarantee (tracing must not change results).
 
 use std::path::PathBuf;
 
@@ -131,44 +130,6 @@ fn fallback_escalation_produces_an_anomaly_dump_naming_the_trigger() {
 }
 
 #[test]
-fn batch_profile_aggregates_into_the_report_only_when_enabled() {
-    let jobs = workload(3, 3, 17);
-    let base = BatchOptions {
-        cache_size: None,
-        ..BatchOptions::default()
-    };
-    let off = run_batch(&jobs, &base, &ShutdownHandles::new());
-    assert!(off.profile.is_empty(), "no profile unless opted in");
-    assert_eq!(
-        off.report_json(&base).get("profile"),
-        Some(&Json::Null),
-        "profile is null, not an empty array, when off"
-    );
-
-    let profiled = BatchOptions {
-        synthesis: base.synthesis.clone().with_profile(true),
-        ..base.clone()
-    };
-    let on = run_batch(&jobs, &profiled, &ShutdownHandles::new());
-    assert!(!on.profile.is_empty());
-    // Search phases and engine phases land in the same merged table.
-    for phase in ["scoring", "materialize", "dedup", "verify"] {
-        assert!(
-            on.profile.seconds(phase).is_some(),
-            "missing phase {phase}: {:?}",
-            on.profile
-        );
-    }
-    let report = on.report_json(&profiled);
-    let parsed = Json::parse(&report.to_string()).unwrap();
-    assert!(parsed.get("profile").unwrap().as_arr().is_some());
-    // Per-record profiles stay out of the deterministic JSONL stream.
-    for line in on.results_jsonl().lines() {
-        assert!(Json::parse(line).unwrap().get("profile").is_none());
-    }
-}
-
-#[test]
 fn tracing_does_not_change_results() {
     let dir = trace_dir("no-perturb");
     let jobs = workload(4, 4, 29);
@@ -178,7 +139,6 @@ fn tracing_does_not_change_results() {
     };
     let traced = BatchOptions {
         trace_dir: Some(dir.to_str().unwrap().to_string()),
-        synthesis: plain.synthesis.clone().with_profile(true),
         ..plain.clone()
     };
     let reference = run_batch(&jobs, &plain, &ShutdownHandles::new());
@@ -186,7 +146,7 @@ fn tracing_does_not_change_results() {
     assert_eq!(
         observed.results_jsonl(),
         reference.results_jsonl(),
-        "recorder and profiler must not perturb the search"
+        "the recorder must not perturb the search"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -180,31 +180,31 @@ fn escape_help(v: &str) -> String {
 /// cumulative `_bucket{le="..."}` / `_sum` / `_count` triple. Every
 /// family carries `# HELP` and `# TYPE` headers; the help text echoes
 /// the original (pre-sanitized) metric name so scrapes stay traceable
-/// to the registry key.
+/// to the registry key, and no two families share a help text.
 pub fn prometheus_text(snapshot: &MetricsSnapshot) -> String {
     let mut out = String::new();
-    let family = |out: &mut String, n: &str, orig: &str, kind: &str| {
+    let family = |out: &mut String, n: &str, what: &str, orig: &str, kind: &str| {
         out.push_str(&format!(
-            "# HELP {n} rmrls {kind} `{}`\n# TYPE {n} {kind}\n",
+            "# HELP {n} rmrls {what} `{}`\n# TYPE {n} {kind}\n",
             escape_help(orig)
         ));
     };
     for (name, value) in &snapshot.counters {
         let n = metric_name(name);
-        family(&mut out, &n, name, "counter");
+        family(&mut out, &n, "counter", name, "counter");
         out.push_str(&format!("{n} {value}\n"));
     }
     for (name, value, high_water) in &snapshot.gauges {
         let n = metric_name(name);
-        family(&mut out, &n, name, "gauge");
+        family(&mut out, &n, "gauge", name, "gauge");
         out.push_str(&format!("{n} {value}\n"));
         let hw = format!("{n}_high_water");
-        family(&mut out, &hw, name, "gauge");
+        family(&mut out, &hw, "high-water mark of gauge", name, "gauge");
         out.push_str(&format!("{hw} {high_water}\n"));
     }
     for (name, hist) in &snapshot.histograms {
         let n = metric_name(name);
-        family(&mut out, &n, name, "histogram");
+        family(&mut out, &n, "histogram", name, "histogram");
         let mut cumulative = 0u64;
         for (i, count) in hist.counts.iter().enumerate() {
             cumulative += count;
@@ -339,9 +339,18 @@ mod tests {
 
         let mut typed: Vec<String> = Vec::new();
         let mut helped: Vec<String> = Vec::new();
+        let mut help_texts: Vec<String> = Vec::new();
         for line in text.lines() {
             if let Some(rest) = line.strip_prefix("# HELP ") {
-                helped.push(rest.split(' ').next().unwrap().to_string());
+                let (name, help) = rest.split_once(' ').expect("HELP has a text");
+                // A scraper shows the help text as the family's meaning;
+                // two families with one text are indistinguishable.
+                assert!(
+                    !help_texts.iter().any(|h| h == help),
+                    "two families share HELP text {help:?}"
+                );
+                help_texts.push(help.to_string());
+                helped.push(name.to_string());
                 continue;
             }
             if let Some(rest) = line.strip_prefix("# TYPE ") {

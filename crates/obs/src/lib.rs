@@ -19,8 +19,6 @@
 //!   tests.
 //! - [`recorder`] — a byte-budgeted flight recorder: a ring of typed,
 //!   timestamped trace records that anomaly dumps snapshot.
-//! - [`profile`] — per-phase span profiling with a one-branch disabled
-//!   path, frozen into a [`PhaseProfile`] table per run.
 //! - [`export`] — Chrome trace-event JSON and Prometheus text
 //!   exposition renderers.
 //! - [`fail`] — deterministic fault injection behind the `failpoints`
@@ -33,7 +31,6 @@ pub mod export;
 pub mod fail;
 pub mod json;
 pub mod metrics;
-pub mod profile;
 pub mod recorder;
 pub mod sink;
 pub mod sync;
@@ -42,7 +39,6 @@ pub use export::{chrome_trace_json, prom_label, prometheus_text};
 pub use fail::{FailAction, FailError};
 pub use json::Json;
 pub use metrics::{HistogramSnapshot, MetricsSnapshot};
-pub use profile::{PhaseEntry, PhaseProfile, Profiler};
 pub use recorder::{
     FlightRecorder, RecorderSnapshot, TraceKind, TraceRecord, DEFAULT_TRACE_BYTES,
     TRACE_SCHEMA_VERSION,

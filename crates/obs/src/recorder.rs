@@ -31,7 +31,7 @@ pub const DEFAULT_TRACE_BYTES: usize = 1 << 20;
 /// What happened, as recorded in the ring.
 #[derive(Clone, Debug, PartialEq)]
 pub enum TraceKind {
-    /// A profiled or structural phase began (`"scoring"`, `"dispatch"`).
+    /// A structural phase began (`"job"`, `"search"`).
     PhaseEnter {
         /// Phase name.
         phase: String,

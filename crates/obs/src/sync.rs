@@ -129,7 +129,7 @@ pub fn log2_bounds(lo: f64, hi: f64) -> Vec<f64> {
 /// telemetry.
 ///
 /// Negative observations clamp to zero; NaN is recorded as zero. The
-/// sum accumulates in fixed point ([`SUM_SCALE`] units) so concurrent
+/// sum accumulates in fixed point (`SUM_SCALE` units) so concurrent
 /// adds stay exact and associative.
 ///
 /// ```

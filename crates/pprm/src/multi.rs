@@ -382,8 +382,8 @@ impl MultiPprm {
 
     /// An order-independent 64-bit fingerprint of the state, O(1).
     ///
-    /// Defined as a per-width seed XORed with one [splitmix64-mixed
-    /// hash](mix64) per `(output, term)` membership pair. Because XOR is
+    /// Defined as a per-width seed XORed with one splitmix64-mixed
+    /// hash per `(output, term)` membership pair. Because XOR is
     /// its own inverse, toggling a term's membership toggles its
     /// contribution, which is exactly the algebra of substitution (terms
     /// cancel in pairs) — so [`count_substitute`](Self::count_substitute)

@@ -3,8 +3,8 @@
 //!
 //! Each entry is its own little synchronization hub: the submitting
 //! connection blocks on [`wait_done`](RequestEntry::wait_done), the
-//! worker publishes the final record through [`finish`]
-//! (RequestEntry::finish), and any number of event-stream connections
+//! worker publishes the final record through
+//! [`finish`](RequestEntry::finish), and any number of event-stream connections
 //! block on [`events_wait`](RequestEntry::events_wait) while the
 //! search pushes progress lines. All waits are condvar-based with
 //! short timeouts so callers can interleave liveness checks.

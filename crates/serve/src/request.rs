@@ -3,8 +3,8 @@
 //! A `POST /synthesize` body is a small JSON object naming a spec in
 //! one of the manifest's inline kinds. Parsing here only validates the
 //! *envelope* (JSON shape, required fields); the spec string itself is
-//! validated by the engine's admission path ([`admit`]
-//! (SynthesisRequest::admit)), so a bad spec becomes a per-request
+//! validated by the engine's admission path
+//! ([`admit`](SynthesisRequest::admit)), so a bad spec becomes a per-request
 //! error record exactly like a bad manifest line in batch mode.
 
 use rmrls_engine::{admit_inline, Admission};
@@ -68,8 +68,8 @@ impl SynthesisRequest {
         })
     }
 
-    /// The request as JSON — the exact fields [`from_json_str`]
-    /// (SynthesisRequest::from_json_str) reads, so journaled requests
+    /// The request as JSON — the exact fields
+    /// [`from_json_str`](SynthesisRequest::from_json_str) reads, so journaled requests
     /// round-trip.
     pub fn to_json(&self) -> Json {
         let mut fields = vec![

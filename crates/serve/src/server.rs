@@ -9,7 +9,7 @@
 //! fallback ladder, verification, panic containment) → `completed`
 //! journal line → the blocked connection answers with the record.
 //! While blocked, the connection probes its socket; a client that
-//! disconnects cancels its request's search via [`CancelToken`].
+//! disconnects cancels its request's search via [`CancelToken`](rmrls_core::CancelToken).
 //!
 //! ## Shutdown
 //!
@@ -350,8 +350,8 @@ impl ServeDaemon {
         self.shared.queue_cv.notify_all();
     }
 
-    /// Blocks until the daemon has drained (after [`drain`]
-    /// (ServeDaemon::drain), [`abort`](ServeDaemon::abort), or
+    /// Blocks until the daemon has drained (after
+    /// [`drain`](ServeDaemon::drain), [`abort`](ServeDaemon::abort), or
     /// SIGINT), then tears down the listener and helper threads.
     pub fn wait(mut self) {
         self.join_all();

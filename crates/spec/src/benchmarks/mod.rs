@@ -132,7 +132,7 @@ pub fn example_suite() -> Vec<Benchmark> {
 }
 
 /// The larger instances of the literature families the paper cites from
-/// [13] (§V-D notes RMRLS runs out of memory on some of these — they are
+/// \[13\] (§V-D notes RMRLS runs out of memory on some of these — they are
 /// provided so that limit is reproducible too).
 pub fn extended_suite() -> Vec<Benchmark> {
     vec![

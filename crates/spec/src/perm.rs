@@ -169,7 +169,7 @@ impl Permutation {
     }
 
     /// Parity of the permutation: `true` if even (an even number of
-    /// transpositions). Relevant to the synthesis theory of [16]: an odd
+    /// transpositions). Relevant to the synthesis theory of \[16\]: an odd
     /// permutation of `n ≥ 4` wires cannot be realized with gates of
     /// fewer than `n` wires alone.
     pub fn is_even(&self) -> bool {
