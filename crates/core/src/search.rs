@@ -15,6 +15,7 @@ use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap};
 use std::error::Error;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::rc::Rc;
 use std::time::Instant;
 
@@ -36,6 +37,32 @@ const TIME_CHECK_INTERVAL: u64 = 256;
 /// paper's monotone algorithm until improving moves run out, then falls
 /// back to the escape moves its completeness argument requires.
 const NON_IMPROVING_PENALTY: f64 = 1.0e3;
+
+/// Hashes a state fingerprint to itself. The fingerprint is already a
+/// splitmix64-mixed 64-bit value ([`MultiPprm::fingerprint`]), so
+/// hashing it again only costs time; the search never iterates the
+/// map, so its hasher decides nothing.
+#[derive(Default)]
+struct FingerprintHasher(u64);
+
+impl Hasher for FingerprintHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u64(&mut self, fp: u64) {
+        self.0 = fp;
+    }
+}
+
+/// A map keyed by state fingerprint.
+type FingerprintMap<V> = HashMap<u64, V, BuildHasherDefault<FingerprintHasher>>;
 
 /// A successful synthesis: the circuit plus run statistics.
 #[derive(Clone, Debug)]
@@ -166,29 +193,29 @@ struct EnumMove {
 /// Enumerates every candidate substitution of a node, in the order the
 /// expansion considers them, split into pruning groups: one group per
 /// target variable (substitution types 1–3), then one per Fredkin pair.
+/// The moves go into the flat `moves` buffer, and `group_ends[g]` is
+/// the end of group `g` in it; both are cleared first, so a search
+/// reuses one pair of buffers for every node.
 fn enumerate_move_groups(
     state: &MultiPprm,
     options: &SynthesisOptions,
     parent_gate: Option<Gate>,
-) -> Vec<Vec<EnumMove>> {
+    moves: &mut Vec<EnumMove>,
+    group_ends: &mut Vec<usize>,
+) {
+    moves.clear();
+    group_ends.clear();
     let n = state.num_vars();
-    let mut groups = Vec::with_capacity(n);
     for var in 0..n {
-        let expansion = state.output(var);
         // Type 1 requires the bare target term `v_i` in its own output
         // expansion (the paper's basic algorithm does not list
         // c-targeted substitutions for Fig. 1's `c_out = b ⊕ ab ⊕ ac`
         // at the root — only §IV-D type 2 adds them).
-        if !options.additional_substitutions && !expansion.contains(Term::var(var)) {
+        if !options.additional_substitutions && !state.has_term(var, Term::var(var)) {
             continue;
         }
-        let terms = expansion.terms();
-        let mut moves = Vec::with_capacity(terms.len() + 1);
         let mut saw_constant_one = false;
-        for &factor in terms {
-            if factor.contains_var(var) {
-                continue;
-            }
+        for factor in state.toffoli_factors(var) {
             if factor.is_one() {
                 saw_constant_one = true;
             }
@@ -217,7 +244,7 @@ fn enumerate_move_groups(
                 allow_growth: true,
             });
         }
-        groups.push(moves);
+        group_ends.push(moves.len());
     }
 
     // §VI future work: Fredkin substitutions — swap a variable pair
@@ -241,20 +268,16 @@ fn enumerate_move_groups(
                     controls.sort_unstable();
                     controls.dedup();
                 }
-                let moves = controls
-                    .into_iter()
-                    .map(|control| EnumMove {
-                        mv: Move::Fredkin { a, b, control },
-                        gate: Gate::fredkin_mask(control.mask(), a, b),
-                        lits: control.literal_count() + 1,
-                        allow_growth: false,
-                    })
-                    .collect();
-                groups.push(moves);
+                moves.extend(controls.into_iter().map(|control| EnumMove {
+                    mv: Move::Fredkin { a, b, control },
+                    gate: Gate::fredkin_mask(control.mask(), a, b),
+                    lits: control.literal_count() + 1,
+                    allow_growth: false,
+                }));
+                group_ends.push(moves.len());
             }
         }
     }
-    groups
 }
 
 /// Applies a move to a state, producing the child expansion.
@@ -322,6 +345,9 @@ fn candidate_priority(
 /// is built only when its entry is popped.
 #[derive(Clone)]
 struct Candidate {
+    /// Position among its group's scored candidates: ranks equal
+    /// priorities in enumeration order when pruning picks the best.
+    ord: u32,
     gate: Gate,
     mv: Move,
     eliminated: i64,
@@ -362,7 +388,7 @@ struct Search<'a> {
     /// value, so the practical bound stays ≈ k²/2⁶⁵ for k distinct
     /// states (see `MultiPprm::fingerprint` and
     /// `SynthesisOptions::dedup_states` for the residual risk).
-    visited: HashMap<u64, (u32, u32)>,
+    visited: FingerprintMap<(u32, u32)>,
     steps_since_restart: u64,
     /// Total predicted PPRM terms across queued children, maintained
     /// incrementally (push adds, pop subtracts, queue rebuilds recount)
@@ -384,6 +410,13 @@ struct Search<'a> {
     /// predicted fingerprint differs cannot be the identity — the
     /// fingerprint is a deterministic function of the state).
     identity_fp: u64,
+    /// Per-search buffers for [`Search::expand`]: the enumerated moves
+    /// of the node being expanded, flat, with the end of each pruning
+    /// group, and the scored candidates of one group. Reused for every
+    /// node, so expanding one allocates nothing once they have grown.
+    moves: Vec<EnumMove>,
+    group_ends: Vec<usize>,
+    candidates: Vec<Candidate>,
 }
 
 impl<'a> Search<'a> {
@@ -405,7 +438,7 @@ impl<'a> Search<'a> {
             init_terms,
             best: None,
             queue: BinaryHeap::new(),
-            visited: HashMap::new(),
+            visited: FingerprintMap::default(),
             steps_since_restart: 0,
             live_terms: 0,
             queue_bytes: 0,
@@ -413,6 +446,9 @@ impl<'a> Search<'a> {
             segment_start_nodes: 0,
             scratch: SubstScratch::new(),
             identity_fp,
+            moves: Vec::new(),
+            group_ends: Vec::new(),
+            candidates: Vec::new(),
         }
     }
 
@@ -499,30 +535,40 @@ impl<'a> Search<'a> {
             self.obs.on_expand(node.depth, state.total_terms());
         }
 
-        let groups = enumerate_move_groups(state, self.options, parent_gate);
+        let mut moves = std::mem::take(&mut self.moves);
+        let mut group_ends = std::mem::take(&mut self.group_ends);
+        let mut candidates = std::mem::take(&mut self.candidates);
+        enumerate_move_groups(
+            state,
+            self.options,
+            parent_gate,
+            &mut moves,
+            &mut group_ends,
+        );
 
-        for group in &groups {
-            let mut candidates: Vec<Candidate> = Vec::new();
-            let mut solved = false;
-            for em in group {
+        let mut solved = false;
+        let mut start = 0;
+        'groups: for &end in &group_ends {
+            candidates.clear();
+            for em in &moves[start..end] {
                 let score = score_move(state, em.mv, &mut self.scratch);
                 if self.consider_scored(node, em, score, child_depth, &mut candidates) {
                     solved = true;
-                    break;
+                    break 'groups;
                 }
             }
-            if solved {
-                return true;
-            }
+            start = end;
             if let Some(keep) = self.options.pruning.keep() {
-                candidates.sort_by(|a, b| b.priority.total_cmp(&a.priority));
-                candidates.truncate(keep);
+                keep_ranked(&mut candidates, keep);
             }
-            for c in candidates {
+            for c in candidates.drain(..) {
                 self.push_child(node, c, child_depth);
             }
         }
-        false
+        self.moves = moves;
+        self.group_ends = group_ends;
+        self.candidates = candidates;
+        solved
     }
 
     /// Materializes a scored move into the real child state. The only
@@ -650,6 +696,7 @@ impl<'a> Search<'a> {
             allow_growth,
         ) {
             candidates.push(Candidate {
+                ord: candidates.len() as u32,
                 gate,
                 mv,
                 eliminated,
@@ -814,6 +861,23 @@ impl<'a> Search<'a> {
     }
 }
 
+/// Keeps the `keep` highest-priority candidates of a group, best first,
+/// equal priorities in enumeration order: the order a stable sort by
+/// descending priority gives, without the buffer a stable sort
+/// allocates.
+fn keep_ranked(candidates: &mut Vec<Candidate>, keep: usize) {
+    let rank = |a: &Candidate, b: &Candidate| {
+        b.priority
+            .total_cmp(&a.priority)
+            .then_with(|| a.ord.cmp(&b.ord))
+    };
+    if keep < candidates.len() {
+        candidates.select_nth_unstable_by(keep, rank);
+        candidates.truncate(keep);
+    }
+    candidates.sort_unstable_by(rank);
+}
+
 /// Keeps the `keep` best entries (in no particular order) and returns
 /// how many were dropped. `(priority, seq)` is a total order, so the kept
 /// set is the same as a full sort would keep, and a heap rebuilt from it
@@ -851,14 +915,7 @@ fn greedy_dive(spec: &MultiPprm, options: &SynthesisOptions) -> Option<Vec<Gate>
         // (elim desc, literal count asc, var asc)
         let mut best: Option<(i64, u32, usize, Term)> = None;
         for var in 0..n {
-            let factors: Vec<Term> = state
-                .output(var)
-                .terms()
-                .iter()
-                .copied()
-                .filter(|t| !t.contains_var(var))
-                .collect();
-            for factor in factors {
+            for factor in state.toffoli_factors(var) {
                 let score = state.count_substitute(var, factor, &mut scratch);
                 if score.terms == n && score.fingerprint == identity_fp {
                     let (next, _) = state.substitute_with(var, factor, &mut scratch);

@@ -40,7 +40,7 @@ use std::time::{Duration, Instant};
 use rmrls_baselines::{mmd_synthesize, MmdVariant};
 use rmrls_circuit::Circuit;
 use rmrls_core::{
-    synthesize_with_observer, CancelToken, Observer, Pruning, StopReason, Synthesis,
+    synthesize_with_observer, CancelToken, Observer, Pruning, SearchStats, StopReason, Synthesis,
     SynthesisOptions,
 };
 use rmrls_obs::{FlightRecorder, Json, SyncCounter, TraceKind};
@@ -952,6 +952,9 @@ pub(crate) fn run_one(admission: &Admission, job: &JobContext) -> JobRecord {
     }
 }
 
+/// The relaxed tier's queue cap ([`SynthesisOptions::max_queue`]).
+const RELAXED_MAX_QUEUE: usize = 10_000;
+
 /// The tier-2 configuration: the same budget (deadline, cancel token,
 /// memory caps) with greedy pruning, a small queue, and stop-at-first —
 /// a cheap, fast sweep that often succeeds exactly where the configured
@@ -960,16 +963,46 @@ fn relaxed_options(base: &SynthesisOptions) -> SynthesisOptions {
     base.clone()
         .with_pruning(Pruning::Greedy)
         .with_stop_at_first(true)
-        .with_max_queue(Some(10_000))
+        .with_max_queue(Some(RELAXED_MAX_QUEUE))
+}
+
+/// Whether the relaxed tier, run after tier 1 failed with `tier1`'s
+/// stats, would replay tier 1 decision for decision and fail the same
+/// way, so the ladder can skip it.
+///
+/// That holds when the relaxed options keep as many candidates per
+/// group and stop at the first solution exactly when `sopts` does
+/// (read off the two option values, so it follows any change to
+/// [`relaxed_options`]); when tier 1 never trimmed its queue and never
+/// held more entries than the relaxed cap, so neither queue cap ever
+/// acted; and when tier 1 stopped for a reason the clock does not
+/// decide. A deadline is the exception: it is absolute, so a replay
+/// would stop at its first poll with the same reason.
+fn relaxed_replays(sopts: &SynthesisOptions, tier1: &SearchStats) -> bool {
+    let relaxed = relaxed_options(sopts);
+    let same_moves = relaxed.pruning.keep() == sopts.pruning.keep()
+        && relaxed.stop_at_first == sopts.stop_at_first;
+    let untrimmed = tier1.beam_trims == 0 && tier1.queue_peak <= RELAXED_MAX_QUEUE as u64;
+    let same_stop = matches!(
+        tier1.stop_reason,
+        Some(
+            StopReason::NodeBudget
+                | StopReason::QueueExhausted
+                | StopReason::MemoryExceeded
+                | StopReason::DeadlineExpired
+        )
+    );
+    same_moves && untrimmed && same_stop
 }
 
 /// One ladder tier: runs the search with the job's flight recorder,
-/// progress hook and event sink attached (each when present).
+/// progress hook and event sink attached (each when present). A failed
+/// search returns its stats, stop reason included.
 fn run_search(
     spec: &MultiPprm,
     sopts: &SynthesisOptions,
     job: &JobContext,
-) -> Result<Synthesis, Option<StopReason>> {
+) -> Result<Synthesis, Box<SearchStats>> {
     let mut observer = match job.sink {
         // Serve-path event streaming: a fresh sink per search attempt,
         // fed the same run_start/expand/... events the JSONL log sink
@@ -991,7 +1024,7 @@ fn run_search(
     if let Some((t, _)) = job.board {
         t.note_memory_sheds(stats.memory_sheds);
     }
-    result.map_err(|e| e.stats.stop_reason)
+    result.map_err(|e| Box::new(e.stats))
 }
 
 /// Records a fallback-ladder descent: a tier-escalation trace record
@@ -1012,7 +1045,9 @@ fn escalate(recorder: Option<&FlightRecorder>, from: SolveTier, to: SolveTier) {
 /// set, a failure descends to tier 2 (relaxed pruning) and finally
 /// tier 3, the MMD baseline — which always terminates, so a
 /// well-formed reversible spec within [`MMD_FALLBACK_LIMIT`] wires
-/// cannot stay unsolved.
+/// cannot stay unsolved. Tier 2 is skipped when it would only replay
+/// tier 1 ([`relaxed_replays`]); the ladder then descends from tier 1
+/// straight to tier 3.
 /// `perm_for_mmd` materializes the spec as a permutation for tier 3; it
 /// returns `None` for specs too wide (or too broken) to hand to MMD,
 /// and runs only if the ladder actually reaches tier 3.
@@ -1030,28 +1065,35 @@ fn synthesize_ladder(
 ) -> Result<(Circuit, SolveTier), Option<StopReason>> {
     let tier1 = match run_search(spec, sopts, job) {
         Ok(s) => return Ok((s.circuit, SolveTier::Rmrls)),
-        Err(reason) => reason,
+        Err(stats) => stats,
     };
     if !job.runner.opts.fallback || sopts.budget.cancelled() {
-        return Err(tier1);
+        return Err(tier1.stop_reason);
     }
-    escalate(job.recorder, SolveTier::Rmrls, SolveTier::RmrlsRelaxed);
-    let tier2 = match run_search(spec, &relaxed_options(sopts), job) {
-        Ok(s) => return Ok((s.circuit, SolveTier::RmrlsRelaxed)),
-        Err(reason) => reason.or(tier1),
+    let (failed_tier, reason) = if relaxed_replays(sopts, &tier1) {
+        (SolveTier::Rmrls, tier1.stop_reason)
+    } else {
+        escalate(job.recorder, SolveTier::Rmrls, SolveTier::RmrlsRelaxed);
+        match run_search(spec, &relaxed_options(sopts), job) {
+            Ok(s) => return Ok((s.circuit, SolveTier::RmrlsRelaxed)),
+            Err(stats) => (
+                SolveTier::RmrlsRelaxed,
+                stats.stop_reason.or(tier1.stop_reason),
+            ),
+        }
     };
     if sopts.budget.cancelled() {
-        return Err(tier2);
+        return Err(reason);
     }
     match perm_for_mmd() {
         Some(p) => {
-            escalate(job.recorder, SolveTier::RmrlsRelaxed, SolveTier::Mmd);
+            escalate(job.recorder, failed_tier, SolveTier::Mmd);
             Ok((
                 mmd_synthesize(&p, MmdVariant::Bidirectional),
                 SolveTier::Mmd,
             ))
         }
-        None => Err(tier2),
+        None => Err(reason),
     }
 }
 
@@ -1315,5 +1357,144 @@ fn verify_pprm(circuit: &Circuit, m: &MultiPprm) -> bool {
             let x = k.wrapping_mul(0x9e37_79b9_7f4a_7c15) & mask;
             circuit.apply(x) == m.eval(x)
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::time::Duration;
+
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use rmrls_core::synthesize;
+
+    use super::*;
+
+    fn greedy(nodes: u64, queue: Option<usize>) -> SynthesisOptions {
+        SynthesisOptions::new()
+            .with_pruning(Pruning::Greedy)
+            .with_stop_at_first(true)
+            .with_max_nodes(nodes)
+            .with_max_queue(queue)
+    }
+
+    fn failed(reason: StopReason) -> SearchStats {
+        SearchStats {
+            stop_reason: Some(reason),
+            queue_peak: 100,
+            ..SearchStats::default()
+        }
+    }
+
+    #[test]
+    fn relaxed_options_change_only_pruning_stop_and_queue_cap() {
+        // The replay rule reads pruning and stop_at_first off the two
+        // option values; the queue cap is RELAXED_MAX_QUEUE. Any other
+        // difference would let a replay diverge unseen.
+        let base = SynthesisOptions::new()
+            .with_pruning(Pruning::TopK(4))
+            .with_max_nodes(777);
+        let expected = base
+            .clone()
+            .with_pruning(Pruning::Greedy)
+            .with_stop_at_first(true)
+            .with_max_queue(Some(RELAXED_MAX_QUEUE));
+        assert_eq!(
+            format!("{:?}", relaxed_options(&base)),
+            format!("{expected:?}")
+        );
+    }
+
+    #[test]
+    fn a_skipped_relaxed_tier_would_have_replayed_tier_one() {
+        let mut rng = StdRng::seed_from_u64(27);
+        let specs: Vec<MultiPprm> = [4, 4, 4, 5, 5, 5]
+            .iter()
+            .map(|&n| rmrls_spec::random_permutation(n, &mut rng).to_multi_pprm())
+            .collect();
+        let (mut skipped, mut trimmed) = (0, 0);
+        for spec in &specs {
+            for nodes in [50, 300, 1500] {
+                for queue in [None, Some(64)] {
+                    let o = greedy(nodes, queue);
+                    let Err(tier1) = synthesize(spec, &o) else {
+                        continue;
+                    };
+                    let tier1 = tier1.stats;
+                    if tier1.beam_trims > 0 {
+                        trimmed += 1;
+                        assert!(!relaxed_replays(&o, &tier1), "a trimmed tier 1 runs tier 2");
+                    }
+                    if !relaxed_replays(&o, &tier1) {
+                        continue;
+                    }
+                    skipped += 1;
+                    let replay = synthesize(spec, &relaxed_options(&o))
+                        .expect_err("a replay fails as tier 1 did")
+                        .stats;
+                    let key = |s: &SearchStats| {
+                        (
+                            s.stop_reason,
+                            s.nodes_expanded,
+                            s.candidates_scored,
+                            s.children_pushed,
+                            s.dedup_hits,
+                            s.queue_peak,
+                        )
+                    };
+                    assert_eq!(key(&replay), key(&tier1), "nodes {nodes} queue {queue:?}");
+                }
+            }
+        }
+        assert!(skipped >= 10, "too few skips to test: {skipped}");
+        assert!(trimmed > 0, "no trimmed tier 1 in the sample");
+    }
+
+    #[test]
+    fn the_relaxed_tier_runs_unless_it_would_replay() {
+        let o = greedy(1500, None);
+        for reason in [
+            StopReason::NodeBudget,
+            StopReason::QueueExhausted,
+            StopReason::MemoryExceeded,
+            StopReason::DeadlineExpired,
+        ] {
+            assert!(relaxed_replays(&o, &failed(reason)), "{reason}");
+        }
+        for reason in [StopReason::TimeLimit, StopReason::Cancelled] {
+            assert!(!relaxed_replays(&o, &failed(reason)), "{reason}");
+        }
+        // Tier 1 trimmed its queue, or held more than the relaxed cap.
+        let mut stats = failed(StopReason::NodeBudget);
+        stats.beam_trims = 1;
+        assert!(!relaxed_replays(&o, &stats));
+        stats.beam_trims = 0;
+        stats.queue_peak = RELAXED_MAX_QUEUE as u64 + 1;
+        assert!(!relaxed_replays(&o, &stats));
+        // A tier 1 that keeps more candidates, or runs past its first
+        // solution, searches differently from the relaxed tier.
+        let nodes = failed(StopReason::NodeBudget);
+        let top4 = o.clone().with_pruning(Pruning::TopK(4));
+        assert!(!relaxed_replays(&top4, &nodes));
+        assert!(!relaxed_replays(
+            &o.clone().with_stop_at_first(false),
+            &nodes
+        ));
+
+        // The same on real failed runs.
+        let mut rng = StdRng::seed_from_u64(5);
+        let spec = rmrls_spec::random_permutation(5, &mut rng).to_multi_pprm();
+        let top4_run = synthesize(&spec, &top4.with_max_nodes(300))
+            .unwrap_err()
+            .stats;
+        assert_eq!(top4_run.stop_reason, Some(StopReason::NodeBudget));
+        assert!(!relaxed_replays(
+            &o.clone().with_pruning(Pruning::TopK(4)),
+            &top4_run
+        ));
+        let timed = o.clone().with_time_limit(Duration::ZERO);
+        let timed_run = synthesize(&spec, &timed).unwrap_err().stats;
+        assert_eq!(timed_run.stop_reason, Some(StopReason::TimeLimit));
+        assert!(!relaxed_replays(&timed, &timed_run));
     }
 }

@@ -6,9 +6,9 @@ use std::path::PathBuf;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rmrls_core::SynthesisOptions;
+use rmrls_core::{Pruning, SynthesisOptions};
 use rmrls_engine::manifest::{Admission, BatchJob, SpecData};
-use rmrls_engine::{run_batch, BatchOptions, ShutdownHandles};
+use rmrls_engine::{run_batch, BatchOptions, JobOutcome, ShutdownHandles, SolveTier};
 use rmrls_obs::{Json, RecorderSnapshot, TraceKind};
 
 fn workload(count: usize, vars: usize, seed: u64) -> Vec<Admission> {
@@ -127,6 +127,86 @@ fn fallback_escalation_produces_an_anomaly_dump_naming_the_trigger() {
     }
     assert_eq!(anomaly_files as u64, run.counters.anomaly_dumps);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The `search` phase spans and the tier escalations (from, to) in a
+/// job's dump.
+fn ladder_shape(snapshot: &RecorderSnapshot) -> (usize, Vec<(String, String)>) {
+    let searches = snapshot
+        .records
+        .iter()
+        .filter(|r| matches!(&r.kind, TraceKind::PhaseEnter { phase } if phase == "search"))
+        .count();
+    let escalations = snapshot
+        .records
+        .iter()
+        .filter_map(|r| match &r.kind {
+            TraceKind::TierEscalate { from, to } => Some((from.clone(), to.clone())),
+            _ => None,
+        })
+        .collect();
+    (searches, escalations)
+}
+
+/// Runs five 5-wire permutations down the fallback ladder with a
+/// starved tier 1, returning each MMD-solved job's ladder shape.
+fn mmd_ladder_shapes(
+    tag: &str,
+    synthesis: SynthesisOptions,
+) -> Vec<(usize, Vec<(String, String)>)> {
+    let dir = trace_dir(tag);
+    let jobs = workload(5, 5, 83);
+    let opts = BatchOptions {
+        cache_size: None,
+        fallback: true,
+        trace_dir: Some(dir.to_str().unwrap().to_string()),
+        synthesis: synthesis.with_initial_dive(false).with_max_nodes(20),
+        ..BatchOptions::default()
+    };
+    let run = run_batch(&jobs, &opts, &ShutdownHandles::new());
+    assert_eq!(run.counters.jobs_unsolved, 0, "fallback is total");
+    let mut shapes = Vec::new();
+    for (i, record) in run.records.iter().enumerate() {
+        if !matches!(
+            record.outcome,
+            JobOutcome::Solved {
+                solved_by: SolveTier::Mmd,
+                ..
+            }
+        ) {
+            continue;
+        }
+        let (_, snapshot) = read_dump(&dir.join(format!("{i:04}-{}.trace.json", record.name)));
+        shapes.push(ladder_shape(&snapshot));
+    }
+    assert!(!shapes.is_empty(), "no job reached the MMD tier");
+    let _ = std::fs::remove_dir_all(&dir);
+    shapes
+}
+
+#[test]
+fn a_greedy_ladder_job_searches_once_and_escalates_straight_to_mmd() {
+    // The relaxed tier would replay a greedy first-solution tier 1
+    // exactly, so the ladder skips it.
+    let greedy = SynthesisOptions::new()
+        .with_pruning(Pruning::Greedy)
+        .with_stop_at_first(true);
+    let mmd = ("rmrls".to_string(), "mmd".to_string());
+    for shape in mmd_ladder_shapes("greedy-ladder", greedy) {
+        assert_eq!(shape, (1, vec![mmd.clone()]));
+    }
+}
+
+#[test]
+fn a_top4_ladder_job_still_runs_the_relaxed_tier() {
+    let top4 = SynthesisOptions::new().with_pruning(Pruning::TopK(4));
+    let steps = vec![
+        ("rmrls".to_string(), "rmrls-relaxed".to_string()),
+        ("rmrls-relaxed".to_string(), "mmd".to_string()),
+    ];
+    for shape in mmd_ladder_shapes("top4-ladder", top4) {
+        assert_eq!(shape, (2, steps.clone()));
+    }
 }
 
 #[test]

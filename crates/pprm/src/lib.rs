@@ -13,8 +13,10 @@
 //! The search scores every candidate substitution with
 //! [`MultiPprm::count_substitute`] and builds the few it keeps with
 //! [`MultiPprm::substitute_with`]. Up to 6 variables an output's PPRM is
-//! a subset of at most 64 monomials, so the state caches it as one `u64`
-//! membership word and both kernels run on word operations. Wider
+//! a subset of at most 64 monomials, so the state is one `u64`
+//! membership word per output, both kernels run on word operations, and
+//! a child state is a copy of its parent's words with the rewritten
+//! ones replaced; term vectors are built only when asked for. Wider
 //! states, and Fredkin moves at every width, stage, sort and merge term
 //! vectors in a reusable [`SubstScratch`]. Both kernels produce
 //! bit-identical counts, fingerprints and states; debug builds check one

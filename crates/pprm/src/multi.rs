@@ -1,6 +1,8 @@
 //! Multi-output PPRM expansions — the search state of RMRLS.
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::sync::OnceLock;
 
 use crate::{BitTable, Pprm, Term};
 
@@ -145,15 +147,27 @@ fn word_delta(output: usize, mut g: u64) -> u64 {
     delta
 }
 
-/// The sorted term vector of a membership word: set bits walked in
-/// ascending order are already ascending masks.
-fn word_terms(mut w: u64) -> Vec<Term> {
-    let mut terms = Vec::with_capacity(w.count_ones() as usize);
-    while w != 0 {
-        terms.push(Term::from_mask(w.trailing_zeros()));
-        w &= w - 1;
+/// The terms of a membership word: its set bits walked in ascending
+/// order, which are already ascending masks.
+struct WordTerms(u64);
+
+impl Iterator for WordTerms {
+    type Item = Term;
+
+    #[inline]
+    fn next(&mut self) -> Option<Term> {
+        if self.0 == 0 {
+            return None;
+        }
+        let t = Term::from_mask(self.0.trailing_zeros());
+        self.0 &= self.0 - 1;
+        Some(t)
     }
-    terms
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = self.0.count_ones() as usize;
+        (n, Some(n))
+    }
 }
 
 /// Base fingerprint of a state with no terms at all.
@@ -243,6 +257,14 @@ fn merge_generated(parent: &[Term], gen: &mut [Term], output: usize) -> (Vec<Ter
 /// [`fingerprint`](MultiPprm::fingerprint), so both are O(1) reads; the
 /// substitution kernels maintain the caches incrementally.
 ///
+/// Up to 6 variables the state *is* one membership word per output
+/// plus those two caches: a substitution's child is a copy of the
+/// words with the rewritten outputs toggled, and allocates nothing. The
+/// sorted term vectors ([`output`](MultiPprm::output),
+/// [`outputs`](MultiPprm::outputs), and through them `Display` and the
+/// sorted kernels) are built from the words on first use. Wider states
+/// always carry their term vectors.
+///
 /// ```
 /// use rmrls_pprm::MultiPprm;
 ///
@@ -253,21 +275,47 @@ fn merge_generated(parent: &[Term], gen: &mut [Term], output: usize) -> (Vec<Ter
 /// assert_eq!(m.output(2).to_string(), "b ⊕ ab ⊕ ac"); // c_o
 /// assert_eq!(m.total_terms(), 8);
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash)]
+#[derive(Clone)]
 pub struct MultiPprm {
     num_vars: usize,
-    outputs: Vec<Pprm>,
     /// Cached sum of all output term counts. Invariant: always equals
-    /// `outputs.iter().map(Pprm::len).sum()`.
+    /// `outputs().iter().map(Pprm::len).sum()`.
     total_terms: usize,
     /// Cached order-independent state fingerprint; see
     /// [`fingerprint`](MultiPprm::fingerprint).
     fp: u64,
-    /// Cached membership word of each output when `num_vars <=
-    /// WORD_VARS` (bit `t` set iff monomial mask `t` is a term), all
-    /// zeros otherwise. Invariant: always equals `term_words(num_vars,
-    /// &outputs)`; the derived equality compares it too.
+    /// Membership word of each output when `num_vars <= WORD_VARS` (bit
+    /// `t` set iff monomial mask `t` is a term), all zeros otherwise.
+    /// Up to `WORD_VARS` this is the state.
     words: [u64; WORD_VARS],
+    /// Per-output sorted term vectors. Always set above `WORD_VARS`;
+    /// up to it, built from `words` on first use. Invariant: once set,
+    /// `term_words(num_vars, outputs) == words`.
+    outputs: OnceLock<Vec<Pprm>>,
+}
+
+/// Equal states have equal words (up to 6 variables) or equal term
+/// vectors (above); the cached counts and fingerprints are compared too.
+impl PartialEq for MultiPprm {
+    fn eq(&self, other: &Self) -> bool {
+        self.num_vars == other.num_vars
+            && self.total_terms == other.total_terms
+            && self.fp == other.fp
+            && self.words == other.words
+            && (self.num_vars <= WORD_VARS || self.outputs() == other.outputs())
+    }
+}
+
+impl Eq for MultiPprm {}
+
+impl Hash for MultiPprm {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.num_vars.hash(state);
+        self.words.hash(state);
+        if self.num_vars > WORD_VARS {
+            self.outputs().hash(state);
+        }
+    }
 }
 
 impl MultiPprm {
@@ -281,30 +329,26 @@ impl MultiPprm {
                 fp ^= term_hash(i, t);
             }
         }
-        let words = term_words(num_vars, &outputs);
-        MultiPprm {
-            num_vars,
-            outputs,
-            total_terms,
-            fp,
-            words,
-        }
+        MultiPprm::with_outputs(num_vars, outputs, total_terms, fp)
     }
 
-    /// Builds a substitution's child from its outputs and its
+    /// Builds a sorted kernel's child from its outputs and its
     /// incrementally maintained term count and fingerprint, refreshing
     /// the membership words from the outputs.
     fn child(&self, outputs: Vec<Pprm>, total_terms: usize, fp: u64) -> MultiPprm {
-        let words = term_words(self.num_vars, &outputs);
-        let new = MultiPprm {
-            num_vars: self.num_vars,
-            outputs,
+        let new = MultiPprm::with_outputs(self.num_vars, outputs, total_terms, fp);
+        debug_assert_eq!(new.total_terms, new.outputs().iter().map(Pprm::len).sum());
+        new
+    }
+
+    fn with_outputs(num_vars: usize, outputs: Vec<Pprm>, total_terms: usize, fp: u64) -> Self {
+        MultiPprm {
+            num_vars,
             total_terms,
             fp,
-            words,
-        };
-        debug_assert_eq!(new.total_terms, new.outputs.iter().map(Pprm::len).sum());
-        new
+            words: term_words(num_vars, &outputs),
+            outputs: OnceLock::from(outputs),
+        }
     }
 
     /// Builds the multi-output PPRM of a reversible function given as a
@@ -365,12 +409,50 @@ impl MultiPprm {
     ///
     /// Panics if `i >= num_vars`.
     pub fn output(&self, i: usize) -> &Pprm {
-        &self.outputs[i]
+        &self.outputs()[i]
     }
 
-    /// All output expansions, indexed by output/variable.
+    /// All output expansions, indexed by output/variable. Up to 6
+    /// variables the first call builds them from the membership words.
     pub fn outputs(&self) -> &[Pprm] {
-        &self.outputs
+        self.outputs.get_or_init(|| {
+            self.words[..self.num_vars]
+                .iter()
+                .map(|&w| Pprm::from_sorted_terms(WordTerms(w).collect()))
+                .collect()
+        })
+    }
+
+    /// Whether output `i` has term `t`. O(1) up to 6 variables.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= num_vars`.
+    pub fn has_term(&self, i: usize, t: Term) -> bool {
+        if self.num_vars <= WORD_VARS {
+            assert!(i < self.num_vars, "output {i} out of range");
+            (t.mask() as usize) < 64 && self.words[i] >> t.mask() & 1 == 1
+        } else {
+            self.output(i).contains(t)
+        }
+    }
+
+    /// The factors of the Toffoli substitutions `x_var := x_var ⊕ f` on
+    /// offer: the terms of output `var` that do not contain `x_var`, in
+    /// ascending mask order (the order of [`Pprm::terms`]). Up to 6
+    /// variables they are the set bits of one word.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `var >= num_vars`.
+    pub fn toffoli_factors(&self, var: usize) -> impl Iterator<Item = Term> + '_ {
+        let (word, terms): (u64, &[Term]) = if self.num_vars <= WORD_VARS {
+            assert!(var < self.num_vars, "variable {var} out of range");
+            (self.words[var] & !SEL[var], &[])
+        } else {
+            (0, self.output(var).terms())
+        };
+        WordTerms(word).chain(terms.iter().copied().filter(move |t| !t.contains_var(var)))
     }
 
     /// Total number of terms across all outputs (the paper's
@@ -406,15 +488,17 @@ impl MultiPprm {
     /// Whether every output has been reduced to its own variable
     /// (`out_i = x_i`) — the synthesis termination condition.
     pub fn is_identity(&self) -> bool {
-        self.outputs
-            .iter()
-            .enumerate()
-            .all(|(i, p)| p.terms() == [Term::var(i)])
+        (0..self.num_vars).all(|i| self.output_is_solved(i))
     }
 
     /// Whether output `i` is already solved (`out_i = x_i`).
     pub fn output_is_solved(&self, i: usize) -> bool {
-        self.outputs[i].terms() == [Term::var(i)]
+        if self.num_vars <= WORD_VARS {
+            assert!(i < self.num_vars, "output {i} out of range");
+            self.words[i] == 1 << Term::var(i).mask()
+        } else {
+            self.output(i).terms() == [Term::var(i)]
+        }
     }
 
     fn assert_substitution(&self, var: usize, factor: Term) {
@@ -527,7 +611,7 @@ impl MultiPprm {
         self.assert_substitution(var, factor);
         let mut terms = self.total_terms;
         let mut fp = self.fp;
-        for (i, p) in self.outputs.iter().enumerate() {
+        for (i, p) in self.outputs().iter().enumerate() {
             if !p.mentions_var(var) {
                 continue;
             }
@@ -561,7 +645,7 @@ impl MultiPprm {
         self.assert_fredkin(a, b, control);
         let mut terms = self.total_terms;
         let mut fp = self.fp;
-        for (i, p) in self.outputs.iter().enumerate() {
+        for (i, p) in self.outputs().iter().enumerate() {
             MultiPprm::stage_fredkin(p, a, b, control, &mut scratch.generated);
             if scratch.generated.is_empty() {
                 continue;
@@ -591,14 +675,15 @@ impl MultiPprm {
     }
 
     /// [`substitute`](Self::substitute) with a caller-owned scratch
-    /// buffer — the materialization phase of the two-phase kernel. The
-    /// only allocations are the child's own term vectors (sized exactly).
+    /// buffer — the materialization phase of the two-phase kernel.
     ///
     /// Up to 6 variables each rewritten output's child word
     /// is `w ^ g` (see [`count_substitute`](Self::count_substitute)), and
-    /// its term vector is the word's set bits walked in ascending order,
-    /// which is already sorted: nothing is staged, sorted or merged.
-    /// Wider states use [`substitute_sorted_with`](Self::substitute_sorted_with).
+    /// the child is the parent's words, term count and fingerprint with
+    /// those words replaced: nothing is allocated, and the term vectors
+    /// are built only if something asks for them.
+    /// Wider states use [`substitute_sorted_with`](Self::substitute_sorted_with),
+    /// whose only allocations are the child's own term vectors.
     /// In debug builds the word path is checked against the sorted
     /// kernel on every call.
     ///
@@ -618,26 +703,22 @@ impl MultiPprm {
         let mut total = self.total_terms;
         let mut fp = self.fp;
         let mut words = self.words;
-        let mut outputs = Vec::with_capacity(self.num_vars);
-        for (i, p) in self.outputs.iter().enumerate() {
-            let w = words[i];
-            if w & SEL[var] == 0 {
-                outputs.push(p.clone());
+        for (i, w) in words[..self.num_vars].iter_mut().enumerate() {
+            if *w & SEL[var] == 0 {
                 continue;
             }
-            let g = generated_word(w, var, factor);
-            words[i] = w ^ g;
-            total = total - p.len() + words[i].count_ones() as usize;
+            let g = generated_word(*w, var, factor);
+            total = total + g.count_ones() as usize - 2 * (g & *w).count_ones() as usize;
             fp ^= word_delta(i, g);
-            outputs.push(Pprm::from_sorted_terms(word_terms(words[i])));
+            *w ^= g;
         }
         let elim = self.total_terms as i64 - total as i64;
         let new = MultiPprm {
             num_vars: self.num_vars,
-            outputs,
             total_terms: total,
             fp,
             words,
+            outputs: OnceLock::new(),
         };
         debug_assert_eq!(
             (new.clone(), elim),
@@ -666,7 +747,7 @@ impl MultiPprm {
         let mut total = self.total_terms;
         let mut fp = self.fp;
         let mut outputs = Vec::with_capacity(self.num_vars);
-        for (i, p) in self.outputs.iter().enumerate() {
+        for (i, p) in self.outputs().iter().enumerate() {
             if !p.mentions_var(var) {
                 outputs.push(p.clone());
                 continue;
@@ -737,7 +818,7 @@ impl MultiPprm {
         let mut total = self.total_terms;
         let mut fp = self.fp;
         let mut outputs = Vec::with_capacity(self.num_vars);
-        for (i, p) in self.outputs.iter().enumerate() {
+        for (i, p) in self.outputs().iter().enumerate() {
             MultiPprm::stage_fredkin(p, a, b, control, &mut scratch.generated);
             if scratch.generated.is_empty() {
                 outputs.push(p.clone());
@@ -754,7 +835,7 @@ impl MultiPprm {
 
     /// Evaluates all outputs at input word `x`, returning the output word.
     pub fn eval(&self, x: u64) -> u64 {
-        self.outputs
+        self.outputs()
             .iter()
             .enumerate()
             .fold(0, |acc, (i, p)| acc | (u64::from(p.eval(x)) << i))
@@ -765,22 +846,25 @@ impl MultiPprm {
         (0..1u64 << self.num_vars).map(|x| self.eval(x)).collect()
     }
 
-    /// Approximate heap footprint of this state in bytes, O(outputs).
+    /// The memory-budget size of this state, O(1): a budget unit, not
+    /// measured bytes.
     ///
-    /// Counts the term storage (`len`, not capacity, so the figure is a
-    /// deterministic function of the state's value and identical across
-    /// allocator behaviours) plus the per-output `Pprm`/`Vec` headers.
-    /// Used by memory-budget accounting (`Budget::max_queue_bytes`),
-    /// where a reproducible estimate matters more than allocator-exact
-    /// truth.
+    /// The figure is what the state's term vectors would take (one
+    /// `Pprm`/`Vec` header per output plus one `Term` per term, `len`
+    /// not capacity), so it is a deterministic function of the state's
+    /// value, identical across allocators and across representations: a
+    /// word-only state up to 6 variables, which owns no term vectors,
+    /// counts the same as a wide one. Memory-budget accounting
+    /// (`Budget::max_queue_bytes`) sums it, and beam trims and memory
+    /// sheds decide on it, so changing it changes search decisions.
     pub fn approx_heap_bytes(&self) -> usize {
-        MultiPprm::approx_heap_bytes_for(self.outputs.len(), self.total_terms)
+        MultiPprm::approx_heap_bytes_for(self.num_vars, self.total_terms)
     }
 
     /// [`approx_heap_bytes`](MultiPprm::approx_heap_bytes) of a state
     /// with `num_vars` outputs and `terms` terms in total, so a size can
     /// be accounted from a predicted term count before (or without) the
-    /// state being built.
+    /// state being built. A budget unit, not measured bytes.
     pub fn approx_heap_bytes_for(num_vars: usize, terms: usize) -> usize {
         num_vars * std::mem::size_of::<Pprm>() + terms * std::mem::size_of::<Term>()
     }
@@ -789,7 +873,7 @@ impl MultiPprm {
 impl fmt::Debug for MultiPprm {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "MultiPprm({} vars)", self.num_vars)?;
-        for (i, p) in self.outputs.iter().enumerate() {
+        for (i, p) in self.outputs().iter().enumerate() {
             writeln!(f, "  out[{i}] = {p}")?;
         }
         Ok(())
@@ -798,7 +882,7 @@ impl fmt::Debug for MultiPprm {
 
 impl fmt::Display for MultiPprm {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for (i, p) in self.outputs.iter().enumerate() {
+        for (i, p) in self.outputs().iter().enumerate() {
             if i > 0 {
                 writeln!(f)?;
             }
@@ -1080,6 +1164,74 @@ mod tests {
     fn count_substitute_checks_factor_excludes_target() {
         let m = MultiPprm::from_permutation(&FIG1, 3);
         let _ = m.count_substitute(1, Term::of(&[0, 1]), &mut SubstScratch::new());
+    }
+
+    /// Random states at widths 1–8 and a few substitution children of
+    /// each: word-only children up to 6 wires, term-vector states above.
+    fn sample_states() -> Vec<MultiPprm> {
+        use rand::seq::SliceRandom;
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(6);
+        let mut states = Vec::new();
+        for n in 1..=8usize {
+            let mut perm: Vec<u64> = (0..1u64 << n).collect();
+            perm.shuffle(&mut rng);
+            let mut m = MultiPprm::from_permutation(&perm, n);
+            for step in 0..4 {
+                states.push(m.clone());
+                let var = step % n;
+                let Some(factor) = m.toffoli_factors(var).last() else {
+                    break;
+                };
+                m = m.substitute(var, factor).0;
+            }
+        }
+        states
+    }
+
+    #[test]
+    fn word_only_states_match_a_rebuild_from_their_term_vectors() {
+        for m in sample_states() {
+            let n = m.num_vars();
+            let rebuilt = MultiPprm::from_outputs(m.outputs().to_vec(), n);
+            assert_eq!(m, rebuilt, "{m:?}");
+            assert_eq!(m.total_terms(), rebuilt.total_terms());
+            assert_eq!(m.fingerprint(), rebuilt.fingerprint());
+            assert_eq!(m.words, rebuilt.words);
+            assert_eq!(m.to_string(), rebuilt.to_string());
+            assert_eq!(m.is_identity(), rebuilt.is_identity());
+            for var in 0..n {
+                let want: Vec<Term> = m
+                    .output(var)
+                    .terms()
+                    .iter()
+                    .copied()
+                    .filter(|t| !t.contains_var(var))
+                    .collect();
+                assert_eq!(m.toffoli_factors(var).collect::<Vec<_>>(), want);
+                assert_eq!(
+                    m.output_is_solved(var),
+                    m.output(var).terms() == [Term::var(var)]
+                );
+                for mask in 0..1u32 << n {
+                    let t = Term::from_mask(mask);
+                    assert_eq!(m.has_term(var, t), m.output(var).contains(t));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_word_width_child_owns_no_term_vectors_until_asked() {
+        let m = MultiPprm::from_permutation(&FIG1, 3);
+        let (child, _) = m.substitute(1, Term::of(&[0, 2]));
+        assert!(child.outputs.get().is_none());
+        assert_eq!(child.output(1).to_string(), "b ⊕ c");
+        assert!(child.outputs.get().is_some());
+        // Wide states always carry them.
+        let wide = MultiPprm::identity(WORD_VARS + 1);
+        let (wide_child, _) = wide.substitute(0, Term::ONE);
+        assert!(wide_child.outputs.get().is_some());
     }
 
     #[test]
