@@ -42,10 +42,10 @@ use crate::manifest::{Admission, SpecData};
 /// framing changes incompatibly; additive record fields do not bump it.
 pub const JOURNAL_SCHEMA_VERSION: u64 = 1;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-fn fnv1a(hash: &mut u64, bytes: &[u8]) {
+pub(crate) fn fnv1a(hash: &mut u64, bytes: &[u8]) {
     for &b in bytes {
         *hash ^= b as u64;
         *hash = hash.wrapping_mul(FNV_PRIME);
