@@ -228,9 +228,21 @@ fn bench_canonical_form(c: &mut Criterion) {
     use rand::seq::SliceRandom;
     use rand::SeedableRng;
     use rmrls_engine::canon::{canonical_form, conjugate_table};
-    use rmrls_spec::{random_circuit_spec, GateLibrary};
+    use rmrls_spec::{random_circuit_spec, random_permutation, GateLibrary};
     let mut group = c.benchmark_group("canonical_form");
     group.sample_size(10);
+    let mut bench_row = |name: String, specs: &[Permutation]| {
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                for p in specs {
+                    black_box(canonical_form(p, 8));
+                }
+            })
+        });
+    };
+    // Sparse circuit specs take the class-prefix skip; random
+    // permutations have tiny classes and keep the plain walk;
+    // functions with large stabilizers tie on long prefixes.
     let mut rng = StdRng::seed_from_u64(7);
     for n in [4usize, 6, 7, 8] {
         let specs: Vec<Permutation> = (0..4)
@@ -241,13 +253,26 @@ fn bench_canonical_form(c: &mut Criterion) {
                 Permutation::from_vec(conjugate_table(p.as_slice(), &sigma)).expect("bijective")
             })
             .collect();
-        group.bench_function(format!("gt4_relabeled_n{n}"), |b| {
-            b.iter(|| {
-                for p in &specs {
-                    black_box(canonical_form(p, 8));
-                }
-            })
-        });
+        bench_row(format!("gt4_relabeled_n{n}"), &specs);
+    }
+    let mut rng = StdRng::seed_from_u64(8);
+    for n in [7usize, 8] {
+        let specs: Vec<Permutation> = (0..4).map(|_| random_permutation(n, &mut rng)).collect();
+        bench_row(format!("random_n{n}"), &specs);
+        let mask = (1u64 << n) - 1;
+        let top = 1u64 << (n - 1);
+        let ties: Vec<Permutation> = [
+            (0..=mask).collect(),
+            (0..=mask).map(|x| x ^ mask).collect(),
+            (0..=mask).map(|x| x ^ (x & 1) << 1).collect(),
+            (0..=mask)
+                .map(|x| if x | top == mask { x ^ top } else { x })
+                .collect(),
+        ]
+        .into_iter()
+        .map(|table| Permutation::from_vec(table).expect("bijective"))
+        .collect();
+        bench_row(format!("tie_heavy_n{n}"), &ties);
     }
     group.finish();
 }
