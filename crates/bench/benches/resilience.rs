@@ -1,6 +1,6 @@
 //! Resilience-layer benchmark (PR 5): what never-fail mode costs.
 //!
-//! Three questions, each also asserted as a correctness check:
+//! Two questions, each also asserted as a correctness check:
 //!
 //! 1. **Fallback overhead when idle** — on a workload the configured
 //!    search solves outright, `--fallback` must be free: identical
@@ -10,10 +10,6 @@
 //!    node budget is deliberately too small, the ladder must leave
 //!    nothing unsolved; the report records which tier rescued how many
 //!    jobs.
-//! 3. **Degraded-mode overhead** — the same hard search with and
-//!    without a memory budget that forces queue shedding: how much
-//!    slower (or faster — a smaller frontier can win) a shed-and-
-//!    continue run is, and that it still terminates cleanly.
 //!
 //! Output: a human-readable summary plus the `BENCH_pr5.json` payload
 //! on request (`RMRLS_BENCH_OUT=path`). `RMRLS_SMOKE=1` shrinks the
@@ -24,11 +20,9 @@ use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rmrls_core::{synthesize, SynthesisOptions};
 use rmrls_engine::manifest::{Admission, BatchJob, SpecData};
 use rmrls_engine::{run_batch, suite_admissions, BatchOptions, ShutdownHandles};
 use rmrls_obs::Json;
-use rmrls_pprm::MultiPprm;
 use rmrls_spec::random_permutation;
 
 fn smoke() -> bool {
@@ -97,7 +91,7 @@ fn main() {
     let smoke = smoke();
     let (easy_randoms, hard_count, reps) = if smoke { (8, 4, 1) } else { (56, 24, 3) };
 
-    println!("# Resilience layer: fallback & degraded-mode overhead");
+    println!("# Resilience layer: fallback overhead");
     println!("mode: {}\n", if smoke { "smoke" } else { "full" });
 
     // ---- 1. Fallback overhead on an all-solvable workload ----------
@@ -154,37 +148,6 @@ fn main() {
         "a starved workload must actually descend the ladder"
     );
 
-    // ---- 3. Degraded-mode (queue shedding) overhead ----------------
-    // One hard 5-variable spec, searched directly: unbudgeted vs a
-    // live-term cap that forces shedding. stop_at_first keeps both
-    // searches comparable; the budgeted run must shed at least once
-    // and still terminate cleanly (solved or a clean stop).
-    let mut rng = StdRng::seed_from_u64(7);
-    let spec_perm = random_permutation(5, &mut rng);
-    let spec = MultiPprm::from_permutation(spec_perm.as_slice(), 5);
-    let base = SynthesisOptions::new()
-        .with_stop_at_first(true)
-        .with_initial_dive(false)
-        .with_max_nodes(30_000);
-    let start = Instant::now();
-    let unbudgeted = synthesize(&spec, &base);
-    let free_secs = start.elapsed().as_secs_f64();
-    let budgeted_opts = base.clone().with_max_live_terms(2_000);
-    let start = Instant::now();
-    let budgeted = synthesize(&spec, &budgeted_opts);
-    let degraded_secs = start.elapsed().as_secs_f64();
-    let (sheds, peak) = match &budgeted {
-        Ok(s) => (s.stats.memory_sheds, s.stats.live_terms_peak),
-        Err(e) => (e.stats.memory_sheds, e.stats.live_terms_peak),
-    };
-    assert!(sheds >= 1, "the cap must force at least one shed");
-    let degraded_overhead = (degraded_secs - free_secs) / free_secs;
-    println!(
-        "degraded mode (5-var, 2k live-term cap): unbudgeted {free_secs:.3}s, \
-         budgeted {degraded_secs:.3}s ({:+.1}%), sheds: {sheds}, peak live terms: {peak}",
-        degraded_overhead * 100.0
-    );
-
     let report = Json::Obj(vec![
         ("bench".to_string(), Json::str("resilience_pr5")),
         ("smoke".to_string(), Json::Bool(smoke)),
@@ -215,24 +178,6 @@ fn main() {
                 ),
                 ("solved_by_mmd".to_string(), Json::uint(c.solved_by_mmd)),
                 ("jobs_unsolved".to_string(), Json::uint(c.jobs_unsolved)),
-            ]),
-        ),
-        (
-            "degraded_mode".to_string(),
-            Json::Obj(vec![
-                ("max_live_terms".to_string(), Json::uint(2_000)),
-                ("seconds_unbudgeted".to_string(), Json::Num(free_secs)),
-                ("seconds_budgeted".to_string(), Json::Num(degraded_secs)),
-                (
-                    "overhead_fraction".to_string(),
-                    Json::Num(degraded_overhead),
-                ),
-                ("memory_sheds".to_string(), Json::uint(sheds)),
-                ("live_terms_peak".to_string(), Json::uint(peak)),
-                (
-                    "solved".to_string(),
-                    Json::Bool(budgeted.is_ok() && unbudgeted.is_ok()),
-                ),
             ]),
         ),
     ]);

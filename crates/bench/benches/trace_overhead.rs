@@ -128,13 +128,8 @@ fn main() {
         let batches = std::sync::Arc::clone(&telemetry.expansion_batch_seconds);
         let mut last_beat = Instant::now();
         let mut obs = Observer::null().with_progress(Box::new(move |p| {
-            t.jobs.update_progress(
-                0,
-                p.nodes_expanded,
-                p.queue_depth as u64,
-                p.live_terms,
-                p.memory_sheds,
-            );
+            t.jobs
+                .update_progress(0, p.nodes_expanded, p.queue_depth as u64, p.live_terms);
             let now = Instant::now();
             batches.record(now.duration_since(last_beat).as_secs_f64());
             last_beat = now;

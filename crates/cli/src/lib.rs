@@ -2437,13 +2437,13 @@ mod tests {
         // Shape of an engine .anomaly.json: a recorder snapshot plus
         // the job name and the anomaly that triggered the dump.
         let recorder = FlightRecorder::with_default_budget();
-        recorder.anomaly("memory_shed", "frontier");
-        recorder.anomaly("memory_shed", "frontier");
+        recorder.anomaly("injected_fault", "frontier");
+        recorder.anomaly("injected_fault", "frontier");
         recorder.anomaly("deadline_expired", "search_loop");
         let mut json = recorder.snapshot().to_json();
         if let rmrls_obs::Json::Obj(fields) = &mut json {
             fields.push(("job".into(), rmrls_obs::Json::str("rd53")));
-            fields.push(("trigger".into(), rmrls_obs::Json::str("memory_shed")));
+            fields.push(("trigger".into(), rmrls_obs::Json::str("injected_fault")));
         }
         std::fs::write(&path, format!("{json}\n")).unwrap();
 
@@ -2451,9 +2451,9 @@ mod tests {
         let mut out = String::new();
         run(cmd, &mut out).unwrap();
         assert!(out.contains("job: rd53"), "{out}");
-        assert!(out.contains("trigger: memory_shed"), "{out}");
+        assert!(out.contains("trigger: injected_fault"), "{out}");
         assert!(out.contains("anomaly tally:"), "{out}");
-        assert!(out.contains("memory_shed @ frontier x2"), "{out}");
+        assert!(out.contains("injected_fault @ frontier x2"), "{out}");
         assert!(out.contains("deadline_expired @ search_loop x1"), "{out}");
     }
 
@@ -2507,7 +2507,7 @@ mod tests {
 
         let text = std::fs::read_to_string(&path).unwrap();
         let json = rmrls_obs::Json::parse(&text).expect("report is valid JSON");
-        assert_eq!(json.get("schema_version").unwrap().as_u64(), Some(4));
+        assert_eq!(json.get("schema_version").unwrap().as_u64(), Some(5));
         assert_eq!(json.get("solved").unwrap().as_bool(), Some(true));
         // The report's gate count agrees with the human-readable output.
         let gates = json

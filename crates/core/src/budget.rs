@@ -90,18 +90,6 @@ pub struct Budget {
     /// Cooperative stop flag checked alongside the deadline; trips
     /// [`StopReason::Cancelled`](crate::StopReason::Cancelled).
     pub cancel: Option<CancelToken>,
-    /// Cap on the total PPRM terms of all queued children, measured on
-    /// their predicted (scored) term counts: a queued child's state is
-    /// built only when it is popped. On breach the search sheds the
-    /// worst half of its queue (degraded mode); a second breach stops
-    /// it with
-    /// [`StopReason::MemoryExceeded`](crate::StopReason::MemoryExceeded).
-    pub max_live_terms: Option<u64>,
-    /// Cap on the approximate heap bytes the queued children's states
-    /// would take (`MultiPprm::approx_heap_bytes_for` of their predicted
-    /// term counts), with the same shed-then-stop policy as
-    /// `max_live_terms`.
-    pub max_queue_bytes: Option<u64>,
 }
 
 impl Budget {
@@ -122,36 +110,9 @@ impl Budget {
         self
     }
 
-    /// A budget capping the total live PPRM terms across queued children.
-    pub fn with_max_live_terms(mut self, terms: u64) -> Budget {
-        self.max_live_terms = Some(terms);
-        self
-    }
-
-    /// A budget capping the approximate heap bytes of queued children.
-    pub fn with_max_queue_bytes(mut self, bytes: u64) -> Budget {
-        self.max_queue_bytes = Some(bytes);
-        self
-    }
-
-    /// Whether any clock bound is set (lets the search loop skip the
-    /// clock read entirely for unlimited budgets). Memory bounds are
-    /// polled separately via [`memory_limited`](Budget::memory_limited)
-    /// — they need no clock.
+    /// Whether a deadline or a cancel token is set.
     pub fn is_limited(&self) -> bool {
         self.deadline.is_some() || self.cancel.is_some()
-    }
-
-    /// Whether a memory bound is set.
-    pub fn memory_limited(&self) -> bool {
-        self.max_live_terms.is_some() || self.max_queue_bytes.is_some()
-    }
-
-    /// Whether the given accounting figures exceed a configured memory
-    /// bound.
-    pub fn memory_breached(&self, live_terms: u64, queue_bytes: u64) -> bool {
-        self.max_live_terms.is_some_and(|cap| live_terms > cap)
-            || self.max_queue_bytes.is_some_and(|cap| queue_bytes > cap)
     }
 
     /// Whether cancellation has been requested.
@@ -234,23 +195,6 @@ mod tests {
         assert!(!b.cancelled());
         token.cancel();
         assert!(b.cancelled());
-    }
-
-    #[test]
-    fn memory_bounds_are_separate_from_clock_bounds() {
-        let b = Budget::unlimited().with_max_live_terms(100);
-        assert!(!b.is_limited(), "memory caps need no clock polling");
-        assert!(b.memory_limited());
-        assert!(!b.memory_breached(100, 0), "cap is inclusive");
-        assert!(b.memory_breached(101, 0));
-
-        let b = Budget::unlimited().with_max_queue_bytes(4096);
-        assert!(b.memory_limited());
-        assert!(!b.memory_breached(u64::MAX, 4096));
-        assert!(b.memory_breached(0, 4097));
-
-        assert!(!Budget::unlimited().memory_limited());
-        assert!(!Budget::unlimited().memory_breached(u64::MAX, u64::MAX));
     }
 
     // --- integration with the search loop ---

@@ -52,11 +52,9 @@ pub struct Progress {
     pub best_gates: Option<u32>,
     /// Restarts performed so far.
     pub restarts: u64,
-    /// Live PPRM terms currently held across frontier + queue (the
-    /// quantity memory budgets cap).
+    /// Predicted PPRM terms across the queued children: the size of
+    /// the search frontier.
     pub live_terms: u64,
-    /// Memory sheds performed so far (degraded-mode evictions).
-    pub memory_sheds: u64,
     /// Wall-clock time since the search started.
     pub elapsed: Duration,
 }
@@ -193,7 +191,7 @@ impl Observer {
     }
 
     /// The attached flight recorder, if any. The search loop records
-    /// anomalies (memory sheds, deadline expiry, cancellation) through
+    /// anomalies (deadline expiry, cancellation) through
     /// this handle.
     pub fn recorder(&self) -> Option<&FlightRecorder> {
         self.recorder.as_ref()
@@ -473,7 +471,6 @@ mod tests {
             best_gates: None,
             restarts: 0,
             live_terms: 40,
-            memory_sheds: 0,
             elapsed: Duration::from_millis(1),
         });
         obs.on_run_end("first solution", 128, Some(3));
@@ -516,7 +513,6 @@ mod tests {
             best_gates: None,
             restarts: 0,
             live_terms: 12,
-            memory_sheds: 1,
             elapsed: Duration::from_millis(5),
         });
         assert_eq!(count.get(), 1);

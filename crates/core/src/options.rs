@@ -284,20 +284,6 @@ impl SynthesisOptions {
         self
     }
 
-    /// Caps the total live PPRM terms across queued children (memory
-    /// budget; see [`Budget::max_live_terms`]).
-    pub fn with_max_live_terms(mut self, terms: u64) -> Self {
-        self.budget.max_live_terms = Some(terms);
-        self
-    }
-
-    /// Caps the approximate heap bytes of queued children (memory budget;
-    /// see [`Budget::max_queue_bytes`]).
-    pub fn with_max_queue_bytes(mut self, bytes: u64) -> Self {
-        self.budget.max_queue_bytes = Some(bytes);
-        self
-    }
-
     /// Sets the circuit-size cap.
     pub fn with_max_gates(mut self, max: usize) -> Self {
         self.max_gates = Some(max);
@@ -430,19 +416,5 @@ mod tests {
         assert_eq!(o.max_nodes, Some(5));
         assert!(o.stop_at_first);
         assert!(!o.additional_substitutions);
-    }
-
-    #[test]
-    fn memory_budget_builders_reach_the_budget() {
-        let o = SynthesisOptions::new()
-            .with_max_live_terms(1000)
-            .with_max_queue_bytes(1 << 20);
-        assert_eq!(o.budget.max_live_terms, Some(1000));
-        assert_eq!(o.budget.max_queue_bytes, Some(1 << 20));
-        assert!(o.budget.memory_limited());
-        assert!(
-            !o.budget.is_limited(),
-            "memory caps don't force clock polls"
-        );
     }
 }

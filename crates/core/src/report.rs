@@ -16,7 +16,7 @@ use crate::{FredkinMode, PriorityMode, Pruning, SearchStats, SynthesisOptions};
 /// Version of the run-report JSON schema. Bumped whenever a field is
 /// renamed, removed, or changes meaning; additions are backwards
 /// compatible and do not bump it.
-pub const RUN_REPORT_SCHEMA_VERSION: u64 = 4;
+pub const RUN_REPORT_SCHEMA_VERSION: u64 = 5;
 
 fn opt_uint<T: Into<u64>>(v: Option<T>) -> Json {
     v.map(|x| Json::uint(x.into())).unwrap_or(Json::Null)
@@ -69,14 +69,6 @@ pub fn options_to_json(options: &SynthesisOptions) -> Json {
         (
             "cancellable".to_string(),
             Json::Bool(options.budget.cancel.is_some()),
-        ),
-        (
-            "max_live_terms".to_string(),
-            opt_uint(options.budget.max_live_terms),
-        ),
-        (
-            "max_queue_bytes".to_string(),
-            opt_uint(options.budget.max_queue_bytes),
         ),
         (
             "max_gates".to_string(),
@@ -158,23 +150,10 @@ pub fn stats_to_json(stats: &SearchStats) -> Json {
         ("beam_trims".to_string(), Json::uint(stats.beam_trims)),
         ("beam_dropped".to_string(), Json::uint(stats.beam_dropped)),
         ("queue_peak".to_string(), Json::uint(stats.queue_peak)),
-        ("memory_sheds".to_string(), Json::uint(stats.memory_sheds)),
-        (
-            "memory_shed_dropped".to_string(),
-            Json::uint(stats.memory_shed_dropped),
-        ),
         (
             "live_terms_peak".to_string(),
             Json::uint(stats.live_terms_peak),
         ),
-        (
-            "queue_bytes_peak".to_string(),
-            Json::uint(stats.queue_bytes_peak),
-        ),
-        // Degraded mode: the search shed queue entries to stay inside a
-        // memory budget, so completeness/quality guarantees are best
-        // effort for this run.
-        ("degraded".to_string(), Json::Bool(stats.memory_sheds > 0)),
         (
             "elapsed_seconds".to_string(),
             Json::Num(stats.elapsed.as_secs_f64()),
@@ -256,7 +235,7 @@ mod tests {
         let text = report.to_string();
         let parsed = Json::parse(&text).expect("report is valid JSON");
 
-        assert_eq!(parsed.get("schema_version").unwrap().as_u64(), Some(4));
+        assert_eq!(parsed.get("schema_version").unwrap().as_u64(), Some(5));
         assert_eq!(parsed.get("solved").unwrap().as_bool(), Some(true));
         let circuit = parsed.get("circuit").unwrap();
         assert_eq!(

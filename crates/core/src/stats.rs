@@ -22,11 +22,6 @@ pub enum StopReason {
     /// A [`CancelToken`](crate::CancelToken) requested a cooperative
     /// stop.
     Cancelled,
-    /// A [`Budget`](crate::Budget) memory cap (`max_live_terms` /
-    /// `max_queue_bytes`) was breached twice: once past the degraded
-    /// queue-shedding response, the search stops instead of risking an
-    /// OOM abort.
-    MemoryExceeded,
 }
 
 impl fmt::Display for StopReason {
@@ -38,7 +33,6 @@ impl fmt::Display for StopReason {
             StopReason::FirstSolution => "first solution",
             StopReason::DeadlineExpired => "deadline expired",
             StopReason::Cancelled => "cancelled",
-            StopReason::MemoryExceeded => "memory exceeded",
         };
         f.write_str(s)
     }
@@ -103,21 +97,10 @@ pub struct SearchStats {
     pub beam_dropped: u64,
     /// Largest queue size observed.
     pub queue_peak: u64,
-    /// Emergency queue sheds performed after a memory-budget breach
-    /// (degraded mode; see `Budget::max_live_terms`). Nonzero means the
-    /// search ran degraded: it kept only the better half of its
-    /// frontier at least once.
-    pub memory_sheds: u64,
-    /// Queue entries discarded by memory sheds.
-    pub memory_shed_dropped: u64,
     /// Largest total of PPRM terms across queued children, from their
     /// predicted (scored) term counts; the children's states are not
     /// built while they are queued.
     pub live_terms_peak: u64,
-    /// Largest approximate heap footprint (bytes) the queued children's
-    /// states would take (`MultiPprm::approx_heap_bytes_for` of their
-    /// predicted term counts).
-    pub queue_bytes_peak: u64,
     /// Wall-clock duration of the search.
     pub elapsed: Duration,
     /// Why the loop stopped (`None` only before the search ran).
@@ -177,6 +160,6 @@ mod tests {
     #[test]
     fn stop_reason_display() {
         assert_eq!(StopReason::TimeLimit.to_string(), "time limit");
-        assert_eq!(StopReason::MemoryExceeded.to_string(), "memory exceeded");
+        assert_eq!(StopReason::Cancelled.to_string(), "cancelled");
     }
 }

@@ -146,7 +146,7 @@ pub struct BatchOptions {
     /// Directory for per-job flight-recorder dumps. When set, every job
     /// runs with a [`FlightRecorder`] attached and writes
     /// `<index>-<job>.trace.json` here; jobs whose recorder registered
-    /// an anomaly (memory shed, tier escalation, deadline expiry,
+    /// an anomaly (tier escalation, deadline expiry,
     /// cancellation, panic, injected fault) additionally write
     /// `<index>-<job>.anomaly.json`. `None` (the default) records
     /// nothing.
@@ -955,8 +955,8 @@ pub(crate) fn run_one(admission: &Admission, job: &JobContext) -> JobRecord {
 /// The relaxed tier's queue cap ([`SynthesisOptions::max_queue`]).
 const RELAXED_MAX_QUEUE: usize = 10_000;
 
-/// The tier-2 configuration: the same budget (deadline, cancel token,
-/// memory caps) with greedy pruning, a small queue, and stop-at-first —
+/// The tier-2 configuration: the same budget (deadline, cancel token)
+/// with greedy pruning, a small queue, and stop-at-first —
 /// a cheap, fast sweep that often succeeds exactly where the configured
 /// search spent its node budget exploring.
 fn relaxed_options(base: &SynthesisOptions) -> SynthesisOptions {
@@ -985,12 +985,7 @@ fn relaxed_replays(sopts: &SynthesisOptions, tier1: &SearchStats) -> bool {
     let untrimmed = tier1.beam_trims == 0 && tier1.queue_peak <= RELAXED_MAX_QUEUE as u64;
     let same_stop = matches!(
         tier1.stop_reason,
-        Some(
-            StopReason::NodeBudget
-                | StopReason::QueueExhausted
-                | StopReason::MemoryExceeded
-                | StopReason::DeadlineExpired
-        )
+        Some(StopReason::NodeBudget | StopReason::QueueExhausted | StopReason::DeadlineExpired)
     );
     same_moves && untrimmed && same_stop
 }
@@ -1016,15 +1011,7 @@ fn run_search(
     if let Some((t, index)) = job.board {
         observer = observer.with_progress(Box::new(t.progress_hook(index)));
     }
-    let result = synthesize_with_observer(spec, sopts, &mut observer);
-    let stats = match &result {
-        Ok(s) => &s.stats,
-        Err(e) => &e.stats,
-    };
-    if let Some((t, _)) = job.board {
-        t.note_memory_sheds(stats.memory_sheds);
-    }
-    result.map_err(|e| Box::new(e.stats))
+    synthesize_with_observer(spec, sopts, &mut observer).map_err(|e| Box::new(e.stats))
 }
 
 /// Records a fallback-ladder descent: a tier-escalation trace record
@@ -1456,7 +1443,6 @@ mod tests {
         for reason in [
             StopReason::NodeBudget,
             StopReason::QueueExhausted,
-            StopReason::MemoryExceeded,
             StopReason::DeadlineExpired,
         ] {
             assert!(relaxed_replays(&o, &failed(reason)), "{reason}");

@@ -93,13 +93,22 @@ pub fn options_fingerprint(opts: &BatchOptions) -> u64 {
     fnv1a(&mut h, &(opts.canon_limit as u64).to_le_bytes());
     fnv1a(&mut h, &[opts.verify as u8, opts.fallback as u8]);
     let mut synthesis = options_to_json(&opts.synthesis);
-    // Journals written by older releases hashed three trailing options
-    // the search no longer has: `"trace":false`, `"profile":false` and
-    // `"threads":0`. Putting them back keeps the hashed bytes, and so
-    // every existing journal's header, valid for `batch --resume`.
-    // Profiling only timed the search, so those releases always hashed
-    // it as `false`: a journal written with `--profile` resumes too.
+    // Journals written by older releases hashed options the search no
+    // longer has: two memory caps, both `null`, right after
+    // `"cancellable"`, and three trailing ones, `"trace":false`,
+    // `"profile":false` and `"threads":0`. Putting them back keeps the
+    // hashed bytes, and so every existing journal's header, valid for
+    // `batch --resume`. No release could set a memory cap from the CLI,
+    // and profiling only timed the search, so those releases always
+    // hashed these values: a journal written with `--profile` resumes
+    // too.
     if let Json::Obj(fields) = &mut synthesis {
+        let at = 1 + fields
+            .iter()
+            .position(|(k, _)| k == "cancellable")
+            .expect("options_to_json writes `cancellable`");
+        let caps = ["max_live_terms", "max_queue_bytes"].map(|k| (k.to_string(), Json::Null));
+        fields.splice(at..at, caps);
         fields.push(("trace".to_string(), Json::Bool(false)));
         fields.push(("profile".to_string(), Json::Bool(false)));
         fields.push(("threads".to_string(), Json::uint(0)));

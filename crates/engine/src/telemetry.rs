@@ -97,7 +97,6 @@ struct JobSlot {
     nodes_expanded: AtomicU64,
     queue_depth: AtomicU64,
     live_terms: AtomicU64,
-    memory_sheds: AtomicU64,
 }
 
 impl JobSlot {
@@ -111,7 +110,6 @@ impl JobSlot {
             nodes_expanded: AtomicU64::new(0),
             queue_depth: AtomicU64::new(0),
             live_terms: AtomicU64::new(0),
-            memory_sheds: AtomicU64::new(0),
         }
     }
 }
@@ -136,8 +134,6 @@ pub struct JobStatus {
     pub queue_depth: u64,
     /// Live PPRM terms at the last progress beat.
     pub live_terms: u64,
-    /// Memory sheds so far.
-    pub memory_sheds: u64,
 }
 
 impl JobStatus {
@@ -157,7 +153,6 @@ impl JobStatus {
             ("nodes_expanded".into(), Json::uint(self.nodes_expanded)),
             ("queue_depth".into(), Json::uint(self.queue_depth)),
             ("live_terms".into(), Json::uint(self.live_terms)),
-            ("memory_sheds".into(), Json::uint(self.memory_sheds)),
         ])
     }
 }
@@ -225,7 +220,6 @@ impl JobStatusRegistry {
         slot.nodes_expanded.store(0, Ordering::Relaxed);
         slot.queue_depth.store(0, Ordering::Relaxed);
         slot.live_terms.store(0, Ordering::Relaxed);
-        slot.memory_sheds.store(0, Ordering::Relaxed);
         slot.state.store(0, Ordering::Release);
     }
 
@@ -276,7 +270,6 @@ impl JobStatusRegistry {
         nodes_expanded: u64,
         queue_depth: u64,
         live_terms: u64,
-        memory_sheds: u64,
     ) {
         let Some(slot) = self.slots.get(index) else {
             return;
@@ -284,7 +277,6 @@ impl JobStatusRegistry {
         slot.nodes_expanded.store(nodes_expanded, Ordering::Relaxed);
         slot.queue_depth.store(queue_depth, Ordering::Relaxed);
         slot.live_terms.store(live_terms, Ordering::Relaxed);
-        slot.memory_sheds.store(memory_sheds, Ordering::Relaxed);
     }
 
     /// Reads one job's current status (`None` for an idle slot).
@@ -323,7 +315,6 @@ impl JobStatusRegistry {
             nodes_expanded: slot.nodes_expanded.load(Ordering::Relaxed),
             queue_depth: slot.queue_depth.load(Ordering::Relaxed),
             live_terms: slot.live_terms.load(Ordering::Relaxed),
-            memory_sheds: slot.memory_sheds.load(Ordering::Relaxed),
         })
     }
 
@@ -383,7 +374,6 @@ pub struct BatchTelemetry {
     verify_failures: Arc<SyncCounter>,
     journal_append_errors: Arc<SyncCounter>,
     trace_write_errors: Arc<SyncCounter>,
-    memory_shed_jobs: Arc<SyncCounter>,
     /// 1 while the serve admission queue is shedding load (429s being
     /// returned), 0 otherwise. Registered on the serve board only:
     /// batch has no admission queue to shed from.
@@ -431,7 +421,6 @@ impl BatchTelemetry {
             verify_failures: registry.counter("verify_failures"),
             journal_append_errors: registry.counter("journal_append_errors"),
             trace_write_errors: registry.counter("trace_write_errors"),
-            memory_shed_jobs: registry.counter("memory_shed_jobs"),
             backpressure: None,
             jobs,
             registry,
@@ -467,14 +456,13 @@ impl BatchTelemetry {
     }
 
     /// True when the run has witnessed degradation: a contained panic,
-    /// a verification failure, a journal/trace write error, a memory
-    /// shed, or (serve mode) active admission backpressure.
+    /// a verification failure, a journal/trace write error, or (serve
+    /// mode) active admission backpressure.
     pub fn degraded(&self) -> bool {
         self.panics_contained.get() > 0
             || self.verify_failures.get() > 0
             || self.journal_append_errors.get() > 0
             || self.trace_write_errors.get() > 0
-            || self.memory_shed_jobs.get() > 0
             || self.backpressure.as_ref().is_some_and(|g| g.get() > 0)
     }
 
@@ -498,25 +486,14 @@ impl BatchTelemetry {
         let board = Arc::clone(self);
         let mut last_beat = Instant::now();
         move |p| {
-            board.jobs.update_progress(
-                index,
-                p.nodes_expanded,
-                p.queue_depth as u64,
-                p.live_terms,
-                p.memory_sheds,
-            );
+            board
+                .jobs
+                .update_progress(index, p.nodes_expanded, p.queue_depth as u64, p.live_terms);
             let now = Instant::now();
             board
                 .expansion_batch_seconds
                 .record(now.duration_since(last_beat).as_secs_f64());
             last_beat = now;
-        }
-    }
-
-    /// Counts a job whose search shed memory (degraded mode).
-    pub fn note_memory_sheds(&self, sheds: u64) {
-        if sheds > 0 {
-            self.memory_shed_jobs.inc();
         }
     }
 
@@ -577,12 +554,11 @@ mod tests {
         assert_eq!(t.jobs.status(0).unwrap().state, JobState::Pending);
         t.jobs.mark_running(0);
         assert_eq!(t.jobs.status(0).unwrap().state, JobState::Running);
-        t.jobs.update_progress(0, 512, 40, 900, 1);
+        t.jobs.update_progress(0, 512, 40, 900);
         let s = t.jobs.status(0).unwrap();
         assert_eq!(s.nodes_expanded, 512);
         assert_eq!(s.queue_depth, 40);
         assert_eq!(s.live_terms, 900);
-        assert_eq!(s.memory_sheds, 1);
         t.jobs.mark_finished(
             0,
             &JobOutcome::Solved {
@@ -614,8 +590,8 @@ mod tests {
         t.set_workers_total(2);
         t.jobs.mark_running(0);
         t.jobs.mark_running(1);
-        t.jobs.update_progress(0, 10, 100, 1000, 0);
-        t.jobs.update_progress(1, 20, 50, 500, 0);
+        t.jobs.update_progress(0, 10, 100, 1000);
+        t.jobs.update_progress(1, 20, 50, 500);
         t.sample(Some(7));
         let snap = t.registry().snapshot();
         let gauge = |name: &str| {
@@ -655,9 +631,9 @@ mod tests {
     fn healthz_reports_degradation() {
         let t = telemetry(1);
         assert!(t.healthz_json().contains("\"degraded\":false"));
-        t.note_memory_sheds(0);
-        assert!(!t.degraded());
-        t.note_memory_sheds(3);
+        // The engine counts verification failures under the same
+        // registry name, so the witness reads the shared counter.
+        t.registry().counter("verify_failures").inc();
         assert!(t.degraded());
         assert!(t.healthz_json().contains("\"degraded\":true"));
     }
@@ -677,7 +653,7 @@ mod tests {
     fn assign_relabels_and_resets_a_slot() {
         let t = telemetry(2);
         t.jobs.mark_running(0);
-        t.jobs.update_progress(0, 512, 40, 900, 1);
+        t.jobs.update_progress(0, 512, 40, 900);
         t.jobs.mark_finished(
             0,
             &JobOutcome::Solved {

@@ -70,21 +70,6 @@ pub fn chrome_trace_json(snapshot: &RecorderSnapshot) -> Json {
                 ev.push(("s".into(), Json::str("p")));
                 ev.push(("name".into(), Json::Str(format!("escalate:{from}->{to}"))));
             }
-            TraceKind::MemoryShed {
-                dropped_entries,
-                live_terms,
-            } => {
-                ev.push(("ph".into(), Json::str("i")));
-                ev.push(("s".into(), Json::str("p")));
-                ev.push(("name".into(), Json::str("memory_shed")));
-                ev.push((
-                    "args".into(),
-                    Json::Obj(vec![
-                        ("dropped_entries".into(), Json::uint(*dropped_entries)),
-                        ("live_terms".into(), Json::uint(*live_terms)),
-                    ]),
-                ));
-            }
             TraceKind::Anomaly { kind, site } => {
                 ev.push(("ph".into(), Json::str("i")));
                 ev.push(("s".into(), Json::str("p")));
@@ -242,11 +227,7 @@ mod tests {
             from: "rmrls".into(),
             to: "mmd".into(),
         });
-        rec.record(TraceKind::MemoryShed {
-            dropped_entries: 10,
-            live_terms: 100,
-        });
-        rec.anomaly("memory_shed", "core/search/shed");
+        rec.anomaly("deadline_expired", "core/search/budget-poll");
         rec.phase_exit("dispatch");
         rec.snapshot()
     }
@@ -257,7 +238,7 @@ mod tests {
         // Round-trips through the parser, i.e. it is valid JSON.
         let reparsed = Json::parse(&json.to_string()).unwrap();
         let events = reparsed.get("traceEvents").unwrap().as_arr().unwrap();
-        assert_eq!(events.len(), 10);
+        assert_eq!(events.len(), 9);
         let phs: Vec<&str> = events
             .iter()
             .map(|e| e.get("ph").unwrap().as_str().unwrap())
@@ -289,7 +270,7 @@ mod tests {
     #[test]
     fn chrome_export_names_anomalies() {
         let text = chrome_trace_json(&sample_snapshot()).to_string();
-        assert!(text.contains("anomaly:memory_shed"), "{text}");
+        assert!(text.contains("anomaly:deadline_expired"), "{text}");
         assert!(text.contains("escalate:rmrls->mmd"), "{text}");
     }
 

@@ -4,7 +4,7 @@
 //! byte budget, like an aircraft flight recorder: the run streams
 //! typed, timestamped records into the ring, old records scroll off
 //! (counted, never silent), and when something anomalous happens —
-//! memory shed, fallback escalation, deadline expiry, panic isolation —
+//! fallback escalation, deadline expiry, panic isolation —
 //! the whole ring is snapshot and dumped, giving a post-mortem the last
 //! N events *leading up to* the anomaly rather than just end-of-run
 //! counters.
@@ -67,20 +67,12 @@ pub enum TraceKind {
         /// Tier being tried next.
         to: String,
     },
-    /// The search shed queue entries to fit a memory budget.
-    MemoryShed {
-        /// Queue entries dropped by the shed.
-        dropped_entries: u64,
-        /// Live PPRM terms after shedding.
-        live_terms: u64,
-    },
-    /// Something worth a dump: memory pressure, deadline expiry,
-    /// cancellation, a contained panic, or an injected fault. `site`
-    /// names where it happened.
+    /// Something worth a dump: deadline expiry, cancellation, a
+    /// contained panic, or an injected fault. `site` names where it
+    /// happened.
     Anomaly {
-        /// Anomaly class (`"memory_shed"`, `"deadline_expired"`,
-        /// `"cancelled"`, `"fallback_escalation"`, `"panic"`,
-        /// `"injected_fault"`, ...).
+        /// Anomaly class (`"deadline_expired"`, `"cancelled"`,
+        /// `"fallback_escalation"`, `"panic"`, `"injected_fault"`, ...).
         kind: String,
         /// Code site or failpoint that triggered it.
         site: String,
@@ -97,7 +89,6 @@ impl TraceKind {
             TraceKind::Gauge { .. } => "gauge",
             TraceKind::CacheLookup { .. } => "cache_lookup",
             TraceKind::TierEscalate { .. } => "tier_escalate",
-            TraceKind::MemoryShed { .. } => "memory_shed",
             TraceKind::Anomaly { .. } => "anomaly",
         }
     }
@@ -122,9 +113,7 @@ impl TraceRecord {
             TraceKind::Gauge { name, .. } => name.len(),
             TraceKind::TierEscalate { from, to } => from.len() + to.len(),
             TraceKind::Anomaly { kind, site } => kind.len() + site.len(),
-            TraceKind::Expand { .. }
-            | TraceKind::CacheLookup { .. }
-            | TraceKind::MemoryShed { .. } => 0,
+            TraceKind::Expand { .. } | TraceKind::CacheLookup { .. } => 0,
         };
         64 + strings
     }
@@ -153,13 +142,6 @@ impl TraceRecord {
             TraceKind::TierEscalate { from, to } => {
                 obj.push(("from".into(), Json::str(from)));
                 obj.push(("to".into(), Json::str(to)));
-            }
-            TraceKind::MemoryShed {
-                dropped_entries,
-                live_terms,
-            } => {
-                obj.push(("dropped_entries".into(), Json::uint(*dropped_entries)));
-                obj.push(("live_terms".into(), Json::uint(*live_terms)));
             }
             TraceKind::Anomaly { kind, site } => {
                 obj.push(("anomaly".into(), Json::str(kind)));
@@ -197,10 +179,6 @@ impl TraceRecord {
             "tier_escalate" => TraceKind::TierEscalate {
                 from: str_field("from")?,
                 to: str_field("to")?,
-            },
-            "memory_shed" => TraceKind::MemoryShed {
-                dropped_entries: json.get("dropped_entries")?.as_u64()?,
-                live_terms: json.get("live_terms")?.as_u64()?,
             },
             "anomaly" => TraceKind::Anomaly {
                 kind: str_field("anomaly")?,
@@ -450,10 +428,6 @@ mod tests {
                 from: "rmrls".into(),
                 to: "rmrls-relaxed".into(),
             },
-            TraceKind::MemoryShed {
-                dropped_entries: 125,
-                live_terms: 9000,
-            },
             TraceKind::Anomaly {
                 kind: "deadline_expired".into(),
                 site: "core/search/budget".into(),
@@ -543,13 +517,13 @@ mod tests {
     #[test]
     fn snapshot_parser_tolerates_embedded_context() {
         let rec = FlightRecorder::new(1 << 16);
-        rec.anomaly("memory_shed", "core/search/shed");
+        rec.anomaly("cancelled", "core/search/budget-poll");
         let mut json = match rec.snapshot().to_json() {
             Json::Obj(fields) => fields,
             other => panic!("{other:?}"),
         };
         json.push(("job".into(), Json::str("hwb7")));
-        json.push(("trigger".into(), Json::str("memory_shed")));
+        json.push(("trigger".into(), Json::str("cancelled")));
         let back = RecorderSnapshot::from_json(&Json::Obj(json)).unwrap();
         assert_eq!(back.records.len(), 1);
         assert_eq!(back.anomalies, 1);

@@ -5,14 +5,14 @@
 use proptest::prelude::*;
 use rmrls_obs::{FlightRecorder, Json, RecorderSnapshot, TraceKind, TraceRecord};
 
-/// Decodes a fuzz tuple into one of the eight record kinds. The string
+/// Decodes a fuzz tuple into one of the seven record kinds. The string
 /// payloads exercise JSON escaping: quotes, backslashes, control
 /// characters, and non-ASCII.
 fn kind_from(selector: u8, a: u64, b: u64, text: String) -> TraceKind {
     // Counts travel through `Json::uint`, which insists on exact f64
     // representability (< 2^53); real counts are far below that.
     let (a, b) = (a % (1 << 53), b % (1 << 53));
-    match selector % 8 {
+    match selector % 7 {
         0 => TraceKind::PhaseEnter { phase: text },
         1 => TraceKind::PhaseExit { phase: text },
         2 => TraceKind::Expand {
@@ -29,10 +29,6 @@ fn kind_from(selector: u8, a: u64, b: u64, text: String) -> TraceKind {
         5 => TraceKind::TierEscalate {
             from: text.clone(),
             to: text,
-        },
-        6 => TraceKind::MemoryShed {
-            dropped_entries: a,
-            live_terms: b,
         },
         _ => TraceKind::Anomaly {
             kind: "injected_fault".into(),

@@ -845,29 +845,6 @@ impl MultiPprm {
     pub fn to_permutation(&self) -> Vec<u64> {
         (0..1u64 << self.num_vars).map(|x| self.eval(x)).collect()
     }
-
-    /// The memory-budget size of this state, O(1): a budget unit, not
-    /// measured bytes.
-    ///
-    /// The figure is what the state's term vectors would take (one
-    /// `Pprm`/`Vec` header per output plus one `Term` per term, `len`
-    /// not capacity), so it is a deterministic function of the state's
-    /// value, identical across allocators and across representations: a
-    /// word-only state up to 6 variables, which owns no term vectors,
-    /// counts the same as a wide one. Memory-budget accounting
-    /// (`Budget::max_queue_bytes`) sums it, and beam trims and memory
-    /// sheds decide on it, so changing it changes search decisions.
-    pub fn approx_heap_bytes(&self) -> usize {
-        MultiPprm::approx_heap_bytes_for(self.num_vars, self.total_terms)
-    }
-
-    /// [`approx_heap_bytes`](MultiPprm::approx_heap_bytes) of a state
-    /// with `num_vars` outputs and `terms` terms in total, so a size can
-    /// be accounted from a predicted term count before (or without) the
-    /// state being built. A budget unit, not measured bytes.
-    pub fn approx_heap_bytes_for(num_vars: usize, terms: usize) -> usize {
-        num_vars * std::mem::size_of::<Pprm>() + terms * std::mem::size_of::<Term>()
-    }
 }
 
 impl fmt::Debug for MultiPprm {
@@ -1111,24 +1088,6 @@ mod tests {
         let mut set = HashSet::new();
         set.insert(a);
         assert!(set.contains(&b));
-    }
-
-    #[test]
-    fn approx_heap_bytes_scales_with_terms() {
-        let small = MultiPprm::identity(3);
-        let big = MultiPprm::from_permutation(&FIG1, 3);
-        assert!(big.total_terms() > small.total_terms());
-        assert!(big.approx_heap_bytes() > small.approx_heap_bytes());
-        // Deterministic: equal states report equal footprints.
-        assert_eq!(
-            MultiPprm::from_permutation(&FIG1, 3).approx_heap_bytes(),
-            big.approx_heap_bytes()
-        );
-        // The size follows from the shape alone.
-        assert_eq!(
-            MultiPprm::approx_heap_bytes_for(3, big.total_terms()),
-            big.approx_heap_bytes()
-        );
     }
 
     #[test]

@@ -23,8 +23,8 @@
 //! also serves a batch or synth run's board for `--metrics-addr` on the
 //! same server type.
 //!
-//! Admission is bounded (queue capacity and the search budget's
-//! memory caps; saturation sheds with `429 Retry-After`), every
+//! Admission is bounded (queue capacity; saturation sheds with
+//! `429 Retry-After`), every
 //! accepted request is journaled write-ahead so a crash replays
 //! interrupted work on restart, and SIGINT drains exactly like the
 //! batch engine (second SIGINT aborts in-flight searches).

@@ -3,8 +3,8 @@
 //!
 //! ## Request flow
 //!
-//! `POST /synthesize` → admission control (queue capacity, memory
-//! backpressure → `429 Retry-After`) → write-ahead `submitted` journal
+//! `POST /synthesize` → admission control (queue capacity →
+//! `429 Retry-After`) → write-ahead `submitted` journal
 //! line → bounded queue → worker (`JobRunner::run`: shared warm cache,
 //! fallback ladder, verification, panic containment) → `completed`
 //! journal line → the blocked connection answers with the record.
@@ -29,7 +29,6 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use rmrls_core::Budget;
 use rmrls_engine::{
     Admission, BatchOptions, BatchTelemetry, JobRunner, SharedStore, ShutdownHandles,
     SAMPLE_INTERVAL,
@@ -100,10 +99,6 @@ struct Shared {
     queue_cv: Condvar,
     queue_capacity: usize,
     max_body_bytes: usize,
-    /// The per-request search budget's memory caps, consulted at
-    /// admission: when the sampled live-term gauge is over a cap, new
-    /// requests are shed until it recedes.
-    memory_budget: Budget,
     shutdown: ShutdownHandles,
     stop: AtomicBool,
     journal: Option<RequestJournal>,
@@ -115,7 +110,6 @@ struct Shared {
     requests_completed: Arc<SyncCounter>,
     journal_append_errors: Arc<SyncCounter>,
     queue_depth: Arc<SyncGauge>,
-    live_terms: Arc<SyncGauge>,
     cache_hit_rate: Arc<SyncGauge>,
     cache_hits: Arc<SyncCounter>,
     cache_misses: Arc<SyncCounter>,
@@ -209,7 +203,6 @@ impl ServeDaemon {
         telemetry.set_workers_total(workers as u64);
         let mut batch = opts.batch.clone();
         batch.telemetry = Some(Arc::clone(&telemetry));
-        let memory_budget = batch.synthesis.budget.clone();
         let store = batch.store.clone();
         let runner = JobRunner::new(batch);
 
@@ -242,7 +235,6 @@ impl ServeDaemon {
             queue_cv: Condvar::new(),
             queue_capacity: opts.queue_capacity.max(1),
             max_body_bytes: opts.max_body_bytes,
-            memory_budget,
             shutdown,
             stop: AtomicBool::new(false),
             journal,
@@ -254,7 +246,6 @@ impl ServeDaemon {
             requests_completed: r.counter("requests_completed"),
             journal_append_errors: r.counter("journal_append_errors"),
             queue_depth: r.gauge("admission_queue_depth"),
-            live_terms: r.gauge("live_terms"),
             cache_hit_rate: r.gauge("cache_hit_rate_percent"),
             cache_hits: r.counter("cache_hits"),
             cache_misses: r.counter("cache_misses"),
@@ -648,21 +639,15 @@ fn handle_synthesize(shared: &Arc<Shared>, stream: &mut TcpStream, http: &Reques
         return;
     }
 
-    // Admission control: a full queue or breached memory caps shed the
-    // request. `Retry-After: 1` matches the sampler cadence — by the
-    // next beat the gauges reflect any recovery.
-    let queue_len = shared.lock_queue().len();
-    let memory_shed = shared.memory_budget.memory_limited()
-        && shared
-            .memory_budget
-            .memory_breached(shared.live_terms.get(), 0);
-    if queue_len >= shared.queue_capacity || memory_shed {
+    // Admission control: a full queue sheds the request.
+    // `Retry-After: 1` matches the sampler cadence — by the next beat
+    // the gauges reflect any recovery.
+    if shared.lock_queue().len() >= shared.queue_capacity {
         shared.requests_shed.inc();
         shared.telemetry.set_backpressure(true);
-        let reason = if memory_shed { "memory" } else { "queue full" };
         let body = Json::Obj(vec![
             ("error".to_string(), Json::str("overloaded")),
-            ("reason".to_string(), Json::str(reason)),
+            ("reason".to_string(), Json::str("queue full")),
         ])
         .to_string();
         let resp = Response::json(429, body).with_header("Retry-After", "1");

@@ -388,6 +388,10 @@ fn a_saturated_queue_sheds_with_429_and_degrades_health() {
     let shed = post(addr, "/synthesize", &easy_body("shed"));
     assert_eq!(shed.status, 429, "{}", shed.body);
     assert_eq!(shed.header("Retry-After").as_deref(), Some("1"));
+    assert_eq!(
+        shed.body.trim_end(),
+        r#"{"error":"overloaded","reason":"queue full"}"#
+    );
 
     // Backpressure flips /healthz to degraded for the duration.
     let health = get(addr, "/healthz");

@@ -1,8 +1,11 @@
-//! DESIGN.md §2 lists the workspace's crates. This test keeps that
-//! table honest against the root `Cargo.toml`: every workspace member
-//! (and the umbrella package at `/`) has exactly one row, and every
-//! row names a member. The vendored stand-ins under `crates/compat/`
-//! are covered by §6 instead and have no row.
+//! DESIGN.md §2 lists the workspace's crates and, below them, the
+//! modules beyond the core pipeline. This test keeps both tables honest.
+//! The crate table follows the root `Cargo.toml`: every workspace
+//! member (and the umbrella package at `/`) has exactly one row, and
+//! every row names a member. The vendored stand-ins under
+//! `crates/compat/` are covered by §6 instead and have no row. Every
+//! row of the module table names a module that its crate's `lib.rs`
+//! declares.
 
 const DESIGN: &str = include_str!("../DESIGN.md");
 const MANIFEST: &str = include_str!("../Cargo.toml");
@@ -10,15 +13,8 @@ const MANIFEST: &str = include_str!("../Cargo.toml");
 /// The `Path` column of the crate table in §2, one entry per row, in
 /// order (duplicates kept).
 fn inventory_paths(design: &str) -> Vec<String> {
-    let section = design
-        .split("\n## ")
-        .find(|s| s.starts_with("2. "))
-        .expect("DESIGN.md has a §2");
-    let mut lines = section.lines().skip_while(|l| !l.starts_with("| Crate |"));
-    assert!(lines.next().is_some(), "§2 has a `| Crate |` table");
-    lines
-        .skip(1) // the |---| separator
-        .take_while(|l| l.starts_with('|'))
+    table_rows(design, "| Crate |")
+        .into_iter()
         .map(|row| {
             let cell = row.split('|').nth(2).expect("row has a Path cell");
             // "`crates/pprm`" or "`/` (umbrella)": the first code span.
@@ -28,6 +24,71 @@ fn inventory_paths(design: &str) -> Vec<String> {
                 .to_string()
         })
         .collect()
+}
+
+/// The body rows of the §2 table whose header row starts with `header`.
+fn table_rows<'a>(design: &'a str, header: &str) -> Vec<&'a str> {
+    let section = design
+        .split("\n## ")
+        .find(|s| s.starts_with("2. "))
+        .expect("DESIGN.md has a §2");
+    let mut lines = section.lines().skip_while(|l| !l.starts_with(header));
+    assert!(lines.next().is_some(), "§2 has a `{header}` table");
+    lines
+        .skip(1) // the |---| separator
+        .take_while(|l| l.starts_with('|'))
+        .collect()
+}
+
+/// `(module, crate)` for every row of the §2 module table, the module
+/// cut to its first `::` segment (`benchmarks::extended_suite` names
+/// the `benchmarks` module of `spec`).
+fn module_rows(design: &str) -> Vec<(String, String)> {
+    table_rows(design, "| Module |")
+        .into_iter()
+        .map(|row| {
+            let cells: Vec<&str> = row.split('|').map(str::trim).collect();
+            let module = cells[1].trim_matches('`');
+            let module = module.split_once("::").map_or(module, |(head, _)| head);
+            (module.to_string(), cells[2].to_string())
+        })
+        .collect()
+}
+
+/// Whether `lib_rs` declares `module` (`mod m;`, `pub mod m;`,
+/// `pub(crate) mod m { .. }`, ...).
+fn declares_module(lib_rs: &str, module: &str) -> bool {
+    lib_rs.lines().any(|line| {
+        let line = line.trim_start();
+        let line = line.strip_prefix("pub(crate) ").unwrap_or(line);
+        let line = line.strip_prefix("pub ").unwrap_or(line);
+        line.strip_prefix("mod ")
+            .and_then(|rest| rest.strip_prefix(module))
+            .is_some_and(|rest| rest.starts_with(';') || rest.starts_with(" {"))
+    })
+}
+
+/// The `lib.rs` of workspace crate `crates/<name>`, if there is one.
+fn lib_rs(name: &str) -> Option<String> {
+    let path = format!("{}/crates/{name}/src/lib.rs", env!("CARGO_MANIFEST_DIR"));
+    std::fs::read_to_string(path).ok()
+}
+
+fn check_modules(design: &str) -> Result<(), String> {
+    let rows = module_rows(design);
+    if rows.is_empty() {
+        return Err("DESIGN §2 module table has no rows".to_string());
+    }
+    for (module, krate) in rows {
+        let source = lib_rs(&krate)
+            .ok_or_else(|| format!("DESIGN §2 module row `{module}`: no crate `{krate}`"))?;
+        if !declares_module(&source, &module) {
+            return Err(format!(
+                "DESIGN §2 module row `{module}` is not a module of crates/{krate}"
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// Workspace member paths from `members = [...]`, plus `/` when the
@@ -83,4 +144,24 @@ fn design_inventory_check_catches_a_missing_row() {
     let without = DESIGN.replacen(&format!("{row}\n"), "", 1);
     let e = check(&without, MANIFEST).unwrap_err();
     assert!(e.contains("crates/serve"), "{e}");
+}
+
+#[test]
+fn design_module_rows_name_declared_modules() {
+    check_modules(DESIGN).unwrap();
+}
+
+#[test]
+fn design_module_check_catches_a_misspelled_row() {
+    let row = DESIGN
+        .lines()
+        .find(|l| l.starts_with("| `canon` | engine |"))
+        .expect("canon row");
+    let misspelled = DESIGN.replacen(row, &row.replacen("`canon`", "`canonn`", 1), 1);
+    let e = check_modules(&misspelled).unwrap_err();
+    assert!(e.contains("`canonn`"), "{e}");
+    // A row naming a crate that does not exist is caught too.
+    let wrong_crate = DESIGN.replacen(row, &row.replacen("| engine |", "| engin |", 1), 1);
+    let e = check_modules(&wrong_crate).unwrap_err();
+    assert!(e.contains("`engin`"), "{e}");
 }
