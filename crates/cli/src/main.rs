@@ -4,8 +4,7 @@
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let command = match rmrls_cli::parse_args(args) {
+    let command = match rmrls_cli::parse_args(std::env::args().skip(1)) {
         Ok(c) => c,
         Err(e) => {
             eprintln!("error: {e}");
@@ -14,13 +13,11 @@ fn main() -> ExitCode {
         }
     };
     let mut out = String::new();
-    match rmrls_cli::run(command, &mut out) {
-        Ok(()) => {
-            print!("{out}");
-            ExitCode::SUCCESS
-        }
+    let result = rmrls_cli::run(command, &mut out);
+    print!("{out}");
+    match result {
+        Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
-            print!("{out}");
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }

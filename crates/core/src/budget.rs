@@ -110,11 +110,6 @@ impl Budget {
         self
     }
 
-    /// Whether a deadline or a cancel token is set.
-    pub fn is_limited(&self) -> bool {
-        self.deadline.is_some() || self.cancel.is_some()
-    }
-
     /// Whether cancellation has been requested.
     pub fn cancelled(&self) -> bool {
         self.cancel.as_ref().is_some_and(CancelToken::is_cancelled)
@@ -171,7 +166,6 @@ mod tests {
     #[test]
     fn unlimited_budget_never_trips() {
         let b = Budget::unlimited();
-        assert!(!b.is_limited());
         assert!(!b.cancelled());
         assert!(!b.deadline_expired(Instant::now()));
     }
@@ -180,7 +174,6 @@ mod tests {
     fn deadline_expiry_is_instant_based() {
         let now = Instant::now();
         let b = Budget::unlimited().with_deadline(now + Duration::from_secs(3600));
-        assert!(b.is_limited());
         assert!(!b.deadline_expired(now));
         assert!(b.deadline_expired(now + Duration::from_secs(3600)));
         assert!(b.deadline_expired(now + Duration::from_secs(7200)));
