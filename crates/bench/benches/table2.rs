@@ -2,8 +2,8 @@
 //! reversible functions (§V-B: 50 000 samples, 60 s limit, 40-gate cap,
 //! greedy-family pruning; all synthesized).
 //!
-//! Default: 300 samples with a 250 ms limit; `RMRLS_FULL=1` for the
-//! paper-scale run.
+//! Default: 300 samples with a 50k-node budget (about 250 ms);
+//! `RMRLS_FULL=1` for the paper-scale run.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -39,8 +39,8 @@ fn main() {
     let opts = table2_options();
     println!("# Table II — random 4-variable reversible functions");
     println!(
-        "sample: {samples} functions, time limit {:?}, cap {} gates (paper: 50000 @ 60s)\n",
-        opts.time_limit.unwrap(),
+        "sample: {samples} functions, node budget {}, cap {} gates (paper: 50000 @ 60s)\n",
+        opts.max_nodes.unwrap(),
         opts.max_gates.unwrap()
     );
 

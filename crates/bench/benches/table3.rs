@@ -2,8 +2,8 @@
 //! reversible functions (§V-B: 3 000 samples, 180 s limit, 60-gate cap;
 //! 194 of 3 000 = 6.5 % failed in the paper).
 //!
-//! Default: 60 samples with a 600 ms limit; `RMRLS_FULL=1` for the
-//! paper-scale run.
+//! Default: 60 samples with a 120k-node budget (about 600 ms);
+//! `RMRLS_FULL=1` for the paper-scale run.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -43,8 +43,8 @@ fn main() {
     let opts = table3_options();
     println!("# Table III — random 5-variable reversible functions");
     println!(
-        "sample: {samples} functions, time limit {:?}, cap {} gates (paper: 3000 @ 180s, 6.5% failed)\n",
-        opts.time_limit.unwrap(),
+        "sample: {samples} functions, node budget {}, cap {} gates (paper: 3000 @ 180s, 6.5% failed)\n",
+        opts.max_nodes.unwrap(),
         opts.max_gates.unwrap()
     );
 

@@ -273,8 +273,9 @@ pub enum Command {
         source: SpecSource,
         /// Pruning strategy.
         pruning: Pruning,
-        /// Wall-clock budget.
-        time_limit: Option<Duration>,
+        /// Wall-clock budget: the search's deadline is this long after
+        /// it starts.
+        wall_clock: Option<Duration>,
         /// Gate cap.
         max_gates: Option<usize>,
         /// Synthesize both directions, keep the smaller circuit.
@@ -366,8 +367,8 @@ pub enum Command {
         table_path: String,
         /// Number of output bits.
         outputs: usize,
-        /// Wall-clock budget.
-        time_limit: Option<Duration>,
+        /// Wall-clock budget shared by the portfolio's searches.
+        wall_clock: Option<Duration>,
     },
     /// `rmrls trace`.
     Trace {
@@ -585,11 +586,11 @@ pub fn parse_args<I: IntoIterator<Item = String>>(args: I) -> CliResult<Command>
         }),
         "embed" => {
             let outputs = flags.number("--outputs")?;
-            let time_limit = flags.seconds("--time-limit")?;
+            let wall_clock = flags.seconds("--time-limit")?;
             Ok(Command::Embed {
                 table_path: flags.required("--table", "embed needs --table FILE")?,
                 outputs: outputs.ok_or_else(|| err("embed needs --outputs N"))?,
-                time_limit,
+                wall_clock,
             })
         }
         "benchmarks" => Ok(Command::Benchmarks),
@@ -622,8 +623,8 @@ pub fn run(command: Command, out: &mut impl Write) -> CliResult {
         Command::Embed {
             table_path,
             outputs,
-            time_limit,
-        } => tools::run_embed(&table_path, outputs, time_limit, out),
+            wall_clock,
+        } => tools::run_embed(&table_path, outputs, wall_clock, out),
         Command::Info { tfc_path } => tools::run_info(&tfc_path, out),
         Command::Analyze { tfc_path } => tools::run_analyze(&tfc_path, out),
         Command::Simplify { tfc_path, tfc_out } => {

@@ -2,6 +2,7 @@
 
 use std::fmt::Write;
 use std::sync::Arc;
+use std::time::Instant;
 
 use rmrls_circuit::{real, render, simplify_with_stats, tfc, Circuit};
 use rmrls_core::{
@@ -25,7 +26,7 @@ pub fn parse(flags: &Flags) -> CliResult<Command> {
             .map(Pruning::TopK)
             .ok_or_else(|| err(format!("bad --pruning value '{other}'"))),
     })?;
-    let time_limit = flags.seconds("--time-limit")?;
+    let wall_clock = flags.seconds("--time-limit")?;
     let max_gates = flags.number("--max-gates")?;
     let fredkin = flags.parse_with("--fredkin", |v| match v {
         "swap" => Ok(FredkinMode::SwapOnly),
@@ -56,7 +57,7 @@ pub fn parse(flags: &Flags) -> CliResult<Command> {
     Ok(Command::Synth {
         source: flags.spec_source()?,
         pruning: pruning.unwrap_or(Pruning::Exhaustive),
-        time_limit,
+        wall_clock,
         max_gates,
         bidirectional,
         fredkin: fredkin.unwrap_or(FredkinMode::Off),
@@ -79,7 +80,7 @@ pub fn run_synth(command: Command, out: &mut dyn Write) -> CliResult {
     let Command::Synth {
         source,
         pruning,
-        time_limit,
+        wall_clock,
         max_gates,
         bidirectional,
         fredkin,
@@ -102,7 +103,6 @@ pub fn run_synth(command: Command, out: &mut dyn Write) -> CliResult {
     let mut opts = SynthesisOptions::new()
         .with_pruning(pruning)
         .with_fredkin_substitutions(fredkin);
-    opts.time_limit = time_limit;
     opts.max_gates = max_gates;
     let files = RunFiles {
         // One recorder serves both the raw dump and the Chrome export;
@@ -129,7 +129,11 @@ pub fn run_synth(command: Command, out: &mut dyn Write) -> CliResult {
         t.jobs.mark_running(0);
         t.sample(None);
     }
-    let job_started = std::time::Instant::now();
+    let job_started = Instant::now();
+    // A limit too far off for the clock to represent is no limit.
+    if let Some(deadline) = wall_clock.and_then(|d| job_started.checked_add(d)) {
+        opts = opts.with_deadline(deadline);
+    }
     let outcome = if bidirectional {
         let too_wide = "--bidi needs an explicit truth table (<= 16 wires)";
         synthesize_bidirectional(&explicit_permutation(&pprm, too_wide)?, &opts)

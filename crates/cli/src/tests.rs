@@ -192,8 +192,20 @@ fn flags_the_subcommand_ignores_are_rejected() {
 
 #[test]
 fn usage_documents_every_flag() {
+    // Both ways: every flag the parser reads is in USAGE, and every
+    // `--flag` USAGE names is one the parser reads.
+    let named: std::collections::BTreeSet<&str> = USAGE
+        .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+        .filter(|word| word.starts_with("--"))
+        .collect();
     for (flag, _) in FLAG_READERS {
-        assert!(USAGE.contains(flag), "USAGE lacks {flag}");
+        assert!(named.contains(flag), "USAGE lacks {flag}");
+    }
+    for flag in named {
+        assert!(
+            FLAG_READERS.iter().any(|(f, _)| *f == flag),
+            "USAGE names {flag}, which no subcommand reads"
+        );
     }
 }
 
@@ -440,6 +452,27 @@ fn embed_command_synthesizes_irreversible_table() {
 }
 
 #[test]
+fn embed_bounds_each_completion_search_by_nodes() {
+    // The 3-input ones count: without a node budget its four completion
+    // searches ran exhaustively, for tens of seconds.
+    let dir = std::env::temp_dir().join("rmrls-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("ones3.tt");
+    std::fs::write(&path, "0 1 1 2 1 2 2 3\n").unwrap();
+    let cmd = parse(&["embed", "--table", path.to_str().unwrap(), "--outputs", "2"]).unwrap();
+    let mut out = String::new();
+    run(cmd, &mut out).unwrap();
+    assert!(
+        out.starts_with("embedding (HammingGreedyHighTies): 4 wires = 3 real + 1 constant inputs"),
+        "{out}"
+    );
+    assert!(
+        out.contains("\ngates: 5   quantum cost: 25   width: 4\n"),
+        "{out}"
+    );
+}
+
+#[test]
 fn embed_rejects_non_power_of_two() {
     let dir = std::env::temp_dir().join("rmrls-cli-test");
     std::fs::create_dir_all(&dir).unwrap();
@@ -484,7 +517,7 @@ fn embed_rejects_outputs_the_rows_do_not_fit() {
 }
 
 #[test]
-fn time_limit_must_be_a_finite_nonnegative_number() {
+fn a_wall_clock_limit_must_be_a_finite_nonnegative_number() {
     for bad in ["-1", "NaN", "inf", "1e300"] {
         let e = parse(&["synth", "--spec", "0,1", "--time-limit", bad]).unwrap_err();
         assert_eq!(e.0, "bad --time-limit", "{bad}");
@@ -500,11 +533,23 @@ fn time_limit_must_be_a_finite_nonnegative_number() {
         assert_eq!(e.unwrap_err().0, "bad --time-limit", "{bad}");
     }
     match parse(&["synth", "--spec", "0,1", "--time-limit", "0.5"]).unwrap() {
-        Command::Synth { time_limit, .. } => {
-            assert_eq!(time_limit, Some(Duration::from_millis(500)));
+        Command::Synth { wall_clock, .. } => {
+            assert_eq!(wall_clock, Some(Duration::from_millis(500)));
         }
         other => panic!("{other:?}"),
     }
+}
+
+#[test]
+fn a_zero_wall_clock_limit_stops_synth_at_its_deadline() {
+    let synth = |limit: &str| {
+        let cmd = parse(&["synth", "--spec", "1,0,7,2,3,4,5,6", "--time-limit", limit]);
+        run(cmd.unwrap(), &mut String::new()).map_err(|e| e.to_string())
+    };
+    let e = synth("0").unwrap_err();
+    assert!(e.ends_with("stopped by deadline expired)"), "{e}");
+    // A limit past what the clock can represent is no limit.
+    synth("1e18").unwrap();
 }
 
 #[test]
@@ -885,7 +930,7 @@ fn report_file_round_trips_against_cli_output() {
 
     let text = std::fs::read_to_string(&path).unwrap();
     let json = rmrls_obs::Json::parse(&text).expect("report is valid JSON");
-    assert_eq!(json.get("schema_version").unwrap().as_u64(), Some(5));
+    assert_eq!(json.get("schema_version").unwrap().as_u64(), Some(6));
     assert_eq!(json.get("solved").unwrap().as_bool(), Some(true));
     // The report's gate count agrees with the human-readable output.
     let gates = json

@@ -1,11 +1,12 @@
 //! The one-shot subcommands: `mmd`, `info`, `analyze`, `simplify`, `embed`, `benchmarks`.
 
 use std::fmt::Write;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use rmrls_baselines::{mmd_synthesize, MmdVariant};
 use rmrls_circuit::{analyze, render, simplify, tfc};
-use rmrls_core::{synthesize_embedded, SynthesisOptions};
+use rmrls_core::synthesize_embedded;
+use rmrls_engine::BatchOptions;
 use rmrls_spec::{benchmarks, TruthTable};
 
 use crate::EXPLICIT_WIRES;
@@ -35,7 +36,7 @@ pub fn run_mmd(source: &SpecSource, unidirectional: bool, out: &mut dyn Write) -
 pub fn run_embed(
     table_path: &str,
     outputs: usize,
-    time_limit: Option<Duration>,
+    wall_clock: Option<Duration>,
     out: &mut dyn Write,
 ) -> CliResult {
     let text = std::fs::read_to_string(table_path)
@@ -71,8 +72,12 @@ pub fn run_embed(
             "the embedding needs {width} wires; embed is limited to {EXPLICIT_WIRES}"
         )));
     }
-    let mut opts = SynthesisOptions::new();
-    opts.time_limit = time_limit;
+    // Each completion search gets a batch job's node budget, so the
+    // portfolio is bounded with or without --time-limit.
+    let mut opts = BatchOptions::default().synthesis;
+    if let Some(deadline) = wall_clock.and_then(|d| Instant::now().checked_add(d)) {
+        opts = opts.with_deadline(deadline);
+    }
     let best = synthesize_embedded(&table, &opts).map_err(|e| err(e.to_string()))?;
     writeln!(
         out,

@@ -1,14 +1,16 @@
 //! Cooperative cancellation and deadlines for the search loop.
 //!
-//! [`SynthesisOptions::time_limit`](crate::SynthesisOptions::time_limit)
-//! expresses the paper's per-run `Timer` as a *duration* measured from
-//! whenever the search happens to start. A batch engine needs two
-//! stronger notions: an absolute **deadline** (an `Instant` fixed when
-//! the job was admitted, so queueing delay counts against the budget)
-//! and a **cancel token** (another thread decides the work is no longer
-//! wanted — a client went away, or the operator hit Ctrl-C). Both
-//! are carried by a [`Budget`] and polled in the expansion loop at the
-//! same cadence as the existing time-limit check.
+//! The search has one clock: an absolute **deadline** (an `Instant`
+//! fixed by the caller, so time spent queued before the search starts
+//! counts against the budget). It expresses the paper's per-run
+//! `Timer`: `synth --time-limit S` sets the deadline `S` seconds from
+//! the start of the search, and the batch engine fixes it when a job is
+//! admitted. Next to it sits a **cancel token** (another thread decides
+//! the work is no longer wanted — a client went away, or the operator
+//! hit Ctrl-C). Both are carried by a [`Budget`] and polled in the
+//! expansion loop. Reproducible runs bound the search by nodes
+//! ([`SynthesisOptions::max_nodes`](crate::SynthesisOptions::max_nodes))
+//! instead, which no host's speed changes.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -79,9 +81,9 @@ impl CancelToken {
 /// An absolute deadline plus an optional cancel token, polled together
 /// by the search loop.
 ///
-/// The default budget is unlimited. A `Budget` composes with (does not
-/// replace) `time_limit`: a search stops at whichever bound trips
-/// first, and the [`StopReason`](crate::StopReason) names which one.
+/// The default budget is unlimited. A search stops at whichever bound
+/// trips first (cancellation is polled before the deadline), and the
+/// [`StopReason`](crate::StopReason) names which one.
 #[derive(Clone, Debug, Default)]
 pub struct Budget {
     /// Absolute wall-clock instant after which the search must stop
@@ -118,6 +120,22 @@ impl Budget {
     /// Whether the deadline has passed as of `now`.
     pub fn deadline_expired(&self, now: Instant) -> bool {
         self.deadline.is_some_and(|d| now >= d)
+    }
+
+    /// The budget for the next of `k` attempts that share this one: the
+    /// same cancel token, and a deadline `remaining / k` from now. Time
+    /// an attempt leaves unspent passes to the ones after it, and the
+    /// last attempt (`k == 1`) gets all that remains. An unlimited or
+    /// already-expired deadline is kept as it is.
+    pub fn share(&self, k: u32) -> Budget {
+        let mut next = self.clone();
+        if let Some(d) = self.deadline {
+            let now = Instant::now();
+            if d > now {
+                next.deadline = Some(now + (d - now) / k.max(1));
+            }
+        }
+        next
     }
 }
 
@@ -180,6 +198,25 @@ mod tests {
     }
 
     #[test]
+    fn a_share_splits_what_remains() {
+        let token = CancelToken::new();
+        let start = Instant::now();
+        let whole = Budget::unlimited()
+            .with_deadline(start + Duration::from_secs(4000))
+            .with_cancel(token.clone());
+        let quarter = whole.share(4);
+        let d = quarter.deadline.unwrap();
+        assert!(d > start + Duration::from_secs(999) && d <= start + Duration::from_secs(1001));
+        assert_eq!(whole.share(1).deadline, whole.deadline);
+        token.cancel();
+        assert!(quarter.cancelled(), "a share keeps the cancel token");
+        // Unlimited and expired deadlines pass through unchanged.
+        assert_eq!(Budget::unlimited().share(2).deadline, None);
+        let expired = Budget::unlimited().with_deadline(start - Duration::from_secs(1));
+        assert_eq!(expired.share(2).deadline, expired.deadline);
+    }
+
+    #[test]
     fn budget_combines_deadline_and_cancel() {
         let token = CancelToken::new();
         let b = Budget::unlimited()
@@ -197,11 +234,20 @@ mod tests {
 
     #[test]
     fn expired_deadline_fails_cleanly_before_any_work() {
-        let spec = MultiPprm::from_permutation(&[1, 0, 7, 2, 3, 4, 5, 6], 3);
+        use crate::{synthesize_bidirectional, synthesize_embedded};
+        use rmrls_spec::{Permutation, TruthTable};
+        let perm = Permutation::from_vec(vec![1, 0, 7, 2, 3, 4, 5, 6]).unwrap();
         let opts = SynthesisOptions::new().with_deadline(Instant::now() - Duration::from_secs(1));
-        let err = synthesize(&spec, &opts).unwrap_err();
+        let err = synthesize(&perm.to_multi_pprm(), &opts).unwrap_err();
         assert_eq!(err.stats.stop_reason, Some(StopReason::DeadlineExpired));
         assert_eq!(err.stats.nodes_expanded, 0, "no work past the deadline");
+        // Entry points that split the deadline among several searches
+        // stop the same way.
+        let err = synthesize_bidirectional(&perm, &opts).unwrap_err();
+        assert_eq!(err.stats.stop_reason, Some(StopReason::DeadlineExpired));
+        let ones = TruthTable::from_fn(3, 2, |x| u64::from(x.count_ones()));
+        let err = synthesize_embedded(&ones, &opts).unwrap_err();
+        assert_eq!(err.stats.stop_reason, Some(StopReason::DeadlineExpired));
     }
 
     #[test]
@@ -252,16 +298,16 @@ mod tests {
     }
 
     #[test]
-    fn tight_deadline_beats_generous_time_limit() {
+    fn tight_deadline_beats_generous_node_budget() {
         use rand::rngs::StdRng;
         use rand::SeedableRng;
-        // Both clock bounds set: the absolute deadline is tighter and
-        // must name the stop reason.
+        // Both bounds set: the deadline trips first and must name the
+        // stop reason.
         let mut rng = StdRng::seed_from_u64(7);
         let spec = rmrls_spec::random_permutation(6, &mut rng).to_multi_pprm();
         let opts = SynthesisOptions::new()
             .with_initial_dive(false)
-            .with_time_limit(Duration::from_secs(3600))
+            .with_max_nodes(u64::MAX)
             .with_deadline(Instant::now() + Duration::from_millis(20));
         let err = synthesize(&spec, &opts).unwrap_err();
         assert_eq!(err.stats.stop_reason, Some(StopReason::DeadlineExpired));

@@ -51,7 +51,7 @@ pub const COMPLETION_PORTFOLIO: [CompletionStrategy; 4] = [
 ];
 
 /// Embeds an irreversible truth table under every portfolio strategy,
-/// synthesizes each embedding (splitting any time budget evenly), and
+/// synthesizes each embedding (splitting any deadline evenly), and
 /// returns the smallest circuit.
 ///
 /// # Errors
@@ -93,14 +93,15 @@ pub fn synthesize_embedded_with_observer(
     obs: &mut Observer,
 ) -> Result<EmbeddedSynthesis, NoSolutionError> {
     let mut per_try = options.clone();
-    if let Some(t) = options.time_limit {
-        per_try.time_limit = Some(t / COMPLETION_PORTFOLIO.len() as u32);
-    }
     let mut best: Option<EmbeddedSynthesis> = None;
     let mut last_err: Option<NoSolutionError> = None;
     let mut attempts: Vec<EmbeddingAttempt> = Vec::with_capacity(COMPLETION_PORTFOLIO.len());
 
-    for strategy in COMPLETION_PORTFOLIO {
+    for (i, strategy) in COMPLETION_PORTFOLIO.into_iter().enumerate() {
+        // Each try gets its share of whatever time the earlier ones left.
+        per_try.budget = options
+            .budget
+            .share((COMPLETION_PORTFOLIO.len() - i) as u32);
         let embedding = embed_with_strategy(table, None, strategy);
         let result = synthesize(&embedding.permutation.to_multi_pprm(), &per_try);
         let attempt = match &result {
@@ -238,6 +239,31 @@ mod tests {
                 assert!(g >= best.synthesis.circuit.gate_count() as u32);
             }
         }
+    }
+
+    #[test]
+    fn each_portfolio_try_gets_a_share_of_the_deadline() {
+        use std::time::Instant;
+        // Without a node budget two of the ones count's completion
+        // searches run for seconds. Each try gets its share of what the
+        // earlier ones left, so the last is not handed an expired
+        // deadline: every try either exhausts its queue or searches for a
+        // real share of the 800 ms.
+        let table = TruthTable::from_fn(3, 2, |x| u64::from(x.count_ones()));
+        let opts =
+            SynthesisOptions::new().with_deadline(Instant::now() + Duration::from_millis(800));
+        let best = synthesize_embedded(&table, &opts).expect("a try finds a circuit");
+        assert_eq!(best.attempts.len(), COMPLETION_PORTFOLIO.len());
+        for a in &best.attempts {
+            let finished = a.stop_reason == Some(StopReason::QueueExhausted);
+            assert!(finished || a.elapsed >= Duration::from_millis(100), "{a:?}");
+        }
+        let last = best.attempts.last().unwrap();
+        assert_eq!(
+            last.stop_reason,
+            Some(StopReason::DeadlineExpired),
+            "{last:?}"
+        );
     }
 
     #[test]

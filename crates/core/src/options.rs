@@ -1,7 +1,7 @@
 //! Synthesis configuration: the priority weights of Eq. 4 and the
 //! heuristics of §IV-E.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use crate::budget::{Budget, CancelToken};
 
@@ -123,12 +123,13 @@ impl Pruning {
 /// customized with the chained `with_*` setters:
 ///
 /// ```
-/// use std::time::Duration;
+/// use std::time::{Duration, Instant};
 /// use rmrls_core::{Pruning, SynthesisOptions};
 ///
 /// let opts = SynthesisOptions::new()
 ///     .with_pruning(Pruning::Greedy)
-///     .with_time_limit(Duration::from_secs(60))
+///     .with_max_nodes(200_000)
+///     .with_deadline(Instant::now() + Duration::from_secs(60))
 ///     .with_max_gates(40);
 /// assert_eq!(opts.max_gates, Some(40));
 /// ```
@@ -147,13 +148,10 @@ pub struct SynthesisOptions {
     pub astar_weight: f64,
     /// Candidate pruning strategy (§IV-E).
     pub pruning: Pruning,
-    /// Wall-clock synthesis budget (the paper's `Timer`); `None` = no
-    /// limit.
-    pub time_limit: Option<Duration>,
     /// Absolute deadline and cooperative cancellation, checked in the
-    /// expansion loop alongside `time_limit`. The batch engine threads
-    /// its per-job deadline and shutdown token through here; a plain
-    /// API user leaves it [`Budget::unlimited`].
+    /// expansion loop: the search's only clock (the paper's `Timer`).
+    /// The batch engine threads its per-job deadline and shutdown token
+    /// through here; a plain API user leaves it [`Budget::unlimited`].
     pub budget: Budget,
     /// Maximum circuit size in gates (e.g. 40 for the 4-variable runs,
     /// 60 for the 5-variable runs of §V-B); `None` = unbounded.
@@ -224,7 +222,6 @@ impl SynthesisOptions {
             priority_mode: PriorityMode::AStar,
             astar_weight: 0.5,
             pruning: Pruning::Exhaustive,
-            time_limit: None,
             budget: Budget::unlimited(),
             max_gates: None,
             max_nodes: None,
@@ -264,15 +261,9 @@ impl SynthesisOptions {
         self
     }
 
-    /// Sets the wall-clock limit.
-    pub fn with_time_limit(mut self, limit: Duration) -> Self {
-        self.time_limit = Some(limit);
-        self
-    }
-
-    /// Sets an absolute deadline (stronger than `with_time_limit`: the
-    /// instant is fixed by the caller, so time spent queued before the
-    /// search starts counts against the budget).
+    /// Sets an absolute deadline. The instant is fixed by the caller,
+    /// so time spent queued before the search starts counts against the
+    /// budget; `Instant::now() + d` just before the search gives it `d`.
     pub fn with_deadline(mut self, deadline: Instant) -> Self {
         self.budget.deadline = Some(deadline);
         self

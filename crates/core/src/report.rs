@@ -16,7 +16,7 @@ use crate::{FredkinMode, PriorityMode, Pruning, SearchStats, SynthesisOptions};
 /// Version of the run-report JSON schema. Bumped whenever a field is
 /// renamed, removed, or changes meaning; additions are backwards
 /// compatible and do not bump it.
-pub const RUN_REPORT_SCHEMA_VERSION: u64 = 5;
+pub const RUN_REPORT_SCHEMA_VERSION: u64 = 6;
 
 fn opt_uint<T: Into<u64>>(v: Option<T>) -> Json {
     v.map(|x| Json::uint(x.into())).unwrap_or(Json::Null)
@@ -53,13 +53,6 @@ pub fn options_to_json(options: &SynthesisOptions) -> Json {
         ("priority_mode".to_string(), Json::str(priority_mode)),
         ("astar_weight".to_string(), Json::Num(options.astar_weight)),
         ("pruning".to_string(), Json::Str(pruning)),
-        (
-            "time_limit_seconds".to_string(),
-            options
-                .time_limit
-                .map(|t| Json::Num(t.as_secs_f64()))
-                .unwrap_or(Json::Null),
-        ),
         // Budget bounds are runtime handles (an Instant, a token), so
         // the report records only whether each was set.
         (
@@ -235,7 +228,7 @@ mod tests {
         let text = report.to_string();
         let parsed = Json::parse(&text).expect("report is valid JSON");
 
-        assert_eq!(parsed.get("schema_version").unwrap().as_u64(), Some(5));
+        assert_eq!(parsed.get("schema_version").unwrap().as_u64(), Some(6));
         assert_eq!(parsed.get("solved").unwrap().as_bool(), Some(true));
         let circuit = parsed.get("circuit").unwrap();
         assert_eq!(
@@ -317,7 +310,6 @@ mod tests {
         ] {
             assert!(stats.get(removed).is_none(), "stats.{removed} is gone");
         }
-        assert!(matches!(json.get("time_limit_seconds"), Some(Json::Null)));
         assert_eq!(json.get("priority_mode").unwrap().as_str(), Some("astar"));
     }
 }

@@ -734,10 +734,9 @@ impl<'a> Search<'a> {
         }
     }
 
-    /// Polls every stop bound, in precedence order: cooperative
-    /// cancellation, the absolute [`Budget`](crate::Budget) deadline,
-    /// then the relative `time_limit`. One `Instant::now()` read serves
-    /// both clock checks; unlimited runs never touch the clock here.
+    /// Polls the [`Budget`](crate::Budget), in precedence order:
+    /// cooperative cancellation, then the deadline. Runs without a
+    /// deadline never touch the clock here.
     fn budget_stop(&self) -> Option<StopReason> {
         if rmrls_obs::fail::trigger("core/search/budget-poll").is_err() {
             return Some(StopReason::Cancelled);
@@ -746,16 +745,8 @@ impl<'a> Search<'a> {
         if budget.cancelled() {
             return Some(StopReason::Cancelled);
         }
-        if budget.deadline.is_some() || self.options.time_limit.is_some() {
-            let now = Instant::now();
-            if budget.deadline_expired(now) {
-                return Some(StopReason::DeadlineExpired);
-            }
-            if let Some(limit) = self.options.time_limit {
-                if now.duration_since(self.start) >= limit {
-                    return Some(StopReason::TimeLimit);
-                }
-            }
+        if budget.deadline.is_some_and(|d| Instant::now() >= d) {
+            return Some(StopReason::DeadlineExpired);
         }
         None
     }
@@ -906,7 +897,7 @@ fn greedy_dive(spec: &MultiPprm, options: &SynthesisOptions) -> Option<Vec<Gate>
 ///
 /// # Errors
 ///
-/// Returns [`NoSolutionError`] when the search stops (time limit, node
+/// Returns [`NoSolutionError`] when the search stops (deadline, node
 /// budget, queue exhaustion under pruning, or gate cap) without having
 /// found a solution. With
 /// [`Pruning::Exhaustive`](crate::Pruning::Exhaustive) and no budgets
@@ -1139,7 +1130,7 @@ pub fn synthesize_permutation(
 }
 
 /// Bidirectional synthesis: runs the search on both the function and its
-/// inverse (splitting any time budget between them) and returns the
+/// inverse (splitting any deadline between them) and returns the
 /// smaller circuit. A cascade for `f⁻¹` reversed gate-by-gate realizes
 /// `f`, since every Toffoli/Fredkin gate is self-inverse.
 ///
@@ -1166,22 +1157,13 @@ pub fn synthesize_bidirectional(
     spec: &Permutation,
     options: &SynthesisOptions,
 ) -> Result<Synthesis, NoSolutionError> {
-    let mut half = options.clone();
-    if let Some(t) = options.time_limit {
-        half.time_limit = Some(t / 2);
-    }
-    // A Budget deadline is absolute and shared, but the forward run only
-    // gets the first half of whatever remains, so the backward run is
-    // never starved by a forward run that spends the entire budget.
-    let mut forward_opts = half.clone();
-    if let Some(d) = options.budget.deadline {
-        let now = Instant::now();
-        if d > now {
-            forward_opts.budget.deadline = Some(now + (d - now) / 2);
-        }
-    }
+    // The forward run gets half of whatever time remains, so the
+    // backward run is never starved by a forward run that spends the
+    // whole deadline; the backward run gets the rest.
+    let mut forward_opts = options.clone();
+    forward_opts.budget = options.budget.share(2);
     let forward = synthesize(&spec.to_multi_pprm(), &forward_opts);
-    let backward = synthesize(&spec.inverse().to_multi_pprm(), &half).map(|mut r| {
+    let backward = synthesize(&spec.inverse().to_multi_pprm(), options).map(|mut r| {
         r.circuit = r.circuit.inverse();
         r
     });

@@ -9,15 +9,13 @@ pub enum StopReason {
     /// The priority queue drained — the (pruned) search space is
     /// exhausted.
     QueueExhausted,
-    /// The wall-clock limit expired (the paper's `Timer`).
-    TimeLimit,
     /// The node-expansion budget was consumed.
     NodeBudget,
     /// A solution was found and `stop_at_first` was set.
     FirstSolution,
-    /// The [`Budget`](crate::Budget) deadline passed (absolute-instant
-    /// variant of [`TimeLimit`](StopReason::TimeLimit), used by the
-    /// batch engine so queueing delay counts against the job).
+    /// The [`Budget`](crate::Budget) deadline passed (the paper's
+    /// `Timer`; an absolute instant, so the batch engine's queueing
+    /// delay counts against the job).
     DeadlineExpired,
     /// A [`CancelToken`](crate::CancelToken) requested a cooperative
     /// stop.
@@ -28,7 +26,6 @@ impl fmt::Display for StopReason {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
             StopReason::QueueExhausted => "queue exhausted",
-            StopReason::TimeLimit => "time limit",
             StopReason::NodeBudget => "node budget",
             StopReason::FirstSolution => "first solution",
             StopReason::DeadlineExpired => "deadline expired",
@@ -159,7 +156,7 @@ mod tests {
 
     #[test]
     fn stop_reason_display() {
-        assert_eq!(StopReason::TimeLimit.to_string(), "time limit");
+        assert_eq!(StopReason::DeadlineExpired.to_string(), "deadline expired");
         assert_eq!(StopReason::Cancelled.to_string(), "cancelled");
     }
 }

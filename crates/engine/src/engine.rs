@@ -975,9 +975,10 @@ fn relaxed_options(base: &SynthesisOptions) -> SynthesisOptions {
 /// (read off the two option values, so it follows any change to
 /// [`relaxed_options`]); when tier 1 never trimmed its queue and never
 /// held more entries than the relaxed cap, so neither queue cap ever
-/// acted; and when tier 1 stopped for a reason the clock does not
-/// decide. A deadline is the exception: it is absolute, so a replay
-/// would stop at its first poll with the same reason.
+/// acted; and when tier 1 stopped for a reason a replay meets again. A
+/// deadline is one: it is absolute, so a replay would stop at its first
+/// poll with the same reason. A cancellation is not: it is a request
+/// the rest of the ladder may still answer.
 fn relaxed_replays(sopts: &SynthesisOptions, tier1: &SearchStats) -> bool {
     let relaxed = relaxed_options(sopts);
     let same_moves = relaxed.pruning.keep() == sopts.pruning.keep()
@@ -1349,8 +1350,6 @@ fn verify_pprm(circuit: &Circuit, m: &MultiPprm) -> bool {
 
 #[cfg(test)]
 mod tests {
-    use std::time::Duration;
-
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use rmrls_core::synthesize;
@@ -1447,9 +1446,8 @@ mod tests {
         ] {
             assert!(relaxed_replays(&o, &failed(reason)), "{reason}");
         }
-        for reason in [StopReason::TimeLimit, StopReason::Cancelled] {
-            assert!(!relaxed_replays(&o, &failed(reason)), "{reason}");
-        }
+        // A cancellation is a request, not a bound a replay meets again.
+        assert!(!relaxed_replays(&o, &failed(StopReason::Cancelled)));
         // Tier 1 trimmed its queue, or held more than the relaxed cap.
         let mut stats = failed(StopReason::NodeBudget);
         stats.beam_trims = 1;
@@ -1478,9 +1476,11 @@ mod tests {
             &o.clone().with_pruning(Pruning::TopK(4)),
             &top4_run
         ));
-        let timed = o.clone().with_time_limit(Duration::ZERO);
+        // An expired deadline stops tier 1 at its first poll, and would
+        // stop the relaxed tier the same way.
+        let timed = o.clone().with_deadline(Instant::now());
         let timed_run = synthesize(&spec, &timed).unwrap_err().stats;
-        assert_eq!(timed_run.stop_reason, Some(StopReason::TimeLimit));
-        assert!(!relaxed_replays(&timed, &timed_run));
+        assert_eq!(timed_run.stop_reason, Some(StopReason::DeadlineExpired));
+        assert!(relaxed_replays(&timed, &timed_run));
     }
 }

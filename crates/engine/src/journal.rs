@@ -94,19 +94,25 @@ pub fn options_fingerprint(opts: &BatchOptions) -> u64 {
     fnv1a(&mut h, &[opts.verify as u8, opts.fallback as u8]);
     let mut synthesis = options_to_json(&opts.synthesis);
     // Journals written by older releases hashed options the search no
-    // longer has: two memory caps, both `null`, right after
-    // `"cancellable"`, and three trailing ones, `"trace":false`,
+    // longer has: a relative time limit, `null`, right after
+    // `"pruning"`; two memory caps, both `null`, right after
+    // `"cancellable"`; and three trailing ones, `"trace":false`,
     // `"profile":false` and `"threads":0`. Putting them back keeps the
     // hashed bytes, and so every existing journal's header, valid for
-    // `batch --resume`. No release could set a memory cap from the CLI,
-    // and profiling only timed the search, so those releases always
-    // hashed these values: a journal written with `--profile` resumes
-    // too.
+    // `batch --resume`. No release could set a batch job's time limit
+    // or memory cap from the CLI, and profiling only timed the search,
+    // so those releases always hashed these values: a journal written
+    // with `--profile` resumes too.
     if let Json::Obj(fields) = &mut synthesis {
-        let at = 1 + fields
-            .iter()
-            .position(|(k, _)| k == "cancellable")
-            .expect("options_to_json writes `cancellable`");
+        let after = |fields: &[(String, Json)], key: &str| {
+            1 + fields
+                .iter()
+                .position(|(k, _)| k == key)
+                .unwrap_or_else(|| panic!("options_to_json writes `{key}`"))
+        };
+        let at = after(fields, "pruning");
+        fields.insert(at, ("time_limit_seconds".to_string(), Json::Null));
+        let at = after(fields, "cancellable");
         let caps = ["max_live_terms", "max_queue_bytes"].map(|k| (k.to_string(), Json::Null));
         fields.splice(at..at, caps);
         fields.push(("trace".to_string(), Json::Bool(false)));

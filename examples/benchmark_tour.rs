@@ -4,8 +4,6 @@
 //!
 //! Run with: `cargo run --release --example benchmark_tour`
 
-use std::time::Duration;
-
 use rmrls::core::{synthesize, Pruning, SynthesisOptions};
 use rmrls::spec::benchmarks;
 
@@ -13,7 +11,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let opts = SynthesisOptions::new()
         .with_pruning(Pruning::TopK(4))
         .with_max_gates(80)
-        .with_time_limit(Duration::from_secs(2));
+        .with_max_nodes(250_000);
 
     println!(
         "{:<12} {:>6} {:>7} {:>6} {:>9}   circuit",

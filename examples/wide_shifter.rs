@@ -6,8 +6,6 @@
 //!
 //! Run with: `cargo run --release --example wide_shifter`
 
-use std::time::Duration;
-
 use rmrls::core::{synthesize, Pruning, SynthesisOptions};
 use rmrls::spec::benchmarks::shifter;
 
@@ -25,7 +23,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let opts = SynthesisOptions::new()
         .with_pruning(Pruning::Greedy)
-        .with_time_limit(Duration::from_secs(5));
+        .with_max_nodes(200_000);
     let result = synthesize(&spec, &opts)?;
     println!(
         "\nsynthesized {} gates, quantum cost {} ({})",

@@ -5,7 +5,8 @@
 //! every row names a member. The vendored stand-ins under
 //! `crates/compat/` are covered by §6 instead and have no row. Every
 //! row of the module table names a module that its crate's `lib.rs`
-//! declares.
+//! declares, and every module a crate's `lib.rs` declares (test modules
+//! aside) has a row.
 
 const DESIGN: &str = include_str!("../DESIGN.md");
 const MANIFEST: &str = include_str!("../Cargo.toml");
@@ -55,17 +56,21 @@ fn module_rows(design: &str) -> Vec<(String, String)> {
         .collect()
 }
 
-/// Whether `lib_rs` declares `module` (`mod m;`, `pub mod m;`,
+/// The modules `lib_rs` declares (`mod m;`, `pub mod m;`,
 /// `pub(crate) mod m { .. }`, ...).
-fn declares_module(lib_rs: &str, module: &str) -> bool {
-    lib_rs.lines().any(|line| {
-        let line = line.trim_start();
-        let line = line.strip_prefix("pub(crate) ").unwrap_or(line);
-        let line = line.strip_prefix("pub ").unwrap_or(line);
-        line.strip_prefix("mod ")
-            .and_then(|rest| rest.strip_prefix(module))
-            .is_some_and(|rest| rest.starts_with(';') || rest.starts_with(" {"))
-    })
+fn declared_modules(lib_rs: &str) -> Vec<&str> {
+    lib_rs
+        .lines()
+        .filter_map(|line| {
+            let line = line.trim_start();
+            let line = line.strip_prefix("pub(crate) ").unwrap_or(line);
+            let line = line.strip_prefix("pub ").unwrap_or(line);
+            let rest = line.strip_prefix("mod ")?;
+            let end = rest.find(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))?;
+            let (module, tail) = rest.split_at(end);
+            (tail.starts_with(';') || tail.starts_with(" {")).then_some(module)
+        })
+        .collect()
 }
 
 /// The `lib.rs` of workspace crate `crates/<name>`, if there is one.
@@ -79,13 +84,32 @@ fn check_modules(design: &str) -> Result<(), String> {
     if rows.is_empty() {
         return Err("DESIGN §2 module table has no rows".to_string());
     }
-    for (module, krate) in rows {
-        let source = lib_rs(&krate)
+    for (module, krate) in &rows {
+        let source = lib_rs(krate)
             .ok_or_else(|| format!("DESIGN §2 module row `{module}`: no crate `{krate}`"))?;
-        if !declares_module(&source, &module) {
+        if !declared_modules(&source).contains(&module.as_str()) {
             return Err(format!(
                 "DESIGN §2 module row `{module}` is not a module of crates/{krate}"
             ));
+        }
+    }
+    for member in workspace_paths(MANIFEST) {
+        let Some(krate) = member
+            .strip_prefix("crates/")
+            .filter(|k| !k.starts_with("compat/"))
+        else {
+            continue;
+        };
+        let Some(source) = lib_rs(krate) else {
+            continue;
+        };
+        for module in declared_modules(&source) {
+            let listed = rows.iter().any(|(m, k)| m == module && k == krate);
+            if module != "tests" && !listed {
+                return Err(format!(
+                    "module `{module}` of crates/{krate} has no row in DESIGN §2"
+                ));
+            }
         }
     }
     Ok(())
@@ -164,4 +188,18 @@ fn design_module_check_catches_a_misspelled_row() {
     let wrong_crate = DESIGN.replacen(row, &row.replacen("| engine |", "| engin |", 1), 1);
     let e = check_modules(&wrong_crate).unwrap_err();
     assert!(e.contains("`engin`"), "{e}");
+}
+
+#[test]
+fn design_module_check_catches_a_missing_row() {
+    let row = DESIGN
+        .lines()
+        .find(|l| l.starts_with("| `fsutil` | engine |"))
+        .expect("fsutil row");
+    let without = DESIGN.replacen(&format!("{row}\n"), "", 1);
+    let e = check_modules(&without).unwrap_err();
+    assert_eq!(
+        e,
+        "module `fsutil` of crates/engine has no row in DESIGN §2"
+    );
 }
