@@ -6,6 +6,8 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use rmrls_baselines::{
     mmd_synthesize, MmdVariant, OptimalLibrary, OptimalTable, PeepholeOptimizer,
 };
@@ -71,6 +73,22 @@ fn bench_synthesis(c: &mut Criterion) {
                     .circuit
                     .gate_count(),
             )
+        })
+    });
+    // The batch engine's hard job: a random 5-wire permutation (the
+    // first row of core's wide search pins) under greedy first-solution
+    // pruning spends its whole 1500-node budget, expanding 1501 nodes,
+    // so ns/node is the median per iteration over 1501.
+    let five = rmrls_spec::random_permutation(5, &mut StdRng::seed_from_u64(21)).to_multi_pprm();
+    let greedy = SynthesisOptions::new()
+        .with_pruning(Pruning::Greedy)
+        .with_stop_at_first(true)
+        .with_max_nodes(1500);
+    group.bench_function("random_5var_greedy_first_solution", |b| {
+        b.iter(|| {
+            let stats = synthesize(&five, &greedy).expect_err("budget-bound").stats;
+            assert_eq!(stats.nodes_expanded, 1501);
+            black_box(stats.children_pushed)
         })
     });
     group.finish();

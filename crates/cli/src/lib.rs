@@ -139,8 +139,9 @@ BATCH OPTIONS:
   --report FILE       write the aggregate JSON run report
   --trace DIR         write per-job flight-recorder dumps into DIR as
                       <index>-<job>.trace.json; jobs with anomalies
-                      (shed, escalation, deadline, panic) also write
-                      <index>-<job>.anomaly.json
+                      (tier escalation, deadline, cancellation, panic,
+                      store or journal append failure, injected fault)
+                      also write <index>-<job>.anomaly.json
   --store FILE        persistent circuit store: canonical results are
                       loaded (verified) at start and fresh syntheses are
                       appended, so reruns serve repeated specs from disk

@@ -279,11 +279,50 @@ fn apply_move(state: &MultiPprm, mv: Move, scratch: &mut SubstScratch) -> (Multi
     }
 }
 
-/// Scores a move without materializing it.
-fn score_move(state: &MultiPprm, mv: Move, scratch: &mut SubstScratch) -> SubstCount {
+/// A move scored without materializing it: the child's term count, and
+/// its fingerprint unless the move was scored on its count alone.
+struct Score {
+    terms: usize,
+    fp: Option<u64>,
+}
+
+impl From<SubstCount> for Score {
+    fn from(count: SubstCount) -> Self {
+        Score {
+            terms: count.terms,
+            fp: Some(count.fingerprint),
+        }
+    }
+}
+
+/// Scores a move without materializing it. With `counts_only` a
+/// Toffoli move gets its term count alone
+/// ([`MultiPprm::count_substitute_terms`]); [`move_fingerprint`] gives
+/// the rest on demand. Fredkin moves have only the sorted kernel, which
+/// derives the fingerprint along with the count, so `expand` never
+/// scores a Fredkin group on counts alone.
+fn score_move(state: &MultiPprm, mv: Move, counts_only: bool, scratch: &mut SubstScratch) -> Score {
     match mv {
-        Move::Toffoli { var, factor } => state.count_substitute(var, factor, scratch),
-        Move::Fredkin { a, b, control } => state.count_substitute_fredkin(a, b, control, scratch),
+        Move::Toffoli { var, factor } if counts_only => Score {
+            terms: state.count_substitute_terms(var, factor, scratch),
+            fp: None,
+        },
+        Move::Toffoli { var, factor } => state.count_substitute(var, factor, scratch).into(),
+        Move::Fredkin { a, b, control } => state
+            .count_substitute_fredkin(a, b, control, scratch)
+            .into(),
+    }
+}
+
+/// The fingerprint of a move's child, for a move scored on its count.
+fn move_fingerprint(state: &MultiPprm, mv: Move, scratch: &mut SubstScratch) -> u64 {
+    match mv {
+        Move::Toffoli { var, factor } => state.substitute_fingerprint(var, factor, scratch),
+        Move::Fredkin { a, b, control } => {
+            state
+                .count_substitute_fredkin(a, b, control, scratch)
+                .fingerprint
+        }
     }
 }
 
@@ -294,12 +333,12 @@ fn candidate_priority(
     init_terms: usize,
     num_vars: usize,
     child_depth: u32,
-    score: &SubstCount,
+    (terms, eliminated): (usize, i64),
     lits: u32,
     allow_growth: bool,
 ) -> Option<f64> {
-    let cumulative = init_terms as i64 - score.terms as i64;
-    let improving = score.eliminated > 0 || allow_growth;
+    let cumulative = init_terms as i64 - terms as i64;
+    let improving = eliminated > 0 || allow_growth;
     if !improving && options.monotone_only {
         return None;
     }
@@ -307,17 +346,13 @@ fn candidate_priority(
         crate::PriorityMode::CumulativeRate => {
             options.weights.priority(child_depth, cumulative, lits)
         }
-        crate::PriorityMode::StepElim => {
-            options
-                .weights
-                .priority(child_depth, score.eliminated, lits)
-        }
+        crate::PriorityMode::StepElim => options.weights.priority(child_depth, eliminated, lits),
         crate::PriorityMode::FewestTerms => {
-            -(score.terms as f64) + 0.01 * f64::from(child_depth) - 0.05 * f64::from(lits)
+            -(terms as f64) + 0.01 * f64::from(child_depth) - 0.05 * f64::from(lits)
         }
         crate::PriorityMode::AStar => {
             let n = num_vars as f64;
-            let h = (score.terms as f64 - n).max(0.0) * options.astar_weight;
+            let h = (terms as f64 - n).max(0.0) * options.astar_weight;
             -(f64::from(child_depth) + h) - 0.05 * f64::from(lits)
         }
     };
@@ -330,15 +365,12 @@ fn candidate_priority(
 /// A candidate substitution produced while expanding a node.
 ///
 /// Candidates are *scored, not materialized*: they carry the move plus
-/// the counting kernel's predictions (term count, fingerprint,
+/// the scoring kernels' predictions (term count, fingerprint,
 /// elimination). Survivors of pruning/dedup/depth-cutoff are queued as
 /// these same values (see [`Search::push_child`]); a child `MultiPprm`
 /// is built only when its entry is popped.
 #[derive(Clone)]
 struct Candidate {
-    /// Position among its group's scored candidates: ranks equal
-    /// priorities in enumeration order when pruning picks the best.
-    ord: u32,
     gate: Gate,
     mv: Move,
     eliminated: i64,
@@ -347,7 +379,9 @@ struct Candidate {
     /// collision detection and the observer).
     terms: usize,
     /// Predicted state fingerprint of the child (exact; consulted by
-    /// dedup *before* any allocation happens).
+    /// dedup *before* any allocation happens). A group scored on counts
+    /// alone fills it in only for the candidates pruning keeps (see
+    /// [`Search::expand`]); until then it is 0.
     fp: u64,
 }
 
@@ -400,7 +434,7 @@ struct Search<'a> {
     identity_fp: u64,
     /// Per-search buffers for [`Search::expand`]: the enumerated moves
     /// of the node being expanded, flat, with the end of each pruning
-    /// group, and the scored candidates of one group. Reused for every
+    /// group, and the kept candidates of one group. Reused for every
     /// node, so expanding one allocates nothing once they have grown.
     moves: Vec<EnumMove>,
     group_ends: Vec<usize>,
@@ -478,6 +512,13 @@ impl<'a> Search<'a> {
     /// variable (types 1–3), records solutions, prunes per §IV-E, and
     /// pushes survivors. Returns `true` if a first solution was found
     /// and `stop_at_first` is set.
+    ///
+    /// Pruning picks each group's best candidates as they are scored
+    /// ([`offer_ranked`]). Where it will cut a word-width Toffoli group
+    /// (more moves than it keeps), the group is scored on term counts alone
+    /// and only the kept candidates get their fingerprints, before
+    /// dedup sees them; every other group is fingerprinted as it is
+    /// scored.
     fn expand(&mut self, node: &Rc<Node>) -> bool {
         let state = &node.state;
         let child_depth = node.depth + 1;
@@ -498,20 +539,30 @@ impl<'a> Search<'a> {
             &mut group_ends,
         );
 
+        let keep = self.options.pruning.keep();
+        let word_width = state.is_word_width();
         let mut solved = false;
         let mut start = 0;
         'groups: for &end in &group_ends {
+            let group = &moves[start..end];
+            start = end;
+            // Groups are all Toffoli or all Fredkin, and only Toffoli
+            // moves have a count-only kernel.
+            let counts_only = word_width
+                && keep.is_some_and(|k| k < group.len())
+                && matches!(group[0].mv, Move::Toffoli { .. });
             candidates.clear();
-            for em in &moves[start..end] {
-                let score = score_move(state, em.mv, &mut self.scratch);
-                if self.consider_scored(node, em, score, child_depth, &mut candidates) {
+            for em in group {
+                let score = score_move(state, em.mv, counts_only, &mut self.scratch);
+                if self.consider_scored(node, em, score, child_depth, keep, &mut candidates) {
                     solved = true;
                     break 'groups;
                 }
             }
-            start = end;
-            if let Some(keep) = self.options.pruning.keep() {
-                keep_ranked(&mut candidates, keep);
+            if counts_only {
+                for c in &mut candidates {
+                    c.fp = move_fingerprint(state, c.mv, &mut self.scratch);
+                }
             }
             for c in candidates.drain(..) {
                 self.push_child(node, c, child_depth);
@@ -561,19 +612,24 @@ impl<'a> Search<'a> {
     }
 
     /// Candidate evaluation over the *score* alone: solution
-    /// check, priority, pruning eligibility. No child state exists yet —
-    /// a candidate is only materialized here if it turns out to be a
-    /// solution (confirmed against the real state, so a fingerprint
-    /// collision can never fabricate one); survivors of `push_child` are
-    /// materialized when they are popped.
+    /// check, priority, and selection into the group's kept candidates
+    /// ([`offer_ranked`] with the pruning's `keep`). No child state
+    /// exists yet — a candidate is only materialized here if it turns
+    /// out to be a solution (confirmed against the real state, so a
+    /// fingerprint collision can never fabricate one); survivors of
+    /// `push_child` are materialized when they are popped. A candidate
+    /// scored on its count alone whose count is the identity's gets its
+    /// fingerprint here, so the solution check never waits for
+    /// selection.
     /// Returns `true` when a solution was found and the caller should
     /// stop immediately (`stop_at_first`).
     fn consider_scored(
         &mut self,
         node: &Node,
         em: &EnumMove,
-        score: SubstCount,
+        score: Score,
         child_depth: u32,
+        keep: Option<usize>,
         candidates: &mut Vec<Candidate>,
     ) -> bool {
         self.stats.children_generated += 1;
@@ -584,11 +640,8 @@ impl<'a> Search<'a> {
             lits,
             allow_growth,
         } = *em;
-        let SubstCount {
-            terms,
-            eliminated,
-            fingerprint,
-        } = score;
+        let Score { terms, mut fp } = score;
+        let eliminated = node.state.total_terms() as i64 - terms as i64;
 
         // Identity test on the score: the fingerprint is deterministic,
         // so a true identity always matches (no false negatives); a
@@ -596,7 +649,8 @@ impl<'a> Search<'a> {
         // recorded as a solution.
         let n = node.state.num_vars();
         if terms == n
-            && fingerprint == self.identity_fp
+            && *fp.get_or_insert_with(|| move_fingerprint(&node.state, mv, &mut self.scratch))
+                == self.identity_fp
             && self.materialize(&node.state, mv).0.is_identity()
         {
             self.stats.solutions_seen += 1;
@@ -643,19 +697,19 @@ impl<'a> Search<'a> {
             self.init_terms,
             n,
             child_depth,
-            &score,
+            (terms, eliminated),
             lits,
             allow_growth,
         ) {
-            candidates.push(Candidate {
-                ord: candidates.len() as u32,
+            let candidate = Candidate {
                 gate,
                 mv,
                 eliminated,
                 priority,
                 terms,
-                fp: fingerprint,
-            });
+                fp: fp.unwrap_or_default(),
+            };
+            offer_ranked(candidates, keep, candidate);
         }
         false
     }
@@ -799,21 +853,26 @@ impl<'a> Search<'a> {
     }
 }
 
-/// Keeps the `keep` highest-priority candidates of a group, best first,
-/// equal priorities in enumeration order: the order a stable sort by
-/// descending priority gives, without the buffer a stable sort
-/// allocates.
-fn keep_ranked(candidates: &mut Vec<Candidate>, keep: usize) {
-    let rank = |a: &Candidate, b: &Candidate| {
-        b.priority
-            .total_cmp(&a.priority)
-            .then_with(|| a.ord.cmp(&b.ord))
+/// Offers a group's next scored candidate to the ones kept so far.
+/// Without a `keep` (exhaustive pruning) every candidate is kept, in
+/// enumeration order. With one, `kept` holds the `keep`
+/// highest-priority candidates offered so far, best first, equal
+/// priorities in enumeration order (the order a stable sort by
+/// descending priority gives), and a candidate that ranks below all
+/// `keep` of them is dropped.
+fn offer_ranked(kept: &mut Vec<Candidate>, keep: Option<usize>, candidate: Candidate) {
+    let Some(keep) = keep else {
+        kept.push(candidate);
+        return;
     };
-    if keep < candidates.len() {
-        candidates.select_nth_unstable_by(keep, rank);
-        candidates.truncate(keep);
+    // Offered later, the candidate ranks after every equal priority.
+    let slot = kept.partition_point(|c| c.priority.total_cmp(&candidate.priority).is_ge());
+    if slot < keep {
+        if kept.len() == keep {
+            kept.pop();
+        }
+        kept.insert(slot, candidate);
     }
-    candidates.sort_unstable_by(rank);
 }
 
 /// Keeps the `keep` best entries (in no particular order) and returns
@@ -848,30 +907,33 @@ fn greedy_dive(spec: &MultiPprm, options: &SynthesisOptions) -> Option<Vec<Gate>
         if gates.len() >= cap {
             return None;
         }
-        // Two-phase like the main search: score every factor without
-        // allocating, materialize only the winner (or a solution).
+        // Two-phase like the main search: score every factor on its
+        // term count, materialize only the winner (or a solution).
         // (elim desc, literal count asc, var asc)
         let mut best: Option<(i64, u32, usize, Term)> = None;
         for var in 0..n {
             for factor in state.toffoli_factors(var) {
-                let score = state.count_substitute(var, factor, &mut scratch);
-                if score.terms == n && score.fingerprint == identity_fp {
+                let terms = state.count_substitute_terms(var, factor, &mut scratch);
+                if terms == n
+                    && state.substitute_fingerprint(var, factor, &mut scratch) == identity_fp
+                {
                     let (next, _) = state.substitute_with(var, factor, &mut scratch);
                     if next.is_identity() {
                         gates.push(Gate::toffoli_mask(factor.mask(), var));
                         return Some(gates);
                     }
                 }
-                if score.eliminated <= 0 {
+                let eliminated = state.total_terms() as i64 - terms as i64;
+                if eliminated <= 0 {
                     continue;
                 }
                 let lits = factor.literal_count();
                 let better = match &best {
                     None => true,
-                    Some((be, bl, bv, _)) => (-score.eliminated, lits, var) < (-*be, *bl, *bv),
+                    Some((be, bl, bv, _)) => (-eliminated, lits, var) < (-*be, *bl, *bv),
                 };
                 if better {
-                    best = Some((score.eliminated, lits, var, factor));
+                    best = Some((eliminated, lits, var, factor));
                 }
             }
         }
@@ -1457,6 +1519,80 @@ mod tests {
         let a = synthesize_permutation(&p, &SynthesisOptions::new()).expect("solution");
         let b = synthesize(&p.to_multi_pprm(), &SynthesisOptions::new()).expect("solution");
         assert_eq!(a.circuit, b.circuit);
+    }
+
+    /// The selection rule the search applied after scoring a whole
+    /// group, before it picked candidates as they were scored: keep the
+    /// `keep` highest priorities, best first, equal priorities in
+    /// enumeration order (`ord`, the candidate's position in the group).
+    fn keep_ranked(candidates: &mut Vec<(u32, Candidate)>, keep: usize) {
+        let rank = |(a_ord, a): &(u32, Candidate), (b_ord, b): &(u32, Candidate)| {
+            b.priority
+                .total_cmp(&a.priority)
+                .then_with(|| a_ord.cmp(b_ord))
+        };
+        if keep < candidates.len() {
+            candidates.select_nth_unstable_by(keep, rank);
+            candidates.truncate(keep);
+        }
+        candidates.sort_unstable_by(rank);
+    }
+
+    /// Each candidate's position in its group (`terms`) and priority.
+    fn ids<'c>(candidates: impl Iterator<Item = &'c Candidate>) -> Vec<(usize, u64)> {
+        candidates
+            .map(|c| (c.terms, c.priority.to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn scoring_time_selection_keeps_what_ranking_the_whole_group_kept() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(33);
+        // Few distinct priorities, so most groups are full of ties;
+        // total_cmp tells the two zeros apart, as both rules must.
+        let priorities = [-3.5, -0.0, 0.0, 1.25, 7.0];
+        for trial in 0..2000 {
+            let len = rng.random_range(0..12usize);
+            let group: Vec<Candidate> = (0..len)
+                .map(|i| Candidate {
+                    gate: Gate::not(0),
+                    mv: Move::Toffoli {
+                        var: 0,
+                        factor: Term::ONE,
+                    },
+                    eliminated: 0,
+                    priority: priorities[rng.random_range(0..priorities.len())],
+                    terms: i,
+                    fp: i as u64,
+                })
+                .collect();
+            for keep in [1, 2, 4] {
+                let mut want: Vec<(u32, Candidate)> = group
+                    .iter()
+                    .enumerate()
+                    .map(|(ord, c)| (ord as u32, c.clone()))
+                    .collect();
+                keep_ranked(&mut want, keep);
+                let mut kept = Vec::new();
+                for c in &group {
+                    offer_ranked(&mut kept, Some(keep), c.clone());
+                }
+                assert_eq!(
+                    ids(kept.iter()),
+                    ids(want.iter().map(|(_, c)| c)),
+                    "trial {trial}, keep {keep}, group of {len}"
+                );
+            }
+            let mut all = Vec::new();
+            for c in &group {
+                offer_ranked(&mut all, None, c.clone());
+            }
+            assert!(
+                all.iter().map(|c| c.terms).eq(0..len),
+                "no keep: all, in order"
+            );
+        }
     }
 
     #[test]

@@ -9,7 +9,8 @@ use crate::{BitTable, Pprm, Term};
 /// Reusable buffers for the substitution kernels.
 ///
 /// Up to 6 variables (`WORD_VARS`), scoring a candidate substitution
-/// ([`MultiPprm::count_substitute`]) and materializing a surviving one
+/// ([`MultiPprm::count_substitute`], or its count-only and fingerprint
+/// halves) and materializing a surviving one
 /// ([`MultiPprm::substitute_with`]) work on one-word term masks and
 /// never touch the scratch. Wider states, and every Fredkin move, use
 /// the sorted kernel: it stages the generated terms of each rewritten
@@ -118,22 +119,38 @@ fn term_words(num_vars: usize, outputs: &[Pprm]) -> [u64; WORD_VARS] {
     words
 }
 
-/// The terms that `x_var := x_var ⊕ factor` generates on an output with
-/// membership word `w`, as a word: the terms containing `x_var` with
-/// `x_var` removed, then multiplied by each literal `x_u` of `factor` in
-/// turn. A term already containing `x_u` stays put; any other moves up
-/// by `2^u`. Colliding terms cancel in the XOR, exactly as generated
-/// terms cancel in pairs.
+/// The terms that `x_var := x_var ⊕ factor` generates on every output,
+/// one word per output: the terms containing `x_var` with `x_var`
+/// removed, then multiplied by each literal `x_u` of `factor` in turn,
+/// all six membership words stepping through the literals in lockstep.
+/// A term already containing `x_u` stays put; any other moves up by
+/// `2^u`. Colliding terms cancel in the XOR, exactly as generated terms
+/// cancel in pairs. Words past `num_vars` are zero and stay zero, and so
+/// does the word of an output that does not mention `x_var`.
 #[inline]
-fn generated_word(w: u64, var: usize, factor: Term) -> u64 {
-    let mut g = (w & SEL[var]) >> (1u32 << var);
+fn generated_words(words: &[u64; WORD_VARS], var: usize, factor: Term) -> [u64; WORD_VARS] {
+    let shift = 1u32 << var;
+    let mut g = words.map(|w| (w & SEL[var]) >> shift);
     let mut literals = factor.mask();
     while literals != 0 {
         let u = literals.trailing_zeros() as usize;
         literals &= literals - 1;
-        g = (g & SEL[u]) ^ ((g & !SEL[u]) << (1u32 << u));
+        let (sel, shift) = (SEL[u], 1u32 << u);
+        for g in &mut g {
+            *g = (*g & sel) ^ ((*g & !sel) << shift);
+        }
     }
     g
+}
+
+/// Total terms of the child whose words are `words[i] ^ g[i]`.
+#[inline]
+fn child_terms(words: &[u64; WORD_VARS], g: &[u64; WORD_VARS]) -> usize {
+    words
+        .iter()
+        .zip(g)
+        .map(|(w, g)| (w ^ g).count_ones() as usize)
+        .sum()
 }
 
 /// The fingerprint flip of toggling the terms in `g` on `output`.
@@ -541,16 +558,32 @@ impl MultiPprm {
         }
     }
 
+    /// Whether the state is at most 6 variables wide, so that it is its
+    /// membership words and the word kernels score and materialize its
+    /// substitutions. Wider states use the sorted kernels.
+    pub fn is_word_width(&self) -> bool {
+        self.num_vars <= WORD_VARS
+    }
+
+    /// The fingerprint of the child whose generated words are `g`: one
+    /// table lookup per generated term.
+    fn word_fingerprint(&self, g: &[u64; WORD_VARS]) -> u64 {
+        g[..self.num_vars]
+            .iter()
+            .enumerate()
+            .fold(self.fp, |fp, (i, &g)| fp ^ word_delta(i, g))
+    }
+
     /// Scores the substitution `x_var := x_var ⊕ factor` without
     /// materializing the child state: returns the child's total term
     /// count, the terms eliminated, and the child's
     /// [`fingerprint`](Self::fingerprint), allocation-free.
     ///
-    /// Up to 6 variables this is a handful of word operations
-    /// per output on the cached membership words: the generated terms
-    /// `g` come out as one word, the output's count changes by
-    /// `popcnt(g) − 2·popcnt(g & w)`, and the fingerprint flips by a
-    /// table lookup per bit of `g`. Wider states use
+    /// Up to 6 variables this is
+    /// [`count_substitute_terms`](Self::count_substitute_terms) and
+    /// [`substitute_fingerprint`](Self::substitute_fingerprint) from one
+    /// pass of word operations on the cached membership words. Wider
+    /// states use
     /// [`count_substitute_sorted`](Self::count_substitute_sorted). In
     /// debug builds the word path is checked against the sorted kernel
     /// on every call.
@@ -572,23 +605,82 @@ impl MultiPprm {
             return self.count_substitute_sorted(var, factor, scratch);
         }
         self.assert_substitution(var, factor);
-        let mut terms = self.total_terms;
-        let mut fp = self.fp;
-        for (i, &w) in self.words[..self.num_vars].iter().enumerate() {
-            if w & SEL[var] == 0 {
-                continue;
-            }
-            let g = generated_word(w, var, factor);
-            terms = terms + g.count_ones() as usize - 2 * (g & w).count_ones() as usize;
-            fp ^= word_delta(i, g);
-        }
+        let g = generated_words(&self.words, var, factor);
+        let terms = child_terms(&self.words, &g);
         let count = SubstCount {
             terms,
             eliminated: self.total_terms as i64 - terms as i64,
-            fingerprint: fp,
+            fingerprint: self.word_fingerprint(&g),
         };
         debug_assert_eq!(count, self.count_substitute_sorted(var, factor, scratch));
         count
+    }
+
+    /// The count-only scoring kernel: the child's total term count
+    /// under `x_var := x_var ⊕ factor`, without its fingerprint.
+    ///
+    /// Up to 6 variables the generated words of all outputs are stepped
+    /// through the factor's literals in lockstep, and the count is the
+    /// popcount of `w ^ g` over the words: no per-term loop and no table
+    /// lookups. A search that prunes most candidates on their counts
+    /// asks [`substitute_fingerprint`](Self::substitute_fingerprint)
+    /// only for the ones it keeps. Wider states use
+    /// [`count_substitute_sorted`](Self::count_substitute_sorted). In
+    /// debug builds the word path is checked against the sorted kernel
+    /// on every call.
+    ///
+    /// # Panics
+    ///
+    /// Same conditions as [`substitute`](Self::substitute).
+    pub fn count_substitute_terms(
+        &self,
+        var: usize,
+        factor: Term,
+        scratch: &mut SubstScratch,
+    ) -> usize {
+        if self.num_vars > WORD_VARS {
+            return self.count_substitute_sorted(var, factor, scratch).terms;
+        }
+        self.assert_substitution(var, factor);
+        let terms = child_terms(&self.words, &generated_words(&self.words, var, factor));
+        debug_assert_eq!(
+            terms,
+            self.count_substitute_sorted(var, factor, scratch).terms
+        );
+        terms
+    }
+
+    /// The child's [`fingerprint`](Self::fingerprint) under
+    /// `x_var := x_var ⊕ factor`, computed on demand for a candidate
+    /// scored by [`count_substitute_terms`](Self::count_substitute_terms).
+    /// Up to 6 variables it flips the parent's fingerprint by one table
+    /// lookup per generated term; wider states use
+    /// [`count_substitute_sorted`](Self::count_substitute_sorted). In
+    /// debug builds the word path is checked against the sorted kernel
+    /// on every call.
+    ///
+    /// # Panics
+    ///
+    /// Same conditions as [`substitute`](Self::substitute).
+    pub fn substitute_fingerprint(
+        &self,
+        var: usize,
+        factor: Term,
+        scratch: &mut SubstScratch,
+    ) -> u64 {
+        if self.num_vars > WORD_VARS {
+            return self
+                .count_substitute_sorted(var, factor, scratch)
+                .fingerprint;
+        }
+        self.assert_substitution(var, factor);
+        let fp = self.word_fingerprint(&generated_words(&self.words, var, factor));
+        debug_assert_eq!(
+            fp,
+            self.count_substitute_sorted(var, factor, scratch)
+                .fingerprint
+        );
+        fp
     }
 
     /// The sorted scoring kernel: stages each rewritten output's
@@ -677,8 +769,8 @@ impl MultiPprm {
     /// [`substitute`](Self::substitute) with a caller-owned scratch
     /// buffer — the materialization phase of the two-phase kernel.
     ///
-    /// Up to 6 variables each rewritten output's child word
-    /// is `w ^ g` (see [`count_substitute`](Self::count_substitute)), and
+    /// Up to 6 variables each output's child word is `w ^ g` (see
+    /// [`count_substitute_terms`](Self::count_substitute_terms)), and
     /// the child is the parent's words, term count and fingerprint with
     /// those words replaced: nothing is allocated, and the term vectors
     /// are built only if something asks for them.
@@ -700,24 +792,14 @@ impl MultiPprm {
             return self.substitute_sorted_with(var, factor, scratch);
         }
         self.assert_substitution(var, factor);
-        let mut total = self.total_terms;
-        let mut fp = self.fp;
-        let mut words = self.words;
-        for (i, w) in words[..self.num_vars].iter_mut().enumerate() {
-            if *w & SEL[var] == 0 {
-                continue;
-            }
-            let g = generated_word(*w, var, factor);
-            total = total + g.count_ones() as usize - 2 * (g & *w).count_ones() as usize;
-            fp ^= word_delta(i, g);
-            *w ^= g;
-        }
+        let g = generated_words(&self.words, var, factor);
+        let total = child_terms(&self.words, &g);
         let elim = self.total_terms as i64 - total as i64;
         let new = MultiPprm {
             num_vars: self.num_vars,
             total_terms: total,
-            fp,
-            words,
+            fp: self.word_fingerprint(&g),
+            words: std::array::from_fn(|i| self.words[i] ^ g[i]),
             outputs: OnceLock::new(),
         };
         debug_assert_eq!(

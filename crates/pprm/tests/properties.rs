@@ -137,6 +137,43 @@ proptest! {
         prop_assert_eq!(score, m.count_substitute_sorted(var, factor, &mut scratch));
     }
 
+    /// The count-only kernel and the on-demand fingerprint split
+    /// [`MultiPprm::count_substitute`] in two without changing either
+    /// half: for every `(var, factor)` of a random state and of one of
+    /// its children at widths 1–6, the count is the sorted kernel's and
+    /// the fingerprint is the materialized child's.
+    #[test]
+    fn count_only_kernel_and_fingerprint_agree_with_the_sorted_kernel(
+        seed in any::<u64>(),
+        num_vars in 1usize..7,
+        var in any::<usize>(),
+        mask in any::<u32>(),
+    ) {
+        let (var, factor) = toffoli_move(num_vars, var, mask);
+        let m = random_state(seed, num_vars);
+        let child = m.substitute(var, factor).0;
+        let mut scratch = SubstScratch::new();
+        for state in [&m, &child] {
+            prop_assert!(state.is_word_width());
+            for var in 0..num_vars {
+                for mask in (0u32..1 << num_vars).filter(|mask| mask >> var & 1 == 0) {
+                    let factor = Term::from_mask(mask);
+                    let sorted = state.count_substitute_sorted(var, factor, &mut scratch);
+                    prop_assert_eq!(
+                        state.count_substitute_terms(var, factor, &mut scratch),
+                        sorted.terms,
+                        "var {} factor {}", var, factor
+                    );
+                    prop_assert_eq!(
+                        state.substitute_fingerprint(var, factor, &mut scratch),
+                        state.substitute_with(var, factor, &mut scratch).0.fingerprint(),
+                        "var {} factor {}", var, factor
+                    );
+                }
+            }
+        }
+    }
+
     /// Same agreement for the Fredkin kernel (§VI).
     #[test]
     fn count_substitute_fredkin_agrees_with_materialization(
