@@ -43,7 +43,7 @@ use rmrls_core::{
     synthesize_with_observer, CancelToken, Observer, Pruning, SearchStats, StopReason, Synthesis,
     SynthesisOptions,
 };
-use rmrls_obs::{FlightRecorder, Json, SyncCounter, TraceKind};
+use rmrls_obs::{FlightRecorder, Json, SyncRegistry, TraceKind};
 use rmrls_pprm::MultiPprm;
 use rmrls_spec::Permutation;
 
@@ -151,13 +151,13 @@ pub struct BatchOptions {
     /// `<index>-<job>.anomaly.json`. `None` (the default) records
     /// nothing.
     pub trace_dir: Option<String>,
-    /// Live telemetry board. When set, the [`JobRunner`] registers its
-    /// run counters on the board's registry (so every tally is also a
-    /// live `/metrics` series), records each job's latency into the
-    /// histograms and drives the job's board slot through running →
-    /// finished; a batch run also keeps a background gauge sampler
-    /// going. All observation-only: results are byte-identical with
-    /// telemetry on or off.
+    /// Live telemetry board. When set, the [`JobRunner`] counts on the
+    /// board's registry instead of one of its own (so the run's
+    /// counters are the live `/metrics` series), records each job's
+    /// latency into the histograms and drives the job's board slot
+    /// through running → finished; a batch run also keeps a background
+    /// gauge sampler going. All observation-only: results are
+    /// byte-identical with telemetry on or off.
     pub telemetry: Option<Arc<BatchTelemetry>>,
     /// Durable canonical circuit store. When set, a canonical-cache
     /// miss consults the store's verified index before synthesizing
@@ -232,6 +232,64 @@ pub enum JobOutcome {
         /// The record as read from the journal.
         json: Json,
     },
+}
+
+/// How a finished record ended, as its counters and its job-board slot
+/// see it: decoded from a live [`JobOutcome`], or from a resumed
+/// record's journaled `status`, `verified`, `solved_by` and
+/// `stop_reason` fields.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Ending<'a> {
+    Solved {
+        verified: Option<bool>,
+        solved_by: SolveTier,
+    },
+    Unsolved {
+        stop_reason: &'a str,
+    },
+    Error,
+    Panicked,
+    /// Skipped by a drain, or a journaled record of any other status.
+    Skipped,
+}
+
+impl JobOutcome {
+    pub(crate) fn ending(&self) -> Ending<'_> {
+        match self {
+            JobOutcome::Solved {
+                verified,
+                solved_by,
+                ..
+            } => Ending::Solved {
+                verified: *verified,
+                solved_by: *solved_by,
+            },
+            JobOutcome::Unsolved { stop_reason } => Ending::Unsolved { stop_reason },
+            JobOutcome::Error { .. } => Ending::Error,
+            JobOutcome::Panicked { .. } => Ending::Panicked,
+            JobOutcome::Skipped => Ending::Skipped,
+            JobOutcome::Resumed { json } => {
+                let field = |key| json.get(key).and_then(Json::as_str);
+                match field("status") {
+                    Some("solved") => Ending::Solved {
+                        verified: json.get("verified").and_then(Json::as_bool),
+                        solved_by: [SolveTier::RmrlsRelaxed, SolveTier::Mmd]
+                            .into_iter()
+                            .find(|t| field("solved_by") == Some(t.as_str()))
+                            // Pre-fallback journals have no solved_by;
+                            // attribute to the only tier that existed.
+                            .unwrap_or(SolveTier::Rmrls),
+                    },
+                    Some("unsolved") => Ending::Unsolved {
+                        stop_reason: field("stop_reason").unwrap_or_default(),
+                    },
+                    Some("error") => Ending::Error,
+                    Some("panicked") => Ending::Panicked,
+                    _ => Ending::Skipped,
+                }
+            }
+        }
+    }
 }
 
 /// One job's result row.
@@ -336,7 +394,11 @@ impl JobRecord {
     }
 }
 
-/// Aggregate counters of one batch run.
+/// The counters a run takes from its admission list, not its registry.
+const ADMISSION_COUNTS: [&str; 2] = ["jobs_total", "jobs_skipped"];
+
+/// Aggregate counters of one batch run: at pool join, a view of the
+/// run's counter registry plus the two counts of its admission list.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct BatchCounters {
     /// Jobs admitted (including per-job manifest errors).
@@ -400,158 +462,72 @@ impl BatchCounters {
         (total > 0).then(|| self.cache_hits as f64 / total as f64)
     }
 
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("jobs_total".to_string(), Json::uint(self.jobs_total)),
-            (
-                "jobs_completed".to_string(),
-                Json::uint(self.jobs_completed),
-            ),
-            ("jobs_unsolved".to_string(), Json::uint(self.jobs_unsolved)),
-            ("jobs_errored".to_string(), Json::uint(self.jobs_errored)),
-            (
-                "panics_contained".to_string(),
-                Json::uint(self.panics_contained),
-            ),
-            ("jobs_skipped".to_string(), Json::uint(self.jobs_skipped)),
-            ("cache_hits".to_string(), Json::uint(self.cache_hits)),
-            ("cache_misses".to_string(), Json::uint(self.cache_misses)),
-            ("store_hits".to_string(), Json::uint(self.store_hits)),
-            ("store_inserts".to_string(), Json::uint(self.store_inserts)),
-            (
-                "store_append_errors".to_string(),
-                Json::uint(self.store_append_errors),
-            ),
-            (
-                "deadline_expired".to_string(),
-                Json::uint(self.deadline_expired),
-            ),
-            ("cancelled".to_string(), Json::uint(self.cancelled)),
-            ("verified_ok".to_string(), Json::uint(self.verified_ok)),
-            (
-                "verify_failures".to_string(),
-                Json::uint(self.verify_failures),
-            ),
-            (
-                "solved_by_rmrls".to_string(),
-                Json::uint(self.solved_by_rmrls),
-            ),
-            (
-                "solved_by_relaxed".to_string(),
-                Json::uint(self.solved_by_relaxed),
-            ),
-            ("solved_by_mmd".to_string(), Json::uint(self.solved_by_mmd)),
-            ("jobs_resumed".to_string(), Json::uint(self.jobs_resumed)),
-            (
-                "journal_append_errors".to_string(),
-                Json::uint(self.journal_append_errors),
-            ),
-            ("anomaly_dumps".to_string(), Json::uint(self.anomaly_dumps)),
-            (
-                "trace_records_dropped".to_string(),
-                Json::uint(self.trace_records_dropped),
-            ),
-            (
-                "trace_write_errors".to_string(),
-                Json::uint(self.trace_write_errors),
-            ),
-        ])
-    }
-}
-
-/// A [`JobRunner`]'s thread-shared counter set; a batch run snapshots
-/// it into [`BatchCounters`] once the pool joins.
-///
-/// With telemetry enabled the handles come from the telemetry board's
-/// registry, so every tally the aggregate report makes is *also* a
-/// live `/metrics` series — one increment, two consumers. Without
-/// telemetry they are free-standing atomics.
-#[derive(Default)]
-pub(crate) struct RunCounters {
-    pub(crate) jobs_completed: Arc<SyncCounter>,
-    pub(crate) jobs_unsolved: Arc<SyncCounter>,
-    pub(crate) jobs_errored: Arc<SyncCounter>,
-    pub(crate) panics_contained: Arc<SyncCounter>,
-    pub(crate) cache_hits: Arc<SyncCounter>,
-    pub(crate) cache_misses: Arc<SyncCounter>,
-    pub(crate) store_hits: Arc<SyncCounter>,
-    pub(crate) store_inserts: Arc<SyncCounter>,
-    pub(crate) store_append_errors: Arc<SyncCounter>,
-    pub(crate) deadline_expired: Arc<SyncCounter>,
-    pub(crate) cancelled: Arc<SyncCounter>,
-    pub(crate) verified_ok: Arc<SyncCounter>,
-    pub(crate) verify_failures: Arc<SyncCounter>,
-    pub(crate) solved_by_rmrls: Arc<SyncCounter>,
-    pub(crate) solved_by_relaxed: Arc<SyncCounter>,
-    pub(crate) solved_by_mmd: Arc<SyncCounter>,
-    pub(crate) jobs_resumed: Arc<SyncCounter>,
-    pub(crate) journal_append_errors: Arc<SyncCounter>,
-    pub(crate) anomaly_dumps: Arc<SyncCounter>,
-    pub(crate) trace_records_dropped: Arc<SyncCounter>,
-    pub(crate) trace_write_errors: Arc<SyncCounter>,
-}
-
-impl RunCounters {
-    /// Free-standing counters, or handles registered on the telemetry
-    /// board so the same increments feed `/metrics`.
-    pub(crate) fn new(telemetry: Option<&BatchTelemetry>) -> RunCounters {
-        let Some(t) = telemetry else {
-            return RunCounters::default();
-        };
-        let r = t.registry();
-        RunCounters {
-            jobs_completed: r.counter("jobs_completed"),
-            jobs_unsolved: r.counter("jobs_unsolved"),
-            jobs_errored: r.counter("jobs_errored"),
-            panics_contained: r.counter("panics_contained"),
-            cache_hits: r.counter("cache_hits"),
-            cache_misses: r.counter("cache_misses"),
-            store_hits: r.counter("store_hits"),
-            store_inserts: r.counter("store_inserts"),
-            store_append_errors: r.counter("store_append_errors"),
-            deadline_expired: r.counter("deadline_expired"),
-            cancelled: r.counter("cancelled"),
-            verified_ok: r.counter("verified_ok"),
-            verify_failures: r.counter("verify_failures"),
-            solved_by_rmrls: r.counter("solved_by_rmrls"),
-            solved_by_relaxed: r.counter("solved_by_relaxed"),
-            solved_by_mmd: r.counter("solved_by_mmd"),
-            jobs_resumed: r.counter("jobs_resumed"),
-            journal_append_errors: r.counter("journal_append_errors"),
-            anomaly_dumps: r.counter("anomaly_dumps"),
-            trace_records_dropped: r.counter("trace_records_dropped"),
-            trace_write_errors: r.counter("trace_write_errors"),
-        }
+    /// Every counter with its report key, in report order: the one
+    /// list of counter names. Each but [`ADMISSION_COUNTS`] is a
+    /// counter of the same name on the run's registry.
+    fn fields_mut(&mut self) -> [(&'static str, &mut u64); 23] {
+        [
+            ("jobs_total", &mut self.jobs_total),
+            ("jobs_completed", &mut self.jobs_completed),
+            ("jobs_unsolved", &mut self.jobs_unsolved),
+            ("jobs_errored", &mut self.jobs_errored),
+            ("panics_contained", &mut self.panics_contained),
+            ("jobs_skipped", &mut self.jobs_skipped),
+            ("cache_hits", &mut self.cache_hits),
+            ("cache_misses", &mut self.cache_misses),
+            ("store_hits", &mut self.store_hits),
+            ("store_inserts", &mut self.store_inserts),
+            ("store_append_errors", &mut self.store_append_errors),
+            ("deadline_expired", &mut self.deadline_expired),
+            ("cancelled", &mut self.cancelled),
+            ("verified_ok", &mut self.verified_ok),
+            ("verify_failures", &mut self.verify_failures),
+            ("solved_by_rmrls", &mut self.solved_by_rmrls),
+            ("solved_by_relaxed", &mut self.solved_by_relaxed),
+            ("solved_by_mmd", &mut self.solved_by_mmd),
+            ("jobs_resumed", &mut self.jobs_resumed),
+            ("journal_append_errors", &mut self.journal_append_errors),
+            ("anomaly_dumps", &mut self.anomaly_dumps),
+            ("trace_records_dropped", &mut self.trace_records_dropped),
+            ("trace_write_errors", &mut self.trace_write_errors),
+        ]
     }
 
-    /// The aggregate counters of a run over `jobs_total` admissions, of
-    /// which `jobs_skipped` never started.
-    fn snapshot(&self, jobs_total: u64, jobs_skipped: u64) -> BatchCounters {
-        BatchCounters {
+    /// The names of the counters a [`JobRunner`] keeps on its registry,
+    /// in report order.
+    pub(crate) fn registry_names() -> impl Iterator<Item = &'static str> {
+        let names = BatchCounters::default().fields_mut().map(|(name, _)| name);
+        names
+            .into_iter()
+            .filter(|name| !ADMISSION_COUNTS.contains(name))
+    }
+
+    /// The counters of a run over `jobs_total` admissions, of which
+    /// `jobs_skipped` never started, read from the run's registry.
+    pub(crate) fn read(
+        registry: &SyncRegistry,
+        jobs_total: u64,
+        jobs_skipped: u64,
+    ) -> BatchCounters {
+        let mut counters = BatchCounters {
             jobs_total,
-            jobs_completed: self.jobs_completed.get(),
-            jobs_unsolved: self.jobs_unsolved.get(),
-            jobs_errored: self.jobs_errored.get(),
-            panics_contained: self.panics_contained.get(),
             jobs_skipped,
-            cache_hits: self.cache_hits.get(),
-            cache_misses: self.cache_misses.get(),
-            store_hits: self.store_hits.get(),
-            store_inserts: self.store_inserts.get(),
-            store_append_errors: self.store_append_errors.get(),
-            deadline_expired: self.deadline_expired.get(),
-            cancelled: self.cancelled.get(),
-            verified_ok: self.verified_ok.get(),
-            verify_failures: self.verify_failures.get(),
-            solved_by_rmrls: self.solved_by_rmrls.get(),
-            solved_by_relaxed: self.solved_by_relaxed.get(),
-            solved_by_mmd: self.solved_by_mmd.get(),
-            jobs_resumed: self.jobs_resumed.get(),
-            journal_append_errors: self.journal_append_errors.get(),
-            anomaly_dumps: self.anomaly_dumps.get(),
-            trace_records_dropped: self.trace_records_dropped.get(),
-            trace_write_errors: self.trace_write_errors.get(),
+            ..BatchCounters::default()
+        };
+        for (name, value) in counters.fields_mut() {
+            if !ADMISSION_COUNTS.contains(&name) {
+                *value = registry.counter(name).get();
+            }
         }
+        counters
+    }
+
+    fn to_json(&self) -> Json {
+        let fields = self
+            .clone()
+            .fields_mut()
+            .map(|(name, value)| (name.to_string(), Json::uint(*value)));
+        Json::Obj(fields.into())
     }
 }
 
@@ -680,8 +656,9 @@ pub fn run_batch(
 ///
 /// When `resumed` is given, the records it maps are taken as already
 /// complete: their slots are pre-filled with
-/// [`Resumed`](JobOutcome::Resumed) outcomes, their counters are
-/// tallied from the journaled fields, and workers skip them entirely.
+/// [`Resumed`](JobOutcome::Resumed) outcomes, each is tallied from its
+/// journaled fields (and counted in `jobs_resumed`), and workers skip
+/// them entirely.
 /// Cache counters intentionally start cold — a resumed run may show
 /// different `cache_hits`/`cache_misses` than an uninterrupted one,
 /// but never different results.
@@ -706,13 +683,11 @@ pub fn run_batch_resumable(
             if index >= admissions.len() {
                 continue;
             }
-            tally_resumed(job, &runner.counters);
             let outcome = JobOutcome::Resumed {
                 json: job.json.clone(),
             };
-            if let Some(t) = telemetry {
-                t.jobs.mark_finished(index, &outcome);
-            }
+            runner.count("jobs_resumed", 1);
+            runner.finish(index, &outcome);
             *lock(&slots[index]) = Some(JobRecord {
                 name: admissions[index].name().to_string(),
                 origin: admissions[index].origin().to_string(),
@@ -815,9 +790,7 @@ pub fn run_batch_resumable(
         .collect();
     BatchRun {
         records,
-        counters: runner
-            .counters
-            .snapshot(admissions.len() as u64, jobs_skipped),
+        counters: BatchCounters::read(runner.registry(), admissions.len() as u64, jobs_skipped),
         elapsed: started.elapsed(),
         workers,
     }
@@ -864,17 +837,17 @@ pub(crate) fn write_job_traces(
     index: usize,
     job_name: &str,
     recorder: &FlightRecorder,
-    counters: &RunCounters,
+    runner: &JobRunner,
 ) {
     let snapshot = recorder.snapshot();
-    counters.trace_records_dropped.add(snapshot.dropped);
+    runner.count("trace_records_dropped", snapshot.dropped);
     let stem = format!("{dir}/{index:04}-{}", sanitize_filename(job_name));
     let trace = tagged_snapshot(
         snapshot.to_json(),
         vec![("job".to_string(), Json::str(job_name))],
     );
     if crate::fsutil::write_atomic(&format!("{stem}.trace.json"), &trace.to_string()).is_err() {
-        counters.trace_write_errors.inc();
+        runner.count("trace_write_errors", 1);
     }
     if snapshot.anomalies == 0 {
         return;
@@ -898,8 +871,8 @@ pub(crate) fn write_job_traces(
         ],
     );
     match crate::fsutil::write_atomic(&format!("{stem}.anomaly.json"), &anomaly.to_string()) {
-        Ok(()) => counters.anomaly_dumps.inc(),
-        Err(_) => counters.trace_write_errors.inc(),
+        Ok(()) => runner.count("anomaly_dumps", 1),
+        Err(_) => runner.count("trace_write_errors", 1),
     }
 }
 
@@ -907,11 +880,9 @@ pub(crate) fn write_job_traces(
 /// an `error` record, a panic inside the job a `panicked` one.
 pub(crate) fn run_one(admission: &Admission, job: &JobContext) -> JobRecord {
     let started = Instant::now();
-    let counters = &job.runner.counters;
     let (name, origin) = (admission.name().to_string(), admission.origin().to_string());
     let (outcome, cache_hit) = match admission {
         Admission::Error { message, .. } => {
-            counters.jobs_errored.inc();
             let outcome = JobOutcome::Error {
                 message: message.clone(),
             };
@@ -928,7 +899,6 @@ pub(crate) fn run_one(admission: &Admission, job: &JobContext) -> JobRecord {
                 r.phase_exit("job");
             }
             result.unwrap_or_else(|payload| {
-                counters.panics_contained.inc();
                 if let Some(r) = job.recorder {
                     r.anomaly("panic", "engine/worker/job");
                 }
@@ -1085,49 +1055,6 @@ fn synthesize_ladder(
     }
 }
 
-/// Folds one journaled record into the run counters, so a resumed
-/// batch's aggregate report accounts for the whole job list, not just
-/// the re-run remainder.
-fn tally_resumed(job: &CompletedJob, counters: &RunCounters) {
-    counters.jobs_resumed.inc();
-    match job.status.as_str() {
-        "solved" => {
-            counters.jobs_completed.inc();
-            match job.verified {
-                Some(true) => counters.verified_ok.inc(),
-                Some(false) => counters.verify_failures.inc(),
-                None => {}
-            }
-            match job.solved_by.as_deref() {
-                Some("rmrls-relaxed") => counters.solved_by_relaxed.inc(),
-                Some("mmd") => counters.solved_by_mmd.inc(),
-                // Pre-fallback journals have no solved_by; attribute to
-                // the only tier that existed.
-                _ => counters.solved_by_rmrls.inc(),
-            }
-        }
-        "unsolved" => {
-            counters.jobs_unsolved.inc();
-            match job.stop_reason.as_deref() {
-                Some("deadline expired") => counters.deadline_expired.inc(),
-                Some("cancelled") => counters.cancelled.inc(),
-                _ => {}
-            }
-        }
-        "error" => counters.jobs_errored.inc(),
-        "panicked" => counters.panics_contained.inc(),
-        _ => {}
-    }
-}
-
-fn tally_tier(tier: SolveTier, counters: &RunCounters) {
-    match tier {
-        SolveTier::Rmrls => counters.solved_by_rmrls.inc(),
-        SolveTier::RmrlsRelaxed => counters.solved_by_relaxed.inc(),
-        SolveTier::Mmd => counters.solved_by_mmd.inc(),
-    }
-}
-
 /// Converts a fired failpoint into a contained `Error` record, so
 /// injected faults flow through the same bookkeeping as real ones —
 /// including an anomaly naming the site, so the fault matrix can assert
@@ -1136,9 +1063,7 @@ fn injected_error(
     e: rmrls_obs::FailError,
     site: &'static str,
     recorder: Option<&FlightRecorder>,
-    counters: &RunCounters,
 ) -> JobOutcome {
-    counters.jobs_errored.inc();
     if let Some(r) = recorder {
         r.anomaly("injected_fault", site);
     }
@@ -1147,15 +1072,14 @@ fn injected_error(
     }
 }
 
-/// Solves one job and tallies how it ended. Returns the outcome and
-/// whether the circuit came from the canonical cache layer.
+/// Solves one job. Returns the outcome and whether the circuit came
+/// from the canonical cache layer.
 fn execute_job(spec: &BatchJob, job: &JobContext) -> (JobOutcome, bool) {
     let opts = &job.runner.opts;
-    let counters = &job.runner.counters;
     // Failpoint: a worker falling over as it picks the job up.
     if let Err(e) = rmrls_obs::fail::trigger("engine/worker/dispatch") {
         return (
-            injected_error(e, "engine/worker/dispatch", job.recorder, counters),
+            injected_error(e, "engine/worker/dispatch", job.recorder),
             false,
         );
     }
@@ -1178,19 +1102,18 @@ fn execute_job(spec: &BatchJob, job: &JobContext) -> (JobOutcome, bool) {
         }
     };
     let outcome = match solved {
-        Err(reason) => unsolved(reason, counters),
+        Err(reason) => JobOutcome::Unsolved {
+            stop_reason: reason.map_or_else(|| "unknown".to_string(), |r| r.to_string()),
+        },
         // Failpoint: the verifier itself failing. An unverifiable
         // result must not be reported as solved.
         Ok((circuit, tier)) => match rmrls_obs::fail::trigger("engine/worker/pre-verify") {
-            Err(e) => injected_error(e, "engine/worker/pre-verify", job.recorder, counters),
+            Err(e) => injected_error(e, "engine/worker/pre-verify", job.recorder),
             Ok(()) => {
                 let verified = opts.verify.then(|| match &spec.spec {
                     SpecData::Perm(p) => verify_permutation(&circuit, p),
                     SpecData::Pprm(m) => verify_pprm(&circuit, m),
                 });
-                tally_verify(verified, counters);
-                tally_tier(tier, counters);
-                counters.jobs_completed.inc();
                 JobOutcome::Solved {
                     circuit,
                     verified,
@@ -1216,7 +1139,6 @@ fn solve_permutation(
     job: &JobContext,
 ) -> (Result<(Circuit, SolveTier), Option<StopReason>>, bool) {
     let opts = &job.runner.opts;
-    let counters = &job.runner.counters;
     let cache = job.runner.cache();
     let lookup_started = job.board.map(|_| Instant::now());
     let (canon_table, sigma) = canonical_form(p, opts.canon_limit);
@@ -1235,9 +1157,9 @@ fn solve_permutation(
     }
     let cache_hit = canon_solution.is_some();
     if cache_hit {
-        counters.cache_hits.inc();
+        job.runner.count("cache_hits", 1);
     } else if cache.is_some() {
-        counters.cache_misses.inc();
+        job.runner.count("cache_misses", 1);
     }
     if let (Some(r), Some(_)) = (job.recorder, cache) {
         r.record(TraceKind::CacheLookup { hit: cache_hit });
@@ -1249,7 +1171,7 @@ fn solve_permutation(
         if let Some(s) = opts.store.as_ref() {
             canon_solution = s.lock().get(&key);
             if let Some((circuit, tier)) = &canon_solution {
-                counters.store_hits.inc();
+                job.runner.count("store_hits", 1);
                 if let Some(c) = cache {
                     c.lock().insert(key.clone(), circuit.clone(), *tier);
                 }
@@ -1285,11 +1207,11 @@ fn solve_permutation(
                     .insert(&key, &circuit, tier, &opts.store_provenance)
                 {
                     Ok(crate::store::InsertOutcome::Inserted { .. }) => {
-                        counters.store_inserts.inc();
+                        job.runner.count("store_inserts", 1);
                     }
                     Ok(_) => {}
                     Err(_) => {
-                        counters.store_append_errors.inc();
+                        job.runner.count("store_append_errors", 1);
                         if let Some(r) = job.recorder {
                             r.anomaly("store_append_failed", "engine/store/append");
                         }
@@ -1303,28 +1225,6 @@ fn solve_permutation(
         Ok((uncanonicalize_circuit(&canon_circuit, &sigma), tier)),
         hit,
     )
-}
-
-fn unsolved(reason: Option<StopReason>, counters: &RunCounters) -> JobOutcome {
-    match reason {
-        Some(StopReason::DeadlineExpired) => counters.deadline_expired.inc(),
-        Some(StopReason::Cancelled) => counters.cancelled.inc(),
-        _ => {}
-    }
-    counters.jobs_unsolved.inc();
-    JobOutcome::Unsolved {
-        stop_reason: reason
-            .map(|r| r.to_string())
-            .unwrap_or_else(|| "unknown".to_string()),
-    }
-}
-
-fn tally_verify(verified: Option<bool>, counters: &RunCounters) {
-    match verified {
-        Some(true) => counters.verified_ok.inc(),
-        Some(false) => counters.verify_failures.inc(),
-        None => {}
-    }
 }
 
 fn verify_permutation(circuit: &Circuit, p: &Permutation) -> bool {

@@ -292,22 +292,14 @@ impl JournalWriter {
     }
 }
 
-/// One record recovered from a journal: the verbatim JSON plus the
-/// fields a resume needs for counter accounting.
+/// One record recovered from a journal. A resume reads its `status`,
+/// `verified`, `solved_by` and `stop_reason` off the JSON.
 #[derive(Clone, Debug)]
 pub struct CompletedJob {
     /// Admission index the record belongs to.
     pub index: usize,
     /// The record, verbatim (includes the `index` field).
     pub json: Json,
-    /// `solved` / `unsolved` / `error` / `panicked`.
-    pub status: String,
-    /// The record's `verified` field, when boolean.
-    pub verified: Option<bool>,
-    /// The record's `solved_by` tier name, when present.
-    pub solved_by: Option<String>,
-    /// The record's `stop_reason`, when present.
-    pub stop_reason: Option<String>,
 }
 
 /// Everything recovered from reading a journal.
@@ -348,7 +340,7 @@ pub fn read_journal(path: &str) -> Result<ResumeData, String> {
             torn_tail = true;
             break;
         };
-        if job.status == "skipped" {
+        if job.json.get("status").and_then(Json::as_str) == Some("skipped") {
             continue;
         }
         // Last record wins: a resume-of-a-resume may legitimately
@@ -368,23 +360,10 @@ fn parse_record(line: &str, jobs_total: u64) -> Option<CompletedJob> {
     if index >= jobs_total {
         return None;
     }
-    let status = json.get("status")?.as_str()?.to_string();
-    let verified = json.get("verified").and_then(Json::as_bool);
-    let solved_by = json
-        .get("solved_by")
-        .and_then(Json::as_str)
-        .map(str::to_string);
-    let stop_reason = json
-        .get("stop_reason")
-        .and_then(Json::as_str)
-        .map(str::to_string);
+    json.get("status")?.as_str()?;
     Some(CompletedJob {
         index: index as usize,
         json,
-        status,
-        verified,
-        solved_by,
-        stop_reason,
     })
 }
 
@@ -485,14 +464,12 @@ mod tests {
         assert_eq!(data.header, h);
         assert!(!data.torn_tail);
         assert_eq!(data.completed.len(), 2);
-        let solved = &data.completed[&3];
-        assert_eq!(solved.status, "solved");
-        assert_eq!(solved.verified, Some(true));
-        assert_eq!(solved.solved_by.as_deref(), Some("rmrls"));
-        assert_eq!(
-            data.completed[&0].stop_reason.as_deref(),
-            Some("node budget")
-        );
+        let field = |index: usize, key: &str| data.completed[&index].json.get(key).cloned();
+        assert_eq!(data.completed[&3].index, 3);
+        assert_eq!(field(3, "status"), Some(Json::str("solved")));
+        assert_eq!(field(3, "verified"), Some(Json::Bool(true)));
+        assert_eq!(field(3, "solved_by"), Some(Json::str("rmrls")));
+        assert_eq!(field(0, "stop_reason"), Some(Json::str("node budget")));
     }
 
     #[test]

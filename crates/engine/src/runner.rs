@@ -1,12 +1,20 @@
 //! The engine's one per-job path.
 //!
-//! [`JobRunner`] is built once, holds the options, the shared cache and
-//! the run counters, and [`JobRunner::run`] executes one admission
-//! under a caller-chosen deadline and cancel token: canonicalize,
-//! cache, ladder, verify, panic containment (see
-//! [`engine`](crate::engine)), plus the bookkeeping around the job —
-//! its flight recorder, its job-board slot, its latency sample, its
-//! batch-journal line and its trace dump.
+//! [`JobRunner`] is built once, holds the options and the shared cache,
+//! and [`JobRunner::run`] executes one admission under a caller-chosen
+//! deadline and cancel token: canonicalize, cache, ladder, verify,
+//! panic containment (see [`engine`](crate::engine)), plus the
+//! bookkeeping around the job — its flight recorder, its job-board
+//! slot, its latency sample, its batch-journal line and its trace dump.
+//!
+//! The runner counts on one [`SyncRegistry`]: the telemetry board's
+//! when one is attached, so every counter is also a live `/metrics`
+//! series, and a registry of its own otherwise. Events (cache and store
+//! traffic, failed appends, trace dumps) are counted where they happen;
+//! how a job ended is counted once per record, by the one function that
+//! also marks its board slot, for live and journal-recovered records
+//! alike. A batch run's [`BatchCounters`] are read from that registry
+//! when the pool joins.
 //!
 //! Both long-lived shapes drive the same runner. A batch run
 //! ([`run_batch_resumable`](crate::engine::run_batch_resumable)) is a
@@ -20,40 +28,104 @@
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use rmrls_core::CancelToken;
-use rmrls_obs::FlightRecorder;
+use rmrls_core::{CancelToken, StopReason};
+use rmrls_obs::{FlightRecorder, SyncRegistry};
 
 use crate::cache::SharedCache;
 use crate::engine::{
-    lock, run_one, write_job_traces, BatchOptions, JobContext, JobRecord, RunCounters, SinkFactory,
+    lock, run_one, write_job_traces, BatchCounters, BatchOptions, Ending, JobContext, JobOutcome,
+    JobRecord, SinkFactory, SolveTier,
 };
 use crate::journal::JournalWriter;
 use crate::manifest::Admission;
 use crate::telemetry::BatchTelemetry;
 
 /// Executes admissions one at a time against a persistent shared cache
-/// and counter set. Cheap to share behind an `Arc`;
+/// and counter registry. Cheap to share behind an `Arc`;
 /// [`run`](JobRunner::run) takes `&self`, so any number of threads can run
 /// jobs concurrently (the cache is the only shared mutable state, and
 /// it has its own lock).
 pub struct JobRunner {
     pub(crate) opts: BatchOptions,
     cache: Option<SharedCache>,
-    pub(crate) counters: RunCounters,
+    /// Counted on when no telemetry board is attached.
+    registry: SyncRegistry,
 }
 
 impl JobRunner {
     /// A runner over `opts`. The cache is built from `opts.cache_size`
     /// and persists across every [`run`](JobRunner::run) on this
     /// runner. Counters register on `opts.telemetry`'s registry when
-    /// present, so they feed `/metrics` live.
+    /// present, so they feed `/metrics` live; every counter is
+    /// registered here, so a scrape lists it before its first count.
     pub fn new(opts: BatchOptions) -> JobRunner {
         let cache = opts.cache_size.map(SharedCache::new);
-        let counters = RunCounters::new(opts.telemetry.as_deref());
-        JobRunner {
+        let runner = JobRunner {
             opts,
             cache,
-            counters,
+            registry: SyncRegistry::new(),
+        };
+        for name in BatchCounters::registry_names() {
+            runner.registry().counter(name);
+        }
+        runner
+    }
+
+    /// The registry the runner counts on.
+    pub(crate) fn registry(&self) -> &SyncRegistry {
+        match &self.opts.telemetry {
+            Some(t) => t.registry(),
+            None => &self.registry,
+        }
+    }
+
+    /// Adds `n` to the run counter `name`.
+    pub(crate) fn count(&self, name: &str, n: u64) {
+        debug_assert!(
+            BatchCounters::registry_names().any(|known| known == name),
+            "`{name}` is not a batch counter"
+        );
+        self.registry().counter(name).add(n);
+    }
+
+    /// Books one finished record, live or recovered from a journal:
+    /// counts how it ended and marks its job-board slot. The only place
+    /// outcome counters are incremented.
+    pub(crate) fn finish(&self, index: usize, outcome: &JobOutcome) {
+        match outcome.ending() {
+            Ending::Solved {
+                verified,
+                solved_by,
+            } => {
+                self.count("jobs_completed", 1);
+                match verified {
+                    Some(true) => self.count("verified_ok", 1),
+                    Some(false) => self.count("verify_failures", 1),
+                    None => {}
+                }
+                self.count(
+                    match solved_by {
+                        SolveTier::Rmrls => "solved_by_rmrls",
+                        SolveTier::RmrlsRelaxed => "solved_by_relaxed",
+                        SolveTier::Mmd => "solved_by_mmd",
+                    },
+                    1,
+                );
+            }
+            Ending::Unsolved { stop_reason } => {
+                self.count("jobs_unsolved", 1);
+                if stop_reason == StopReason::DeadlineExpired.to_string() {
+                    self.count("deadline_expired", 1);
+                } else if stop_reason == StopReason::Cancelled.to_string() {
+                    self.count("cancelled", 1);
+                }
+            }
+            Ending::Error => self.count("jobs_errored", 1),
+            Ending::Panicked => self.count("panics_contained", 1),
+            Ending::Skipped => {}
+        }
+        if let Some(t) = self.telemetry() {
+            t.jobs.mark_finished(index, outcome);
         }
     }
 
@@ -116,19 +188,19 @@ impl JobRunner {
         let record = run_one(admission, &job);
         if let Some((t, _)) = board {
             t.job_seconds.record(record.seconds);
-            t.jobs.mark_finished(index, &record.outcome);
         }
+        self.finish(index, &record.outcome);
         if let Some(w) = journal {
             let line = record.to_json_indexed(index).to_string();
             if lock(w).append(&line).is_err() {
-                self.counters.journal_append_errors.inc();
+                self.count("journal_append_errors", 1);
                 if let Some(r) = &recorder {
                     r.anomaly("journal_append_failed", "engine/journal/append");
                 }
             }
         }
         if let (Some(dir), Some(r)) = (self.opts.trace_dir.as_deref(), &recorder) {
-            write_job_traces(dir, index, &record.name, r, &self.counters);
+            write_job_traces(dir, index, &record.name, r, self);
         }
         record
     }

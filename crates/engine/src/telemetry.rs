@@ -4,9 +4,10 @@
 //! [`BatchTelemetry`] is handed to the engine via
 //! [`BatchOptions::telemetry`]; the [`JobRunner`] then
 //!
-//! - sources its run counters from the shared [`SyncRegistry`] (so
-//!   every counter the aggregate report tallies is also a live
-//!   `/metrics` series),
+//! - counts on the board's [`SyncRegistry`] instead of a registry of
+//!   its own, so the aggregate report's counters and the live
+//!   `/metrics` series are one store (the `/healthz` degradation
+//!   witnesses read the same counters by name),
 //! - records per-job synthesis latency, expansion-batch latency, and
 //!   cache-lookup latency into log-bucketed histograms, and
 //! - drives the [`JobStatusRegistry`] through
@@ -32,12 +33,21 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use rmrls_core::Progress;
-use rmrls_obs::{prometheus_text, Json, SyncCounter, SyncGauge, SyncHistogram, SyncRegistry};
+use rmrls_obs::{prometheus_text, Json, SyncGauge, SyncHistogram, SyncRegistry};
 
-use crate::engine::{JobOutcome, SolveTier};
+use crate::engine::{Ending, JobOutcome, SolveTier};
 
 /// Cadence of the background gauge sampler.
 pub const SAMPLE_INTERVAL: Duration = Duration::from_millis(250);
+
+/// The run counters `/healthz` reads as degradation witnesses: any of
+/// them above zero marks the run degraded.
+const DEGRADATION_WITNESSES: [&str; 4] = [
+    "panics_contained",
+    "verify_failures",
+    "journal_append_errors",
+    "trace_write_errors",
+];
 
 /// Sentinel for "not yet" in the per-slot millisecond timestamps.
 const UNSET: u64 = u64::MAX;
@@ -53,7 +63,8 @@ pub enum JobState {
     Pending,
     /// A worker is executing it now.
     Running,
-    /// Finished with a circuit (solved, or recovered from a journal).
+    /// Finished with a circuit (solved, or recovered from a journal
+    /// record of a solved job).
     Done,
     /// Finished without a circuit (unsolved, errored, panicked, or
     /// skipped by a drain).
@@ -233,11 +244,12 @@ impl JobStatusRegistry {
     }
 
     /// Marks a job finished, deriving done/failed and the solve tier
-    /// from its outcome.
+    /// from its outcome. A resumed record is done only when its journal
+    /// record is solved, and its tier is not shown.
     pub fn mark_finished(&self, index: usize, outcome: &JobOutcome) {
-        match outcome {
-            JobOutcome::Solved { solved_by, .. } => self.mark_done(index, Some(*solved_by)),
-            JobOutcome::Resumed { .. } => self.mark_done(index, None),
+        match (outcome, outcome.ending()) {
+            (JobOutcome::Solved { solved_by, .. }, _) => self.mark_done(index, Some(*solved_by)),
+            (_, Ending::Solved { .. }) => self.mark_done(index, None),
             _ => self.mark_failed(index),
         }
     }
@@ -368,12 +380,6 @@ pub struct BatchTelemetry {
     workers_total: Arc<SyncGauge>,
     jobs_running: Arc<SyncGauge>,
     jobs_pending: Arc<SyncGauge>,
-    // Degradation witnesses: shared with the engine's run counters
-    // (same registry names), read by `/healthz`.
-    panics_contained: Arc<SyncCounter>,
-    verify_failures: Arc<SyncCounter>,
-    journal_append_errors: Arc<SyncCounter>,
-    trace_write_errors: Arc<SyncCounter>,
     /// 1 while the serve admission queue is shedding load (429s being
     /// returned), 0 otherwise. Registered on the serve board only:
     /// batch has no admission queue to shed from.
@@ -405,6 +411,9 @@ impl BatchTelemetry {
 
     fn with_jobs(jobs: JobStatusRegistry) -> BatchTelemetry {
         let registry = SyncRegistry::new();
+        for name in DEGRADATION_WITNESSES {
+            registry.counter(name);
+        }
         let latency = rmrls_obs::log2_bounds(1e-6, 128.0);
         BatchTelemetry {
             job_seconds: registry.histogram("job_seconds", &latency),
@@ -417,18 +426,15 @@ impl BatchTelemetry {
             workers_total: registry.gauge("workers_total"),
             jobs_running: registry.gauge("jobs_running"),
             jobs_pending: registry.gauge("jobs_pending"),
-            panics_contained: registry.counter("panics_contained"),
-            verify_failures: registry.counter("verify_failures"),
-            journal_append_errors: registry.counter("journal_append_errors"),
-            trace_write_errors: registry.counter("trace_write_errors"),
             backpressure: None,
             jobs,
             registry,
         }
     }
 
-    /// The shared metrics registry (the engine sources its run
-    /// counters here so every tally is also a live series).
+    /// The shared metrics registry: the
+    /// [`JobRunner`](crate::runner::JobRunner) counts here, so every
+    /// run counter is also a live series.
     pub fn registry(&self) -> &SyncRegistry {
         &self.registry
     }
@@ -459,10 +465,9 @@ impl BatchTelemetry {
     /// a verification failure, a journal/trace write error, or (serve
     /// mode) active admission backpressure.
     pub fn degraded(&self) -> bool {
-        self.panics_contained.get() > 0
-            || self.verify_failures.get() > 0
-            || self.journal_append_errors.get() > 0
-            || self.trace_write_errors.get() > 0
+        DEGRADATION_WITNESSES
+            .iter()
+            .any(|name| self.registry.counter(name).get() > 0)
             || self.backpressure.as_ref().is_some_and(|g| g.get() > 0)
     }
 

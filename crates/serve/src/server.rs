@@ -111,8 +111,6 @@ struct Shared {
     journal_append_errors: Arc<SyncCounter>,
     queue_depth: Arc<SyncGauge>,
     cache_hit_rate: Arc<SyncGauge>,
-    cache_hits: Arc<SyncCounter>,
-    cache_misses: Arc<SyncCounter>,
     /// The durable circuit store (when `--store` is configured): the
     /// warm cache that survives restarts. Sampled into the
     /// `store_*` gauges each telemetry beat.
@@ -247,8 +245,6 @@ impl ServeDaemon {
             journal_append_errors: r.counter("journal_append_errors"),
             queue_depth: r.gauge("admission_queue_depth"),
             cache_hit_rate: r.gauge("cache_hit_rate_percent"),
-            cache_hits: r.counter("cache_hits"),
-            cache_misses: r.counter("cache_misses"),
             store,
             store_entries: r.gauge("store_entries"),
             store_file_bytes: r.gauge("store_file_bytes"),
@@ -475,8 +471,10 @@ fn sampler_loop(shared: &Arc<Shared>) {
 fn sample_once(shared: &Shared) {
     let cache_entries = shared.runner.cache().map(|c| c.len() as u64);
     shared.telemetry.sample(cache_entries);
-    let hits = shared.cache_hits.get();
-    let total = hits + shared.cache_misses.get();
+    // The runner counts cache traffic on the board's registry.
+    let counter = |name| shared.telemetry.registry().counter(name).get();
+    let hits = counter("cache_hits");
+    let total = hits + counter("cache_misses");
     if let Some(rate) = (hits * 100).checked_div(total) {
         shared.cache_hit_rate.set(rate);
     }
