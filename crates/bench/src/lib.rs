@@ -361,7 +361,7 @@ mod tests {
             other => panic!("expected object, got {other:?}"),
         };
         let get = |k: &str| obj.iter().find(|(key, _)| key == k).map(|(_, v)| v);
-        assert_eq!(get("schema_version"), Some(&Json::Num(6.0)));
+        assert_eq!(get("schema_version"), Some(&Json::Num(7.0)));
         assert_eq!(get("solved"), Some(&Json::Bool(true)));
         assert!(matches!(get("circuit"), Some(Json::Obj(_))));
         assert!(matches!(get("stats"), Some(Json::Obj(_))));

@@ -77,6 +77,37 @@ const EXHAUSTIVE_LIMIT: usize = 20;
 /// Number of probes for wide circuits.
 const PROBES: u64 = 4096;
 
+/// The inputs a check of two `width`-wire functions visits, in order:
+/// every input word up to 20 wires, and beyond that 4096 deterministic
+/// quasirandom probes (a multiplicative sequence masked to `width`
+/// bits), which make the check a strong test but not a proof. The one
+/// input policy of [`check_equivalence`] and of the batch engine's
+/// verification of symbolic specs.
+///
+/// ```
+/// use rmrls_circuit::equivalence_inputs;
+///
+/// assert!(equivalence_inputs(3).eq(0..8));
+/// assert_eq!(equivalence_inputs(40).count(), 4096);
+/// assert!(equivalence_inputs(40).all(|x| x < 1 << 40));
+/// ```
+pub fn equivalence_inputs(width: usize) -> impl Iterator<Item = u64> {
+    let exhaustive = width <= EXHAUSTIVE_LIMIT;
+    let count = if exhaustive { 1u64 << width } else { PROBES };
+    let mask = if width >= 64 {
+        u64::MAX
+    } else {
+        (1 << width) - 1
+    };
+    (0..count).map(move |i| {
+        if exhaustive {
+            i
+        } else {
+            i.wrapping_mul(0x9e37_79b9_7f4a_7c15) & mask
+        }
+    })
+}
+
 /// Checks whether two cascades compute the same permutation.
 ///
 /// # Errors
@@ -101,23 +132,7 @@ pub fn check_equivalence(a: &Circuit, b: &Circuit) -> Result<Equivalence, Compar
             right: b.width(),
         });
     }
-    let width = a.width();
-    if width <= EXHAUSTIVE_LIMIT {
-        for x in 0..1u64 << width {
-            let (l, r) = (a.apply(x), b.apply(x));
-            if l != r {
-                return Ok(Equivalence::Counterexample {
-                    input: x,
-                    left: l,
-                    right: r,
-                });
-            }
-        }
-        return Ok(Equivalence::Equivalent);
-    }
-    let mask = (1u64 << width) - 1;
-    for i in 0..PROBES {
-        let x = i.wrapping_mul(0x9e37_79b9_7f4a_7c15) & mask;
+    for x in equivalence_inputs(a.width()) {
         let (l, r) = (a.apply(x), b.apply(x));
         if l != r {
             return Ok(Equivalence::Counterexample {
@@ -127,7 +142,11 @@ pub fn check_equivalence(a: &Circuit, b: &Circuit) -> Result<Equivalence, Compar
             });
         }
     }
-    Ok(Equivalence::ProbablyEquivalent)
+    Ok(if a.width() <= EXHAUSTIVE_LIMIT {
+        Equivalence::Equivalent
+    } else {
+        Equivalence::ProbablyEquivalent
+    })
 }
 
 #[cfg(test)]
@@ -180,6 +199,21 @@ mod tests {
         );
         let c = Circuit::from_gates(22, vec![Gate::not(21)]);
         assert!(!check_equivalence(&a, &c).unwrap().holds());
+    }
+
+    #[test]
+    fn inputs_are_exhaustive_then_probed() {
+        assert!(equivalence_inputs(0).eq([0]));
+        assert!(equivalence_inputs(EXHAUSTIVE_LIMIT).eq(0..1 << EXHAUSTIVE_LIMIT));
+        for width in [EXHAUSTIVE_LIMIT + 1, 40, 63, 64] {
+            let inputs: Vec<u64> = equivalence_inputs(width).collect();
+            assert_eq!(inputs.len() as u64, PROBES);
+            assert_eq!(
+                inputs[1],
+                0x9e37_79b9_7f4a_7c15 & (u64::MAX >> (64 - width))
+            );
+            assert!(width == 64 || inputs.iter().all(|&x| x >> width == 0));
+        }
     }
 
     #[test]

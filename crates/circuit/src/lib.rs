@@ -41,7 +41,7 @@ pub use analysis::{analyze, CircuitStats};
 pub use circuit::Circuit;
 pub use cost::{circuit_cost, fredkin_cost, gate_cost, toffoli_cost};
 pub use decompose::{decompose_gate, decompose_to_nct, DecomposeError};
-pub use equivalence::{check_equivalence, CompareWidthError, Equivalence};
+pub use equivalence::{check_equivalence, equivalence_inputs, CompareWidthError, Equivalence};
 pub use gate::{Gate, MAX_WIDTH};
 pub use render::render;
 pub use templates::{simplify, simplify_with_stats, SimplifyStats};

@@ -159,7 +159,7 @@ pub fn run_batch(command: Command, out: &mut dyn Write) -> CliResult {
         }
     }
     // Live telemetry: per-job status board, latency histograms, and
-    // sampled gauges served over HTTP for the whole run. Deliberately
+    // live gauges served over HTTP for the whole run. Deliberately
     // excluded from the options fingerprint — a scraped run resumes a
     // plain journal and vice versa.
     let board = live_board(metrics_addr.as_deref(), || {

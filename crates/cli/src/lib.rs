@@ -151,7 +151,7 @@ BATCH OPTIONS:
   --metrics-addr HOST:PORT
                       serve live telemetry over HTTP during the run:
                       GET /metrics (Prometheus counters, latency
-                      histograms, sampled gauges), /healthz (liveness +
+                      histograms, live gauges), /healthz (liveness +
                       degraded flag), /jobs (per-job status board).
                       Port 0 picks a free port; the bound address is
                       announced on stderr. Telemetry is observation-only:

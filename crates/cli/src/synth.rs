@@ -127,7 +127,6 @@ pub fn run_synth(command: Command, out: &mut dyn Write) -> CliResult {
     }
     if let Some(t) = telemetry {
         t.jobs.mark_running(0);
-        t.sample(None);
     }
     let job_started = Instant::now();
     // A limit too far off for the clock to represent is no limit.
@@ -146,7 +145,6 @@ pub fn run_synth(command: Command, out: &mut dyn Write) -> CliResult {
             Ok(_) => t.jobs.mark_done(0, Some(rmrls_engine::SolveTier::Rmrls)),
             Err(_) => t.jobs.mark_failed(0),
         }
-        t.sample(None);
     }
     let result = match outcome {
         Ok(r) => r,
@@ -185,14 +183,13 @@ pub fn run_synth(command: Command, out: &mut dyn Write) -> CliResult {
     Ok(())
 }
 
-/// The progress callback: the board's hook plus a gauge beat (no batch
-/// sampler thread runs here), and with `print` a line on stderr.
+/// The progress callback: the board's hook, and with `print` a line on
+/// stderr.
 fn progress_hook(print: bool, telemetry: Option<&Arc<BatchTelemetry>>) -> ProgressFn {
-    let mut board = telemetry.map(|t| (Arc::clone(t), t.progress_hook(0)));
+    let mut board = telemetry.map(|t| t.progress_hook(0));
     Box::new(move |p: &Progress| {
-        if let Some((t, hook)) = &mut board {
+        if let Some(hook) = &mut board {
             hook(p);
-            t.sample(None);
         }
         if print {
             let best = p.best_gates.map_or_else(|| "-".into(), |g| g.to_string());

@@ -930,7 +930,7 @@ fn report_file_round_trips_against_cli_output() {
 
     let text = std::fs::read_to_string(&path).unwrap();
     let json = rmrls_obs::Json::parse(&text).expect("report is valid JSON");
-    assert_eq!(json.get("schema_version").unwrap().as_u64(), Some(6));
+    assert_eq!(json.get("schema_version").unwrap().as_u64(), Some(7));
     assert_eq!(json.get("solved").unwrap().as_bool(), Some(true));
     // The report's gate count agrees with the human-readable output.
     let gates = json

@@ -203,10 +203,6 @@ pub struct SynthesisOptions {
     /// establishing an immediate `bestDepth` upper bound (engineering
     /// addition over the paper; ablatable).
     pub initial_dive: bool,
-    /// Among solutions with the *same* gate count, prefer the one with
-    /// the lower quantum cost (§II-D). Widens the depth cutoff by one
-    /// level so equal-size alternatives stay reachable; off by default.
-    pub tie_break_cost: bool,
     /// Stop at the first solution instead of searching for the best one
     /// (used by the scalability experiments of §V-E, which only ask
     /// *whether* a solution is found).
@@ -232,7 +228,6 @@ impl SynthesisOptions {
             dedup_states: true,
             monotone_only: false,
             initial_dive: true,
-            tie_break_cost: false,
             stop_at_first: false,
         }
     }
@@ -327,12 +322,6 @@ impl SynthesisOptions {
     /// Enables or disables the greedy seeding dive.
     pub fn with_initial_dive(mut self, on: bool) -> Self {
         self.initial_dive = on;
-        self
-    }
-
-    /// Enables the quantum-cost tie-break among equal-size solutions.
-    pub fn with_tie_break_cost(mut self, on: bool) -> Self {
-        self.tie_break_cost = on;
         self
     }
 

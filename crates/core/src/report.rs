@@ -16,7 +16,7 @@ use crate::{FredkinMode, PriorityMode, Pruning, SearchStats, SynthesisOptions};
 /// Version of the run-report JSON schema. Bumped whenever a field is
 /// renamed, removed, or changes meaning; additions are backwards
 /// compatible and do not bump it.
-pub const RUN_REPORT_SCHEMA_VERSION: u64 = 6;
+pub const RUN_REPORT_SCHEMA_VERSION: u64 = 7;
 
 fn opt_uint<T: Into<u64>>(v: Option<T>) -> Json {
     v.map(|x| Json::uint(x.into())).unwrap_or(Json::Null)
@@ -84,10 +84,6 @@ pub fn options_to_json(options: &SynthesisOptions) -> Json {
             Json::Bool(options.monotone_only),
         ),
         ("initial_dive".to_string(), Json::Bool(options.initial_dive)),
-        (
-            "tie_break_cost".to_string(),
-            Json::Bool(options.tie_break_cost),
-        ),
         (
             "stop_at_first".to_string(),
             Json::Bool(options.stop_at_first),
@@ -228,7 +224,7 @@ mod tests {
         let text = report.to_string();
         let parsed = Json::parse(&text).expect("report is valid JSON");
 
-        assert_eq!(parsed.get("schema_version").unwrap().as_u64(), Some(6));
+        assert_eq!(parsed.get("schema_version").unwrap().as_u64(), Some(7));
         assert_eq!(parsed.get("solved").unwrap().as_bool(), Some(true));
         let circuit = parsed.get("circuit").unwrap();
         assert_eq!(

@@ -396,8 +396,8 @@ struct Search<'a> {
     /// `elim/depth` is the paper's "number of terms eliminated per
     /// stage".
     init_terms: usize,
-    /// Best solution: (gate count, quantum cost, path).
-    best: Option<(u32, u64, Option<Rc<PathNode>>)>,
+    /// Best solution: (gate count, path).
+    best: Option<(u32, Option<Rc<PathNode>>)>,
     queue: BinaryHeap<QueueEntry>,
     /// State fingerprint ([`MultiPprm::fingerprint`], the XOR-combined
     /// per-term hash maintained incrementally by the substitution
@@ -498,11 +498,10 @@ impl<'a> Search<'a> {
 
     /// Depth bound children must stay under to remain useful.
     fn depth_cutoff(&self) -> u32 {
-        let slack = u32::from(self.options.tie_break_cost);
         let from_best = self
             .best
             .as_ref()
-            .map(|(d, _, _)| (d + slack).saturating_sub(1))
+            .map(|(d, _)| d.saturating_sub(1))
             .unwrap_or(u32::MAX);
         let from_cap = self.options.max_gates.map(|g| g as u32).unwrap_or(u32::MAX);
         from_best.min(from_cap)
@@ -658,20 +657,10 @@ impl<'a> Search<'a> {
                 parent: node.path.clone(),
                 gate,
             }));
-            let cost = if self.options.tie_break_cost {
-                path_to_gates(&path)
-                    .iter()
-                    .map(|&g| rmrls_circuit::gate_cost(g, n))
-                    .sum()
-            } else {
-                0
-            };
             let improved = self
                 .best
                 .as_ref()
-                .map(|&(d, c, _)| {
-                    child_depth < d || (self.options.tie_break_cost && child_depth == d && cost < c)
-                })
+                .map(|&(d, _)| child_depth < d)
                 .unwrap_or(true);
             let within_cap = self
                 .options
@@ -682,7 +671,7 @@ impl<'a> Search<'a> {
                 self.obs.on_solution(child_depth, improved && within_cap);
             }
             if improved && within_cap {
-                self.best = Some((child_depth, cost, path));
+                self.best = Some((child_depth, path));
                 self.steps_since_restart = 0;
                 if self.options.stop_at_first {
                     self.stats.stop_reason = Some(StopReason::FirstSolution);
@@ -832,7 +821,7 @@ impl<'a> Search<'a> {
                 .stop_reason
                 .map(|r| r.to_string())
                 .unwrap_or_else(|| "unknown".into());
-            let gates = self.best.as_ref().map(|&(d, _, _)| d);
+            let gates = self.best.as_ref().map(|&(d, _)| d);
             self.obs.on_candidate_totals(
                 self.stats.candidates_scored,
                 self.stats.candidates_materialized,
@@ -841,7 +830,7 @@ impl<'a> Search<'a> {
                 .on_run_end(&reason, self.stats.nodes_expanded, gates);
         }
         match self.best.take() {
-            Some((_, _, path)) => {
+            Some((_, path)) => {
                 let circuit = Circuit::from_gates(num_vars, path_to_gates(&path));
                 Ok(Synthesis {
                     circuit,
@@ -1012,7 +1001,7 @@ pub fn synthesize_with_observer(
 
     if spec.is_identity() {
         search.stats.stop_reason = Some(StopReason::QueueExhausted);
-        search.best = Some((0, 0, None));
+        search.best = Some((0, None));
         return search.finish(n);
     }
 
@@ -1036,16 +1025,11 @@ pub fn synthesize_with_observer(
                 if search.obs.is_active() {
                     search.obs.on_solution(gates.len() as u32, true);
                 }
-                let cost = if options.tie_break_cost {
-                    gates.iter().map(|&g| rmrls_circuit::gate_cost(g, n)).sum()
-                } else {
-                    0
-                };
                 let mut path: Option<Rc<PathNode>> = None;
                 for &gate in &gates {
                     path = Some(Rc::new(PathNode { parent: path, gate }));
                 }
-                search.best = Some((gates.len() as u32, cost, path));
+                search.best = Some((gates.len() as u32, path));
                 if options.stop_at_first {
                     search.stats.stop_reason = Some(StopReason::FirstSolution);
                     return search.finish(n);
@@ -1113,7 +1097,7 @@ pub fn synthesize_with_observer(
                 let progress = Progress {
                     nodes_expanded: search.stats.nodes_expanded,
                     queue_depth: search.queue.len(),
-                    best_gates: search.best.as_ref().map(|&(d, _, _)| d),
+                    best_gates: search.best.as_ref().map(|&(d, _)| d),
                     restarts: search.stats.restarts,
                     live_terms: search.live_terms,
                     elapsed: search.start.elapsed(),
@@ -1486,31 +1470,6 @@ mod tests {
         let p = Permutation::from_vec(vec![1, 2, 3, 4, 5, 6, 7, 0]).unwrap();
         let r = synthesize_bidirectional(&p, &SynthesisOptions::new()).unwrap();
         assert_eq!(r.circuit.to_permutation(), p.as_slice());
-    }
-
-    #[test]
-    fn cost_tie_break_never_worse() {
-        // Same gate count, cost no higher than the plain run.
-        let base = SynthesisOptions::new().with_max_nodes(20_000);
-        let costed = base.clone().with_tie_break_cost(true);
-        for rank in (0..40320u128).step_by(3001) {
-            let spec = Permutation::from_rank(3, rank).to_multi_pprm();
-            let plain = synthesize(&spec, &base).unwrap();
-            let tied = synthesize(&spec, &costed).unwrap();
-            assert!(
-                tied.circuit.gate_count() <= plain.circuit.gate_count(),
-                "rank {rank}: primary objective must not degrade"
-            );
-            if tied.circuit.gate_count() == plain.circuit.gate_count() {
-                assert!(
-                    tied.circuit.quantum_cost() <= plain.circuit.quantum_cost(),
-                    "rank {rank}: cost {} vs {}",
-                    tied.circuit.quantum_cost(),
-                    plain.circuit.quantum_cost()
-                );
-            }
-            assert_eq!(tied.circuit.to_permutation(), spec.to_permutation());
-        }
     }
 
     #[test]

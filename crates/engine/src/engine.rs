@@ -38,7 +38,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use rmrls_baselines::{mmd_synthesize, MmdVariant};
-use rmrls_circuit::Circuit;
+use rmrls_circuit::{equivalence_inputs, Circuit};
 use rmrls_core::{
     synthesize_with_observer, CancelToken, Observer, Pruning, SearchStats, StopReason, Synthesis,
     SynthesisOptions,
@@ -54,7 +54,7 @@ use crate::manifest::{Admission, BatchJob, SpecData};
 use crate::runner::JobRunner;
 use crate::signal::ShutdownHandles;
 use crate::store::SharedStore;
-use crate::telemetry::{BatchTelemetry, SAMPLE_INTERVAL};
+use crate::telemetry::BatchTelemetry;
 
 /// Builds one fresh [`rmrls_obs::EventSink`] per search attempt. The
 /// serve daemon passes a factory that tees progress events into a
@@ -81,12 +81,6 @@ pub(crate) struct JobContext<'a> {
 /// Version of the batch report / results-JSONL schema.
 pub const BATCH_SCHEMA_VERSION: u64 = 1;
 
-/// Widths up to this bound are verified exhaustively; wider symbolic
-/// specs fall back to quasirandom probes (mirrors the policy of
-/// `rmrls_circuit::check_equivalence`).
-const VERIFY_EXHAUSTIVE_LIMIT: usize = 20;
-const VERIFY_PROBES: u64 = 4096;
-
 /// Widest spec handed to the MMD fallback tier: MMD materializes the
 /// full `2^n` truth table, so the ladder only descends to it for specs
 /// that fit (this matches the manifest loader's TFC width cap).
@@ -111,13 +105,44 @@ pub enum SolveTier {
 }
 
 impl SolveTier {
+    /// Every tier, in ladder order.
+    pub(crate) const ALL: [SolveTier; 3] =
+        [SolveTier::Rmrls, SolveTier::RmrlsRelaxed, SolveTier::Mmd];
+
+    /// The tier's one row of encodings: its code (the durable store's
+    /// on-disk tier byte, which must never change), its name in JSONL
+    /// records and reports, and the run counter of the jobs it solved.
+    const fn row(self) -> (u8, &'static str, &'static str) {
+        match self {
+            SolveTier::Rmrls => (0, "rmrls", "solved_by_rmrls"),
+            SolveTier::RmrlsRelaxed => (1, "rmrls-relaxed", "solved_by_relaxed"),
+            SolveTier::Mmd => (2, "mmd", "solved_by_mmd"),
+        }
+    }
+
     /// Stable lowercase name used in JSONL records and reports.
     pub fn as_str(&self) -> &'static str {
-        match self {
-            SolveTier::Rmrls => "rmrls",
-            SolveTier::RmrlsRelaxed => "rmrls-relaxed",
-            SolveTier::Mmd => "mmd",
-        }
+        self.row().1
+    }
+
+    /// Stable numeric code, as the durable store writes it.
+    pub(crate) fn code(self) -> u8 {
+        self.row().0
+    }
+
+    /// The run counter of the jobs this tier solved.
+    pub(crate) fn counter(self) -> &'static str {
+        self.row().2
+    }
+
+    /// The tier with code `code`.
+    pub(crate) fn from_code(code: u8) -> Option<SolveTier> {
+        SolveTier::ALL.into_iter().find(|t| t.code() == code)
+    }
+
+    /// The tier named `name`.
+    pub(crate) fn from_name(name: &str) -> Option<SolveTier> {
+        SolveTier::ALL.into_iter().find(|t| t.as_str() == name)
     }
 }
 
@@ -154,10 +179,11 @@ pub struct BatchOptions {
     /// Live telemetry board. When set, the [`JobRunner`] counts on the
     /// board's registry instead of one of its own (so the run's
     /// counters are the live `/metrics` series), records each job's
-    /// latency into the histograms and drives the job's board slot
-    /// through running → finished; a batch run also keeps a background
-    /// gauge sampler going. All observation-only: results are
-    /// byte-identical with telemetry on or off.
+    /// latency into the histograms, drives the job's board slot
+    /// through running → finished and sets the cache (and, with a
+    /// store, the store) gauges as it changes them. All
+    /// observation-only: results are byte-identical with telemetry on
+    /// or off.
     pub telemetry: Option<Arc<BatchTelemetry>>,
     /// Durable canonical circuit store. When set, a canonical-cache
     /// miss consults the store's verified index before synthesizing
@@ -273,9 +299,8 @@ impl JobOutcome {
                 match field("status") {
                     Some("solved") => Ending::Solved {
                         verified: json.get("verified").and_then(Json::as_bool),
-                        solved_by: [SolveTier::RmrlsRelaxed, SolveTier::Mmd]
-                            .into_iter()
-                            .find(|t| field("solved_by") == Some(t.as_str()))
+                        solved_by: field("solved_by")
+                            .and_then(SolveTier::from_name)
                             // Pre-fallback journals have no solved_by;
                             // attribute to the only tier that existed.
                             .unwrap_or(SolveTier::Rmrls),
@@ -672,8 +697,7 @@ pub fn run_batch_resumable(
     let started = Instant::now();
     let workers = opts.workers.max(1);
     let runner = JobRunner::new(opts.clone());
-    let telemetry = runner.telemetry();
-    if let Some(t) = telemetry {
+    if let Some(t) = runner.telemetry() {
         t.set_workers_total(workers as u64);
     }
     let slots: Vec<Mutex<Option<JobRecord>>> =
@@ -712,20 +736,6 @@ pub fn run_batch_resumable(
                 std::thread::park_timeout(Duration::from_millis(20));
             }
         });
-        // The sampler publishes point-in-time gauges (frontier depth,
-        // live terms, cache occupancy, busy workers) every beat, so a
-        // scrape mid-run sees current values rather than whatever the
-        // last finished job left behind. One final beat after the pool
-        // drains leaves the gauges at their end-of-run state.
-        let sampler = telemetry.map(|t| {
-            scope.spawn(|| loop {
-                t.sample(runner.cache().map(|c| c.len() as u64));
-                if workers_done.load(Ordering::Acquire) {
-                    break;
-                }
-                std::thread::park_timeout(SAMPLE_INTERVAL);
-            })
-        });
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 scope.spawn(|| loop {
@@ -760,9 +770,6 @@ pub fn run_batch_resumable(
         }
         workers_done.store(true, Ordering::Release);
         monitor.thread().unpark();
-        if let Some(s) = &sampler {
-            s.thread().unpark();
-        }
         if let Some(payload) = worker_panic {
             // Preserve pre-monitor behavior: an uncontained worker
             // panic (a bug — jobs run under catch_unwind) still
@@ -1172,9 +1179,7 @@ fn solve_permutation(
             canon_solution = s.lock().get(&key);
             if let Some((circuit, tier)) = &canon_solution {
                 job.runner.count("store_hits", 1);
-                if let Some(c) = cache {
-                    c.lock().insert(key.clone(), circuit.clone(), *tier);
-                }
+                job.runner.cache_insert(&key, circuit, *tier);
             }
         }
     }
@@ -1194,20 +1199,17 @@ fn solve_permutation(
             };
             // Failpoint: a failed insert only costs future hits; this
             // job's result is already in hand.
-            if let Some(c) = cache {
-                if rmrls_obs::fail::trigger("engine/cache/insert").is_ok() {
-                    c.lock().insert(key.clone(), circuit.clone(), tier);
-                }
+            if cache.is_some() && rmrls_obs::fail::trigger("engine/cache/insert").is_ok() {
+                job.runner.cache_insert(&key, &circuit, tier);
             }
             // Offer the fresh synthesis to the durable store; an append
             // failure costs only future warm starts, never this job.
             if let Some(s) = opts.store.as_ref() {
-                match s
-                    .lock()
-                    .insert(&key, &circuit, tier, &opts.store_provenance)
-                {
+                let mut store = s.lock();
+                match store.insert(&key, &circuit, tier, &opts.store_provenance) {
                     Ok(crate::store::InsertOutcome::Inserted { .. }) => {
                         job.runner.count("store_inserts", 1);
+                        job.runner.set_store_gauges(&store);
                     }
                     Ok(_) => {}
                     Err(_) => {
@@ -1231,21 +1233,12 @@ fn verify_permutation(circuit: &Circuit, p: &Permutation) -> bool {
     circuit.width() == p.num_vars() && circuit.to_permutation() == p.as_slice()
 }
 
+/// Checks a circuit against a symbolic spec on the inputs of
+/// [`equivalence_inputs`]: all of them up to 20 wires, quasirandom
+/// probes beyond.
 fn verify_pprm(circuit: &Circuit, m: &MultiPprm) -> bool {
-    let n = m.num_vars();
-    if circuit.width() != n {
-        return false;
-    }
-    if n <= VERIFY_EXHAUSTIVE_LIMIT {
-        (0..1u64 << n).all(|x| circuit.apply(x) == m.eval(x))
-    } else {
-        // Quasirandom probes, same multiplier as check_equivalence.
-        let mask = if n >= 64 { !0u64 } else { (1u64 << n) - 1 };
-        (0..VERIFY_PROBES).all(|k| {
-            let x = k.wrapping_mul(0x9e37_79b9_7f4a_7c15) & mask;
-            circuit.apply(x) == m.eval(x)
-        })
-    }
+    circuit.width() == m.num_vars()
+        && equivalence_inputs(m.num_vars()).all(|x| circuit.apply(x) == m.eval(x))
 }
 
 #[cfg(test)]
@@ -1270,6 +1263,45 @@ mod tests {
             queue_peak: 100,
             ..SearchStats::default()
         }
+    }
+
+    #[test]
+    fn every_tier_round_trips_through_its_one_table() {
+        let rows: Vec<_> = SolveTier::ALL
+            .into_iter()
+            .map(|t| (t.code(), t.as_str(), t.counter()))
+            .collect();
+        assert_eq!(
+            rows,
+            [
+                (0, "rmrls", "solved_by_rmrls"),
+                (1, "rmrls-relaxed", "solved_by_relaxed"),
+                (2, "mmd", "solved_by_mmd"),
+            ]
+        );
+        for tier in SolveTier::ALL {
+            assert_eq!(SolveTier::from_code(tier.code()), Some(tier));
+            assert_eq!(SolveTier::from_name(tier.as_str()), Some(tier));
+            assert!(BatchCounters::registry_names().any(|name| name == tier.counter()));
+            // A resumed record decodes the tier its live run recorded.
+            let record = JobRecord {
+                name: "job".to_string(),
+                origin: "test".to_string(),
+                cache_hit: false,
+                seconds: 0.0,
+                outcome: JobOutcome::Solved {
+                    circuit: Circuit::new(2),
+                    verified: Some(true),
+                    solved_by: tier,
+                },
+            };
+            let resumed = JobOutcome::Resumed {
+                json: record.to_json_indexed(0),
+            };
+            assert_eq!(resumed.ending(), record.outcome.ending());
+        }
+        assert_eq!(SolveTier::from_code(3), None);
+        assert_eq!(SolveTier::from_name("relaxed"), None);
     }
 
     #[test]

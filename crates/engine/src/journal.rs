@@ -96,13 +96,14 @@ pub fn options_fingerprint(opts: &BatchOptions) -> u64 {
     // Journals written by older releases hashed options the search no
     // longer has: a relative time limit, `null`, right after
     // `"pruning"`; two memory caps, both `null`, right after
-    // `"cancellable"`; and three trailing ones, `"trace":false`,
+    // `"cancellable"`; the cost tie-break, `false`, right after
+    // `"initial_dive"`; and three trailing ones, `"trace":false`,
     // `"profile":false` and `"threads":0`. Putting them back keeps the
     // hashed bytes, and so every existing journal's header, valid for
-    // `batch --resume`. No release could set a batch job's time limit
-    // or memory cap from the CLI, and profiling only timed the search,
-    // so those releases always hashed these values: a journal written
-    // with `--profile` resumes too.
+    // `batch --resume`. No release could set a batch job's time limit,
+    // memory cap or cost tie-break from the CLI, and profiling only
+    // timed the search, so those releases always hashed these values:
+    // a journal written with `--profile` resumes too.
     if let Json::Obj(fields) = &mut synthesis {
         let after = |fields: &[(String, Json)], key: &str| {
             1 + fields
@@ -115,6 +116,8 @@ pub fn options_fingerprint(opts: &BatchOptions) -> u64 {
         let at = after(fields, "cancellable");
         let caps = ["max_live_terms", "max_queue_bytes"].map(|k| (k.to_string(), Json::Null));
         fields.splice(at..at, caps);
+        let at = after(fields, "initial_dive");
+        fields.insert(at, ("tie_break_cost".to_string(), Json::Bool(false)));
         fields.push(("trace".to_string(), Json::Bool(false)));
         fields.push(("profile".to_string(), Json::Bool(false)));
         fields.push(("threads".to_string(), Json::uint(0)));

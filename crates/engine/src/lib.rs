@@ -74,4 +74,4 @@ pub use store::{
     fsck, CircuitStore, FsckReport, InsertOutcome, SharedStore, StoreEntry, StoreStats,
     STORE_SCHEMA_VERSION,
 };
-pub use telemetry::{BatchTelemetry, JobState, JobStatus, JobStatusRegistry, SAMPLE_INTERVAL};
+pub use telemetry::{BatchTelemetry, JobState, JobStatus, JobStatusRegistry};

@@ -28,16 +28,18 @@
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
+use rmrls_circuit::Circuit;
 use rmrls_core::{CancelToken, StopReason};
 use rmrls_obs::{FlightRecorder, SyncRegistry};
 
-use crate::cache::SharedCache;
+use crate::cache::{CacheKey, SharedCache};
 use crate::engine::{
     lock, run_one, write_job_traces, BatchCounters, BatchOptions, Ending, JobContext, JobOutcome,
     JobRecord, SinkFactory, SolveTier,
 };
 use crate::journal::JournalWriter;
 use crate::manifest::Admission;
+use crate::store::CircuitStore;
 use crate::telemetry::BatchTelemetry;
 
 /// Executes admissions one at a time against a persistent shared cache
@@ -68,7 +70,42 @@ impl JobRunner {
         for name in BatchCounters::registry_names() {
             runner.registry().counter(name);
         }
+        if let Some(store) = &runner.opts.store {
+            runner.set_store_gauges(&store.lock());
+        }
         runner
+    }
+
+    /// Inserts a canonical circuit into the cache, when there is one,
+    /// and sets the board's `cache_entries` gauge under the cache lock,
+    /// so the gauge moves in the order the cache does.
+    pub(crate) fn cache_insert(&self, key: &CacheKey, circuit: &Circuit, tier: SolveTier) {
+        let Some(cache) = &self.cache else {
+            return;
+        };
+        let mut cache = cache.lock();
+        cache.insert(key.clone(), circuit.clone(), tier);
+        if let Some(t) = self.telemetry() {
+            t.cache_entries.set(cache.len() as u64);
+        }
+    }
+
+    /// Sets the board's four store gauges from `store`: when the runner
+    /// is built, and under the store lock after each append. Without a
+    /// board, a runner registers no store gauges.
+    pub(crate) fn set_store_gauges(&self, store: &CircuitStore) {
+        let Some(t) = self.telemetry() else {
+            return;
+        };
+        let stats = store.stats();
+        for (name, value) in [
+            ("store_entries", stats.entries),
+            ("store_file_bytes", stats.file_bytes),
+            ("store_quarantined_records", stats.quarantined_records),
+            ("store_verify_rejected", stats.verify_rejected),
+        ] {
+            t.registry().gauge(name).set(value);
+        }
     }
 
     /// The registry the runner counts on.
@@ -103,14 +140,7 @@ impl JobRunner {
                     Some(false) => self.count("verify_failures", 1),
                     None => {}
                 }
-                self.count(
-                    match solved_by {
-                        SolveTier::Rmrls => "solved_by_rmrls",
-                        SolveTier::RmrlsRelaxed => "solved_by_relaxed",
-                        SolveTier::Mmd => "solved_by_mmd",
-                    },
-                    1,
-                );
+                self.count(solved_by.counter(), 1);
             }
             Ending::Unsolved { stop_reason } => {
                 self.count("jobs_unsolved", 1);
@@ -211,6 +241,7 @@ mod tests {
     use super::*;
     use crate::engine::{JobOutcome, SolveTier};
     use crate::manifest::admit_inline;
+    use crate::store::SharedStore;
 
     fn runner(opts: BatchOptions) -> JobRunner {
         JobRunner::new(opts)
@@ -249,6 +280,54 @@ mod tests {
         assert_eq!(g1, g2);
         assert_eq!(t1, SolveTier::Rmrls);
         assert_eq!(t2, SolveTier::Rmrls);
+    }
+
+    #[test]
+    fn the_runner_sets_the_cache_and_store_gauges() {
+        let dir = std::env::temp_dir().join(format!("rmrls-runner-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("gauges.store");
+        let _ = std::fs::remove_file(&path);
+        let store = SharedStore::open(path.to_str().unwrap()).unwrap();
+        let board_runner = || {
+            let board = Arc::new(BatchTelemetry::new(vec!["job".to_string()]));
+            let r = runner(BatchOptions {
+                telemetry: Some(Arc::clone(&board)),
+                store: Some(store.clone()),
+                ..BatchOptions::default()
+            });
+            (board, r)
+        };
+        let gauge = |board: &BatchTelemetry, name: &str| {
+            let snap = board.registry().snapshot();
+            let (_, value, peak) = snap.gauges.into_iter().find(|(n, _, _)| n == name).unwrap();
+            (value as u64, peak as u64)
+        };
+        let token = CancelToken::new();
+
+        // The store gauges are primed when the runner is built.
+        let (board, r) = board_runner();
+        let empty_bytes = store.stats().file_bytes;
+        assert_eq!(gauge(&board, "store_entries"), (0, 0));
+        assert_eq!(gauge(&board, "store_file_bytes").0, empty_bytes);
+        assert_eq!(gauge(&board, "cache_entries"), (0, 0));
+        // A fresh synthesis enters the cache and is appended.
+        r.run(&perm_job("a"), None, &token, 0, None, None);
+        assert_eq!(gauge(&board, "cache_entries"), (1, 1));
+        assert_eq!(gauge(&board, "store_entries"), (1, 1));
+        let appended_bytes = store.stats().file_bytes;
+        assert!(appended_bytes > empty_bytes);
+        assert_eq!(gauge(&board, "store_file_bytes").0, appended_bytes);
+        assert_eq!(gauge(&board, "store_quarantined_records"), (0, 0));
+        assert_eq!(gauge(&board, "store_verify_rejected"), (0, 0));
+
+        // A new runner over the warm store promotes its hit into the
+        // cache.
+        let (board, r) = board_runner();
+        assert_eq!(gauge(&board, "store_entries"), (1, 1));
+        assert!(r.run(&perm_job("b"), None, &token, 0, None, None).cache_hit);
+        assert_eq!(gauge(&board, "cache_entries"), (1, 1));
+        assert_eq!(gauge(&board, "store_file_bytes").0, appended_bytes);
     }
 
     #[test]

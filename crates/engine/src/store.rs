@@ -612,23 +612,6 @@ fn scan_records(bytes: &[u8], body_start: usize) -> ScanOutcome {
     outcome
 }
 
-fn tier_code(tier: SolveTier) -> u8 {
-    match tier {
-        SolveTier::Rmrls => 0,
-        SolveTier::RmrlsRelaxed => 1,
-        SolveTier::Mmd => 2,
-    }
-}
-
-fn tier_from_code(code: u8) -> Option<SolveTier> {
-    match code {
-        0 => Some(SolveTier::Rmrls),
-        1 => Some(SolveTier::RmrlsRelaxed),
-        2 => Some(SolveTier::Mmd),
-        _ => None,
-    }
-}
-
 /// Byte marker for a Toffoli gate record.
 const GATE_TOFFOLI: u8 = 0;
 /// Byte marker for a Fredkin gate record.
@@ -643,7 +626,7 @@ fn encode_payload(key: &CacheKey, entry: &StoreEntry) -> Vec<u8> {
     let gates = entry.circuit.gates();
     let mut out = Vec::with_capacity(16 + key.table.len() * 8 + gates.len() * 7);
     out.push(RECORD_VERSION);
-    out.push(tier_code(entry.tier));
+    out.push(entry.tier.code());
     out.push(key.num_vars as u8);
     out.push(entry.circuit.width() as u8);
     out.extend_from_slice(&(gates.len() as u32).to_le_bytes());
@@ -684,7 +667,7 @@ fn decode_payload(payload: &[u8]) -> Option<(CacheKey, StoreEntry)> {
     if r.u8()? != RECORD_VERSION {
         return None;
     }
-    let tier = tier_from_code(r.u8()?)?;
+    let tier = SolveTier::from_code(r.u8()?)?;
     let num_vars = r.u8()? as usize;
     let width = r.u8()? as usize;
     if num_vars == 0 || num_vars > STORE_MAX_VARS || width != num_vars {
@@ -814,6 +797,23 @@ mod tests {
 
     fn fredkin_pair() -> (CacheKey, Circuit) {
         entry(3, vec![Gate::fredkin(&[2], 0, 1)])
+    }
+
+    #[test]
+    fn every_tier_keeps_its_on_disk_code() {
+        // Stores written by earlier releases carry these bytes.
+        let (key, circuit) = cnot_pair();
+        for (tier, code) in SolveTier::ALL.into_iter().zip([0, 1, 2]) {
+            let entry = StoreEntry {
+                circuit: circuit.clone(),
+                tier,
+                provenance: "test".to_string(),
+            };
+            let payload = encode_payload(&key, &entry);
+            assert_eq!(payload[1], code, "{}", tier.as_str());
+            let (decoded_key, decoded) = decode_payload(&payload).unwrap();
+            assert_eq!((decoded_key, decoded.tier), (key.clone(), tier));
+        }
     }
 
     #[test]

@@ -9,13 +9,17 @@
 //!   `/metrics` series are one store (the `/healthz` degradation
 //!   witnesses read the same counters by name),
 //! - records per-job synthesis latency, expansion-batch latency, and
-//!   cache-lookup latency into log-bucketed histograms, and
+//!   cache-lookup latency into log-bucketed histograms,
 //! - drives the [`JobStatusRegistry`] through
-//!   pending → running → done/failed transitions,
+//!   pending → running → done/failed transitions, and
+//! - sets the cache and store gauges where it changes the cache and
+//!   the store.
 //!
-//! while [`run_batch`] (and the serve daemon) run a background sampler
-//! that publishes point-in-time gauges (frontier depth, live PPRM
-//! terms, cache occupancy, busy workers) every [`SAMPLE_INTERVAL`].
+//! Every gauge is set by the code that changes its value, so a scrape
+//! reads exact values at any moment: the job-state counts move in the
+//! board's one state transition, and the frontier-depth and live-term
+//! sums move by each progress beat's difference. Nothing publishes on
+//! a timer.
 //!
 //! Everything here is observation-only. Job state lives in
 //! per-slot atomics written by workers and read by scrape threads; no
@@ -23,22 +27,18 @@
 //! search decision reads telemetry state — which is what makes the
 //! "byte-identical results with telemetry on" guarantee hold.
 //!
-//! [`run_batch`]: crate::engine::run_batch
 //! [`BatchOptions::telemetry`]: crate::engine::BatchOptions
 //! [`JobRunner`]: crate::runner::JobRunner
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use rmrls_core::Progress;
 use rmrls_obs::{prometheus_text, Json, SyncGauge, SyncHistogram, SyncRegistry};
 
 use crate::engine::{Ending, JobOutcome, SolveTier};
-
-/// Cadence of the background gauge sampler.
-pub const SAMPLE_INTERVAL: Duration = Duration::from_millis(250);
 
 /// The run counters `/healthz` reads as degradation witnesses: any of
 /// them above zero marks the run degraded.
@@ -56,19 +56,20 @@ const UNSET: u64 = u64::MAX;
 /// job, so it is neither listed on `/jobs` nor counted in any state.
 const IDLE: u8 = 4;
 
-/// Lifecycle of one batch job, as exposed on `/jobs`.
+/// Lifecycle of one batch job, as exposed on `/jobs`. The discriminant
+/// is the slot's state byte.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum JobState {
     /// Not yet picked up by a worker.
-    Pending,
+    Pending = 0,
     /// A worker is executing it now.
-    Running,
+    Running = 1,
     /// Finished with a circuit (solved, or recovered from a journal
     /// record of a solved job).
-    Done,
+    Done = 2,
     /// Finished without a circuit (unsolved, errored, panicked, or
     /// skipped by a drain).
-    Failed,
+    Failed = 3,
 }
 
 impl JobState {
@@ -101,7 +102,7 @@ impl JobState {
 struct JobSlot {
     name: Mutex<String>,
     state: AtomicU8,
-    /// 0 = none/unsolved, else `SolveTier as u8 + 1`.
+    /// 0 = none/unsolved, else the tier's [`SolveTier::code`] + 1.
     solved_by: AtomicU8,
     started_ms: AtomicU64,
     ended_ms: AtomicU64,
@@ -168,34 +169,41 @@ impl JobStatus {
     }
 }
 
-/// Live per-job state for one batch run.
+/// Live per-job state for one batch run, plus the gauges that sum it.
 ///
 /// Indices are admission indices; the slot vector is sized once at
 /// construction and never grows, so readers never race a resize.
 pub struct JobStatusRegistry {
     t0: Instant,
     slots: Vec<JobSlot>,
+    /// Slots in each state, indexed by state byte. The pending and
+    /// running counts are the `jobs_pending` and `jobs_running` gauges.
+    counts: [Arc<SyncGauge>; 4],
+    /// Frontier depth summed over running slots (`queue_depth`).
+    queue_depth: Arc<SyncGauge>,
+    /// Live PPRM terms summed over running slots (`live_terms`).
+    live_terms: Arc<SyncGauge>,
 }
 
 impl JobStatusRegistry {
-    /// One pending slot per job name, in admission order.
-    pub fn new(names: Vec<String>) -> JobStatusRegistry {
-        JobStatusRegistry::with_slots(names.into_iter().map(|n| JobSlot::new(n, 0)))
-    }
-
-    /// `slots` idle slots for [`assign`](JobStatusRegistry::assign) to
-    /// label. Until assigned, a slot is not a job:
-    /// [`statuses`](JobStatusRegistry::statuses) skips it and no state
-    /// counts it.
-    pub fn idle(slots: usize) -> JobStatusRegistry {
-        JobStatusRegistry::with_slots((0..slots).map(|_| JobSlot::new(String::new(), IDLE)))
-    }
-
-    fn with_slots(slots: impl Iterator<Item = JobSlot>) -> JobStatusRegistry {
-        JobStatusRegistry {
+    /// The board of `slots`, registering its gauges on `registry`.
+    fn new(slots: Vec<JobSlot>, registry: &SyncRegistry) -> JobStatusRegistry {
+        let jobs = JobStatusRegistry {
             t0: Instant::now(),
-            slots: slots.collect(),
+            queue_depth: registry.gauge("queue_depth"),
+            live_terms: registry.gauge("live_terms"),
+            counts: [
+                registry.gauge("jobs_pending"),
+                registry.gauge("jobs_running"),
+                Arc::default(),
+                Arc::default(),
+            ],
+            slots,
+        };
+        for slot in &jobs.slots {
+            jobs.count(slot.state.load(Ordering::Relaxed), 1);
         }
+        jobs
     }
 
     /// Number of slots (idle ones included).
@@ -212,6 +220,33 @@ impl JobStatusRegistry {
         self.t0.elapsed().as_millis() as u64
     }
 
+    /// Adds `delta` to the count of slots in state `state` (none for
+    /// [`IDLE`]).
+    fn count(&self, state: u8, delta: i64) {
+        if let Some(count) = self.counts.get(usize::from(state)) {
+            count.add(delta);
+        }
+    }
+
+    /// The one state transition: swaps `slot` into state `to` and moves
+    /// it between the per-state counts. A slot that enters or leaves
+    /// `running` adds its last progress beat to the running sums or
+    /// takes it out; it keeps the beat itself, so `/jobs` still shows
+    /// it.
+    fn transition(&self, slot: &JobSlot, to: JobState) {
+        let from = slot.state.swap(to as u8, Ordering::AcqRel);
+        let running = JobState::Running as u8;
+        let sign = i64::from(to as u8 == running) - i64::from(from == running);
+        if sign != 0 {
+            self.queue_depth
+                .add(sign * slot.queue_depth.load(Ordering::Relaxed) as i64);
+            self.live_terms
+                .add(sign * slot.live_terms.load(Ordering::Relaxed) as i64);
+        }
+        self.count(from, -1);
+        self.count(to as u8, 1);
+    }
+
     /// Reassigns a slot to a new job — the serve daemon's pattern,
     /// where a fixed ring of slots is relabeled as requests arrive
     /// (batch mode names every slot once at construction and never
@@ -221,6 +256,7 @@ impl JobStatusRegistry {
         let Some(slot) = self.slots.get(index) else {
             return;
         };
+        self.transition(slot, JobState::Pending);
         match slot.name.lock() {
             Ok(mut n) => *n = name.to_string(),
             Err(poisoned) => *poisoned.into_inner() = name.to_string(),
@@ -231,7 +267,6 @@ impl JobStatusRegistry {
         slot.nodes_expanded.store(0, Ordering::Relaxed);
         slot.queue_depth.store(0, Ordering::Relaxed);
         slot.live_terms.store(0, Ordering::Relaxed);
-        slot.state.store(0, Ordering::Release);
     }
 
     /// Marks a job picked up by a worker.
@@ -240,7 +275,7 @@ impl JobStatusRegistry {
             return;
         };
         slot.started_ms.store(self.now_ms(), Ordering::Relaxed);
-        slot.state.store(1, Ordering::Release);
+        self.transition(slot, JobState::Running);
     }
 
     /// Marks a job finished, deriving done/failed and the solve tier
@@ -257,25 +292,27 @@ impl JobStatusRegistry {
     /// Marks a job finished with a circuit (tier `None` for jobs
     /// recovered from a journal, where the tier was not replayed).
     pub fn mark_done(&self, index: usize, tier: Option<SolveTier>) {
-        self.finish(index, 2, tier);
+        self.finish(index, JobState::Done, tier);
     }
 
     /// Marks a job finished without a circuit.
     pub fn mark_failed(&self, index: usize) {
-        self.finish(index, 3, None);
+        self.finish(index, JobState::Failed, None);
     }
 
-    fn finish(&self, index: usize, state: u8, tier: Option<SolveTier>) {
+    fn finish(&self, index: usize, state: JobState, tier: Option<SolveTier>) {
         let Some(slot) = self.slots.get(index) else {
             return;
         };
         slot.solved_by
-            .store(tier.map_or(0, |t| t as u8 + 1), Ordering::Relaxed);
+            .store(tier.map_or(0, |t| t.code() + 1), Ordering::Relaxed);
         slot.ended_ms.store(self.now_ms(), Ordering::Relaxed);
-        slot.state.store(state, Ordering::Release);
+        self.transition(slot, state);
     }
 
-    /// Publishes a progress beat from inside a running search.
+    /// Publishes a progress beat from the search running in slot
+    /// `index`, moving the running sums by the beat's difference from
+    /// the slot's previous one. A slot that is not running ignores it.
     pub fn update_progress(
         &self,
         index: usize,
@@ -286,9 +323,14 @@ impl JobStatusRegistry {
         let Some(slot) = self.slots.get(index) else {
             return;
         };
+        if slot.state.load(Ordering::Acquire) != JobState::Running as u8 {
+            return;
+        }
         slot.nodes_expanded.store(nodes_expanded, Ordering::Relaxed);
-        slot.queue_depth.store(queue_depth, Ordering::Relaxed);
-        slot.live_terms.store(live_terms, Ordering::Relaxed);
+        let was = slot.queue_depth.swap(queue_depth, Ordering::Relaxed);
+        self.queue_depth.add(queue_depth as i64 - was as i64);
+        let was = slot.live_terms.swap(live_terms, Ordering::Relaxed);
+        self.live_terms.add(live_terms as i64 - was as i64);
     }
 
     /// Reads one job's current status (`None` for an idle slot).
@@ -308,12 +350,11 @@ impl JobStatusRegistry {
                 }
             }
         };
-        let solved_by = match slot.solved_by.load(Ordering::Relaxed) {
-            1 => Some(SolveTier::Rmrls),
-            2 => Some(SolveTier::RmrlsRelaxed),
-            3 => Some(SolveTier::Mmd),
-            _ => None,
-        };
+        let solved_by = slot
+            .solved_by
+            .load(Ordering::Relaxed)
+            .checked_sub(1)
+            .and_then(SolveTier::from_code);
         let name = match slot.name.lock() {
             Ok(n) => n.clone(),
             Err(poisoned) => poisoned.into_inner().clone(),
@@ -339,21 +380,7 @@ impl JobStatusRegistry {
 
     /// Count of jobs currently in `state`.
     pub fn count_in(&self, state: JobState) -> u64 {
-        self.slots
-            .iter()
-            .filter(|s| JobState::from_u8(s.state.load(Ordering::Acquire)) == Some(state))
-            .count() as u64
-    }
-
-    /// Sums a live field over all *running* jobs — the cluster-wide
-    /// "how deep are the frontiers right now" view the sampler
-    /// publishes as gauges.
-    fn sum_running(&self, field: impl Fn(&JobSlot) -> &AtomicU64) -> u64 {
-        self.slots
-            .iter()
-            .filter(|s| s.state.load(Ordering::Acquire) == 1)
-            .map(|s| field(s).load(Ordering::Relaxed))
-            .sum()
+        self.counts[state as usize].get()
     }
 }
 
@@ -373,13 +400,9 @@ pub struct BatchTelemetry {
     pub expansion_batch_seconds: Arc<SyncHistogram>,
     /// Canonicalization + cache-probe latency per lookup (seconds).
     pub cache_lookup_seconds: Arc<SyncHistogram>,
-    queue_depth: Arc<SyncGauge>,
-    live_terms: Arc<SyncGauge>,
-    cache_entries: Arc<SyncGauge>,
-    workers_busy: Arc<SyncGauge>,
+    /// Memo-cache occupancy, set by the runner under the cache lock.
+    pub(crate) cache_entries: Arc<SyncGauge>,
     workers_total: Arc<SyncGauge>,
-    jobs_running: Arc<SyncGauge>,
-    jobs_pending: Arc<SyncGauge>,
     /// 1 while the serve admission queue is shedding load (429s being
     /// returned), 0 otherwise. Registered on the serve board only:
     /// batch has no admission queue to shed from.
@@ -395,21 +418,34 @@ impl fmt::Debug for BatchTelemetry {
 }
 
 impl BatchTelemetry {
-    /// Builds the telemetry board for a run over the named jobs.
+    /// Builds the telemetry board for a run over the named jobs, one
+    /// pending slot per name in admission order.
     pub fn new(job_names: Vec<String>) -> BatchTelemetry {
-        BatchTelemetry::with_jobs(JobStatusRegistry::new(job_names))
+        let pending = JobState::Pending as u8;
+        BatchTelemetry::with_slots(
+            job_names
+                .into_iter()
+                .map(|n| JobSlot::new(n, pending))
+                .collect(),
+        )
     }
 
     /// Builds the serve daemon's board: `slots` idle slots that its
-    /// workers label per request (see [`JobStatusRegistry::idle`]),
-    /// plus the admission backpressure gauge.
+    /// workers label per request with
+    /// [`assign`](JobStatusRegistry::assign), plus the admission
+    /// backpressure gauge. Until assigned, a slot is not a job: `/jobs`
+    /// skips it and no state counts it.
     pub fn idle(slots: usize) -> BatchTelemetry {
-        let mut board = BatchTelemetry::with_jobs(JobStatusRegistry::idle(slots));
+        let mut board = BatchTelemetry::with_slots(
+            (0..slots)
+                .map(|_| JobSlot::new(String::new(), IDLE))
+                .collect(),
+        );
         board.backpressure = Some(board.registry.gauge("admission_backpressure"));
         board
     }
 
-    fn with_jobs(jobs: JobStatusRegistry) -> BatchTelemetry {
+    fn with_slots(slots: Vec<JobSlot>) -> BatchTelemetry {
         let registry = SyncRegistry::new();
         for name in DEGRADATION_WITNESSES {
             registry.counter(name);
@@ -419,15 +455,10 @@ impl BatchTelemetry {
             job_seconds: registry.histogram("job_seconds", &latency),
             expansion_batch_seconds: registry.histogram("expansion_batch_seconds", &latency),
             cache_lookup_seconds: registry.histogram("cache_lookup_seconds", &latency),
-            queue_depth: registry.gauge("queue_depth"),
-            live_terms: registry.gauge("live_terms"),
+            jobs: JobStatusRegistry::new(slots, &registry),
             cache_entries: registry.gauge("cache_entries"),
-            workers_busy: registry.gauge("workers_busy"),
             workers_total: registry.gauge("workers_total"),
-            jobs_running: registry.gauge("jobs_running"),
-            jobs_pending: registry.gauge("jobs_pending"),
             backpressure: None,
-            jobs,
             registry,
         }
     }
@@ -442,23 +473,6 @@ impl BatchTelemetry {
     /// Records the total worker count (published once at pool start).
     pub fn set_workers_total(&self, n: u64) {
         self.workers_total.set(n);
-    }
-
-    /// One sampler beat: reads live state and publishes it as gauges.
-    /// `cache_entries` is the memo-cache occupancy, `None` when the
-    /// cache is disabled.
-    pub fn sample(&self, cache_entries: Option<u64>) {
-        self.queue_depth
-            .set(self.jobs.sum_running(|s| &s.queue_depth));
-        self.live_terms
-            .set(self.jobs.sum_running(|s| &s.live_terms));
-        if let Some(n) = cache_entries {
-            self.cache_entries.set(n);
-        }
-        let running = self.jobs.count_in(JobState::Running);
-        self.workers_busy.set(running);
-        self.jobs_running.set(running);
-        self.jobs_pending.set(self.jobs.count_in(JobState::Pending));
     }
 
     /// True when the run has witnessed degradation: a contained panic,
@@ -483,10 +497,11 @@ impl BatchTelemetry {
 
     /// The progress callback for a search running in board slot
     /// `index`: each beat (one per `TIME_CHECK_INTERVAL` expansions)
-    /// publishes the search's live state into the slot and records the
-    /// time since the previous beat into `expansion_batch_seconds`. It
-    /// only stores into atomics and a histogram, so it cannot influence
-    /// the search — results stay byte-identical with telemetry on.
+    /// publishes the search's live state into the slot and the running
+    /// sums, and records the time since the previous beat into
+    /// `expansion_batch_seconds`. It only writes atomics and a
+    /// histogram, so it cannot influence the search — results stay
+    /// byte-identical with telemetry on.
     pub fn progress_hook(self: &Arc<Self>, index: usize) -> impl FnMut(&Progress) + 'static {
         let board = Arc::clone(self);
         let mut last_beat = Instant::now();
@@ -589,47 +604,99 @@ mod tests {
         assert!(t.jobs.status(99).is_none());
     }
 
+    /// `(value, high_water)` of gauge `name`.
+    fn gauge(t: &BatchTelemetry, name: &str) -> (i64, i64) {
+        let snap = t.registry().snapshot();
+        let (_, value, peak) = snap
+            .gauges
+            .into_iter()
+            .find(|(n, _, _)| n == name)
+            .unwrap_or_else(|| panic!("no gauge {name}"));
+        (value, peak)
+    }
+
     #[test]
-    fn sampler_publishes_running_sums() {
+    fn every_transition_and_beat_sets_the_gauges() {
         let t = telemetry(3);
         t.set_workers_total(2);
+        assert_eq!(gauge(&t, "workers_total"), (2, 2));
+        assert_eq!(gauge(&t, "jobs_pending"), (3, 3));
+        assert_eq!(gauge(&t, "jobs_running"), (0, 0));
         t.jobs.mark_running(0);
         t.jobs.mark_running(1);
+        assert_eq!(gauge(&t, "jobs_pending"), (1, 3));
+        assert_eq!(gauge(&t, "jobs_running"), (2, 2));
         t.jobs.update_progress(0, 10, 100, 1000);
+        assert_eq!(gauge(&t, "queue_depth"), (100, 100));
+        assert_eq!(gauge(&t, "live_terms"), (1000, 1000));
         t.jobs.update_progress(1, 20, 50, 500);
-        t.sample(Some(7));
-        let snap = t.registry().snapshot();
-        let gauge = |name: &str| {
-            snap.gauges
-                .iter()
-                .find(|(n, _, _)| n == name)
-                .map(|(_, v, _)| *v)
-                .unwrap()
-        };
-        assert_eq!(gauge("queue_depth"), 150);
-        assert_eq!(gauge("live_terms"), 1500);
-        assert_eq!(gauge("cache_entries"), 7);
-        assert_eq!(gauge("workers_busy"), 2);
-        assert_eq!(gauge("workers_total"), 2);
-        assert_eq!(gauge("jobs_pending"), 1);
-        // A finished job leaves the running sums.
+        assert_eq!(gauge(&t, "queue_depth"), (150, 150));
+        assert_eq!(gauge(&t, "live_terms"), (1500, 1500));
+        // A later beat moves the sums by its difference.
+        t.jobs.update_progress(0, 30, 40, 900);
+        assert_eq!(gauge(&t, "queue_depth"), (90, 150));
+        assert_eq!(gauge(&t, "live_terms"), (1400, 1500));
+        // A finished job leaves the running sums but keeps its last
+        // beat on its slot.
         t.jobs.mark_finished(
             0,
             &JobOutcome::Error {
                 message: "x".into(),
             },
         );
-        t.sample(None);
-        let snap = t.registry().snapshot();
-        let gauge = |name: &str| {
-            snap.gauges
-                .iter()
-                .find(|(n, _, _)| n == name)
-                .map(|(_, v, _)| *v)
-                .unwrap()
-        };
-        assert_eq!(gauge("queue_depth"), 50);
-        assert_eq!(gauge("workers_busy"), 1);
+        assert_eq!(gauge(&t, "jobs_running"), (1, 2));
+        assert_eq!(gauge(&t, "queue_depth"), (50, 150));
+        assert_eq!(gauge(&t, "live_terms"), (500, 1500));
+        let s = t.jobs.status(0).unwrap();
+        assert_eq!((s.queue_depth, s.live_terms), (40, 900));
+        // A beat for a slot that is not running moves nothing.
+        t.jobs.update_progress(0, 40, 7, 7);
+        t.jobs.update_progress(2, 40, 7, 7);
+        assert_eq!(gauge(&t, "queue_depth"), (50, 150));
+        t.jobs.mark_finished(
+            1,
+            &JobOutcome::Solved {
+                circuit: Circuit::new(3),
+                verified: Some(true),
+                solved_by: SolveTier::Mmd,
+            },
+        );
+        assert_eq!(gauge(&t, "jobs_running"), (0, 2));
+        assert_eq!(gauge(&t, "jobs_pending"), (1, 3));
+        assert_eq!(gauge(&t, "queue_depth"), (0, 150));
+        assert_eq!(gauge(&t, "live_terms"), (0, 1500));
+        // `/healthz` and `count_in` read the same counts.
+        assert_eq!(t.jobs.count_in(JobState::Pending), 1);
+        assert_eq!(t.jobs.count_in(JobState::Running), 0);
+        assert!(t
+            .healthz_json()
+            .contains("\"jobs_running\":0,\"jobs_done\":1,\"jobs_failed\":1"));
+        // A slot relabeled mid-run leaves the running sums too.
+        t.jobs.mark_running(2);
+        t.jobs.update_progress(2, 1, 9, 90);
+        t.jobs.assign(2, "request:2");
+        assert_eq!(gauge(&t, "queue_depth"), (0, 150));
+        assert_eq!(gauge(&t, "live_terms"), (0, 1500));
+        assert_eq!(gauge(&t, "jobs_pending"), (1, 3));
+        assert_eq!(gauge(&t, "jobs_running"), (0, 2));
+        // A finished slot run again brings its kept beat back in, so
+        // its next finish takes out exactly what it holds.
+        t.jobs.mark_running(0);
+        assert_eq!(gauge(&t, "queue_depth"), (40, 150));
+        t.jobs.update_progress(0, 50, 10, 100);
+        assert_eq!(gauge(&t, "live_terms"), (100, 1500));
+        t.jobs.mark_failed(0);
+        assert_eq!(gauge(&t, "queue_depth"), (0, 150));
+        assert_eq!(gauge(&t, "live_terms"), (0, 1500));
+    }
+
+    #[test]
+    fn the_slot_byte_round_trips_every_tier() {
+        let t = telemetry(SolveTier::ALL.len());
+        for (i, tier) in SolveTier::ALL.into_iter().enumerate() {
+            t.jobs.mark_done(i, Some(tier));
+            assert_eq!(t.jobs.status(i).unwrap().solved_by, Some(tier));
+        }
     }
 
     #[test]
@@ -681,7 +748,6 @@ mod tests {
     #[test]
     fn idle_slots_are_not_jobs_until_assigned() {
         let t = BatchTelemetry::idle(3);
-        t.sample(None);
         assert_eq!(t.jobs.count_in(JobState::Pending), 0);
         assert!(t.jobs.statuses().is_empty());
         assert_eq!(t.jobs_json(), "[]");

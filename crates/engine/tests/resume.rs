@@ -291,6 +291,44 @@ fn every_kind_journal(
     read_journal(&path).unwrap().completed
 }
 
+/// Resumed records go from pending straight to done or failed, never
+/// through running, and each move is counted as it happens.
+#[test]
+fn resumed_records_leave_no_job_pending() {
+    let jobs: Vec<Admission> = EVERY_KIND
+        .iter()
+        .map(|record| {
+            let json = Json::parse(record).unwrap();
+            let name = json.get("job").unwrap().as_str().unwrap().to_string();
+            admit_inline(&name, "perm", "1,0,2,3", "test".to_string())
+        })
+        .collect();
+    let telemetry = Arc::new(BatchTelemetry::new(
+        jobs.iter().map(|a| a.name().to_string()).collect(),
+    ));
+    let opts = BatchOptions {
+        telemetry: Some(Arc::clone(&telemetry)),
+        ..BatchOptions::default()
+    };
+    let done = every_kind_journal("pending.jsonl", &jobs, &opts);
+    let run = run_batch_resumable(&jobs, &opts, &ShutdownHandles::new(), None, Some(&done));
+    assert_eq!(run.counters.jobs_resumed, 10);
+    let snap = telemetry.registry().snapshot();
+    let gauge = |name: &str| {
+        snap.gauges
+            .iter()
+            .find(|(n, _, _)| n == name)
+            .map(|&(_, value, peak)| (value, peak))
+            .unwrap()
+    };
+    // All ten started pending; none ever ran.
+    assert_eq!(gauge("jobs_pending"), (0, 10));
+    assert_eq!(gauge("jobs_running"), (0, 0));
+    assert!(telemetry
+        .healthz_json()
+        .contains("\"jobs_running\":0,\"jobs_done\":5,\"jobs_failed\":5"));
+}
+
 /// Counters are incremented by name, so a misspelt name would register
 /// a counter no report shows. A run that tallies every kind of record
 /// and meets the cache, the store and the trace directory registers

@@ -82,7 +82,6 @@ fn board_and_registry_reflect_a_finished_run() {
         snap.counter("cache_hits").unwrap() + snap.counter("cache_misses").unwrap(),
         6
     );
-    // The sampler's final beat left end-of-run gauge values.
     let gauge = |name: &str| {
         snap.gauges
             .iter()

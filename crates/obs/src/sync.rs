@@ -80,12 +80,28 @@ impl SyncGauge {
         self.peak.fetch_max(v, Ordering::Relaxed);
     }
 
+    /// Adds `delta` (which may be negative) to the current value,
+    /// updating the high-water mark. Each add is one atomic
+    /// read-modify-write, so concurrent adds never lose an update, and
+    /// the mark is the largest value the gauge held in their real
+    /// order. Callers keep the value non-negative: a sum of
+    /// contributions that each add their own amount before subtracting
+    /// it never drops below zero.
+    pub fn add(&self, delta: i64) {
+        let delta = delta as u64;
+        let now = self
+            .value
+            .fetch_add(delta, Ordering::Relaxed)
+            .wrapping_add(delta);
+        self.peak.fetch_max(now, Ordering::Relaxed);
+    }
+
     /// Current value.
     pub fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
     }
 
-    /// Largest value ever set.
+    /// Largest value ever held.
     pub fn peak(&self) -> u64 {
         self.peak.load(Ordering::Relaxed)
     }
@@ -358,6 +374,32 @@ mod tests {
         g.set(3);
         assert_eq!(g.get(), 3);
         assert_eq!(g.peak(), 17);
+    }
+
+    #[test]
+    fn gauge_adds_signed_deltas_with_an_exact_peak() {
+        let g = SyncGauge::new();
+        g.add(5);
+        g.add(7);
+        g.add(-10);
+        g.add(1);
+        assert_eq!(g.get(), 3);
+        assert_eq!(g.peak(), 12);
+        // Concurrent contributions that each add before they subtract:
+        // nothing is lost and the value returns to zero.
+        std::thread::scope(|s| {
+            for t in 1..=8 {
+                let g = &g;
+                s.spawn(move || {
+                    for _ in 0..1000 {
+                        g.add(t);
+                        g.add(-t);
+                    }
+                });
+            }
+        });
+        assert_eq!(g.get(), 3);
+        assert!((12..=3 + 36).contains(&g.peak()), "{}", g.peak());
     }
 
     #[test]

@@ -29,10 +29,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use rmrls_engine::{
-    Admission, BatchOptions, BatchTelemetry, JobRunner, SharedStore, ShutdownHandles,
-    SAMPLE_INTERVAL,
-};
+use rmrls_engine::{Admission, BatchOptions, BatchTelemetry, JobRunner, ShutdownHandles};
 use rmrls_obs::{Event, EventSink, Json, SyncCounter, SyncGauge};
 use rmrls_telemetry::{
     read_request_limited, respond_to_error, write_response, write_stream_head, HttpServer, Request,
@@ -110,15 +107,6 @@ struct Shared {
     requests_completed: Arc<SyncCounter>,
     journal_append_errors: Arc<SyncCounter>,
     queue_depth: Arc<SyncGauge>,
-    cache_hit_rate: Arc<SyncGauge>,
-    /// The durable circuit store (when `--store` is configured): the
-    /// warm cache that survives restarts. Sampled into the
-    /// `store_*` gauges each telemetry beat.
-    store: Option<SharedStore>,
-    store_entries: Arc<SyncGauge>,
-    store_file_bytes: Arc<SyncGauge>,
-    store_quarantined: Arc<SyncGauge>,
-    store_verify_rejected: Arc<SyncGauge>,
 }
 
 impl Shared {
@@ -186,12 +174,12 @@ pub struct ServeDaemon {
     addr: SocketAddr,
     http: Option<HttpServer>,
     workers: Vec<JoinHandle<()>>,
-    aux: Vec<JoinHandle<()>>,
+    signals: Option<JoinHandle<()>>,
 }
 
 impl ServeDaemon {
     /// Replays the journal if one is configured, binds the listener,
-    /// and starts the worker pool, gauge sampler, and SIGINT monitor.
+    /// and starts the worker pool and SIGINT monitor.
     /// `shutdown` carries the daemon's drain/abort tokens (use
     /// [`ShutdownHandles::install_sigint`] in the CLI, a plain
     /// [`ShutdownHandles::new`] in tests).
@@ -201,7 +189,6 @@ impl ServeDaemon {
         telemetry.set_workers_total(workers as u64);
         let mut batch = opts.batch.clone();
         batch.telemetry = Some(Arc::clone(&telemetry));
-        let store = batch.store.clone();
         let runner = JobRunner::new(batch);
 
         let registry = RequestRegistry::new();
@@ -244,15 +231,8 @@ impl ServeDaemon {
             requests_completed: r.counter("requests_completed"),
             journal_append_errors: r.counter("journal_append_errors"),
             queue_depth: r.gauge("admission_queue_depth"),
-            cache_hit_rate: r.gauge("cache_hit_rate_percent"),
-            store,
-            store_entries: r.gauge("store_entries"),
-            store_file_bytes: r.gauge("store_file_bytes"),
-            store_quarantined: r.gauge("store_quarantined_records"),
-            store_verify_rejected: r.gauge("store_verify_rejected"),
             telemetry,
         });
-        sample_once(&shared);
 
         if !replayed.is_empty() {
             shared.requests_replayed.add(replayed.len() as u64);
@@ -282,28 +262,20 @@ impl ServeDaemon {
                 Box::new(move || worker_loop(&shared, i)),
             )?);
         }
-        let mut aux = Vec::with_capacity(2);
-        {
+        let signals = {
             let shared = Arc::clone(&shared);
-            aux.push(spawn(
-                "rmrls-serve-sampler".to_string(),
-                Box::new(move || sampler_loop(&shared)),
-            )?);
-        }
-        {
-            let shared = Arc::clone(&shared);
-            aux.push(spawn(
+            spawn(
                 "rmrls-serve-signals".to_string(),
                 Box::new(move || signal_loop(&shared)),
-            )?);
-        }
+            )?
+        };
 
         Ok(ServeDaemon {
             shared,
             addr: http.local_addr(),
             http: Some(http),
             workers: worker_handles,
-            aux,
+            signals: Some(signals),
         })
     }
 
@@ -352,7 +324,7 @@ impl ServeDaemon {
         if let Some(http) = self.http.take() {
             http.shutdown();
         }
-        for t in self.aux.drain(..) {
+        if let Some(t) = self.signals.take() {
             let _ = t.join();
         }
     }
@@ -362,7 +334,7 @@ impl Drop for ServeDaemon {
     /// A dropped daemon aborts: tests and early-exit paths must not
     /// hang on a worker waiting for requests that will never come.
     fn drop(&mut self) {
-        if self.workers.is_empty() && self.aux.is_empty() {
+        if self.workers.is_empty() && self.signals.is_none() {
             return;
         }
         self.shared.shutdown.drain.cancel();
@@ -458,33 +430,6 @@ fn run_entry(shared: &Arc<Shared>, entry: &Arc<RequestEntry>, slot: usize) {
     }
     shared.requests_completed.inc();
     entry.finish(cache_hit, json);
-}
-
-/// Publishes live gauges every [`SAMPLE_INTERVAL`].
-fn sampler_loop(shared: &Arc<Shared>) {
-    while !shared.stop.load(Ordering::SeqCst) {
-        sample_once(shared);
-        std::thread::sleep(SAMPLE_INTERVAL);
-    }
-}
-
-fn sample_once(shared: &Shared) {
-    let cache_entries = shared.runner.cache().map(|c| c.len() as u64);
-    shared.telemetry.sample(cache_entries);
-    // The runner counts cache traffic on the board's registry.
-    let counter = |name| shared.telemetry.registry().counter(name).get();
-    let hits = counter("cache_hits");
-    let total = hits + counter("cache_misses");
-    if let Some(rate) = (hits * 100).checked_div(total) {
-        shared.cache_hit_rate.set(rate);
-    }
-    if let Some(store) = &shared.store {
-        let st = store.stats();
-        shared.store_entries.set(st.entries);
-        shared.store_file_bytes.set(st.file_bytes);
-        shared.store_quarantined.set(st.quarantined_records);
-        shared.store_verify_rejected.set(st.verify_rejected);
-    }
 }
 
 /// Maps SIGINT counts onto the drain/abort tokens (same cadence as
@@ -638,8 +583,6 @@ fn handle_synthesize(shared: &Arc<Shared>, stream: &mut TcpStream, http: &Reques
     }
 
     // Admission control: a full queue sheds the request.
-    // `Retry-After: 1` matches the sampler cadence — by the next beat
-    // the gauges reflect any recovery.
     if shared.lock_queue().len() >= shared.queue_capacity {
         shared.requests_shed.inc();
         shared.telemetry.set_backpressure(true);

@@ -1,6 +1,7 @@
-//! The metric catalog: every family the two front ends export —
-//! `batch --metrics-addr` and a store-backed `rmrls serve` — is listed
-//! in DESIGN.md §5g, and everything listed there is exported.
+//! The metric catalog: every family the two front ends export — a
+//! store-backed `batch --metrics-addr` and a store-backed `rmrls serve`
+//! — is listed in DESIGN.md §5g, and everything listed there is
+//! exported.
 
 mod common;
 
@@ -55,7 +56,7 @@ fn catalog(front: &str) -> BTreeSet<(String, String)> {
     out
 }
 
-fn batch_metrics() -> String {
+fn batch_metrics(store: Option<SharedStore>) -> String {
     let jobs: Vec<_> = ["1,0,7,2,3,4,5,6", "7,0,1,2,3,4,5,6"]
         .iter()
         .map(|spec| admit_inline("job", "perm", spec, "test".to_string()))
@@ -64,6 +65,7 @@ fn batch_metrics() -> String {
     let server = serve_board("127.0.0.1:0", Arc::clone(&telemetry)).unwrap();
     let opts = BatchOptions {
         telemetry: Some(telemetry),
+        store,
         ..BatchOptions::default()
     };
     run_batch(&jobs, &opts, &ShutdownHandles::new());
@@ -88,7 +90,12 @@ fn serve_metrics() -> String {
 
 #[test]
 fn exported_families_match_the_design_catalog_both_ways() {
-    for (front, body) in [("batch", batch_metrics()), ("serve", serve_metrics())] {
+    let dir = scratch("catalog-batch");
+    let store = SharedStore::open(dir.join("b.store").to_str().unwrap()).unwrap();
+    for (front, body) in [
+        ("batch", batch_metrics(Some(store))),
+        ("serve", serve_metrics()),
+    ] {
         let exported = families(&body);
         let listed = catalog(front);
         assert!(
@@ -103,4 +110,20 @@ fn exported_families_match_the_design_catalog_both_ways() {
              listed but not exported: {missing:?}"
         );
     }
+}
+
+/// The runner owns the store gauges: a board without a store exports
+/// every batch family but those.
+#[test]
+fn a_storeless_batch_board_exports_no_store_gauges() {
+    let store_gauge =
+        |(name, kind): &(String, String)| name.starts_with("rmrls_store_") && kind == "gauge";
+    let mut listed = catalog("batch");
+    let store_gauges = listed.iter().filter(|f| store_gauge(f)).count();
+    assert_eq!(
+        store_gauges, 8,
+        "four store gauges and their high-water marks"
+    );
+    listed.retain(|f| !store_gauge(f));
+    assert_eq!(families(&batch_metrics(None)), listed);
 }

@@ -67,8 +67,8 @@ fn the_warm_cache_survives_a_restart_through_the_store() {
         .to_string();
     assert_eq!(circuit1, circuit2, "circuits byte-identical across lives");
 
-    // Store health rides on /metrics (gauges are primed at startup,
-    // before the first sampler beat).
+    // Store health rides on /metrics (the runner primes the store
+    // gauges when the daemon starts).
     let metrics = get(addr2, "/metrics");
     assert_eq!(metrics.status, 200);
     assert!(
