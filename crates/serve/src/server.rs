@@ -118,6 +118,14 @@ impl Shared {
         self.shutdown.draining()
     }
 
+    /// Wakes every idle worker to see a drain. Passing through the
+    /// queue lock first means a worker that checked for a drain before
+    /// it began is already waiting, so it cannot miss the wake.
+    fn wake_workers(&self) {
+        drop(self.lock_queue());
+        self.queue_cv.notify_all();
+    }
+
     /// Serve-specific `/healthz`: the batch degraded witnesses plus
     /// live admission state.
     fn healthz_json(&self) -> String {
@@ -298,7 +306,7 @@ impl ServeDaemon {
     /// what is in flight. Equivalent to the first SIGINT.
     pub fn drain(&self) {
         self.shared.shutdown.drain.cancel();
-        self.shared.queue_cv.notify_all();
+        self.shared.wake_workers();
     }
 
     /// Aborts: drain plus cancellation of in-flight searches.
@@ -306,7 +314,7 @@ impl ServeDaemon {
     pub fn abort(&self) {
         self.shared.shutdown.drain.cancel();
         self.shared.shutdown.abort.cancel();
-        self.shared.queue_cv.notify_all();
+        self.shared.wake_workers();
     }
 
     /// Blocks until the daemon has drained (after
@@ -325,6 +333,9 @@ impl ServeDaemon {
             http.shutdown();
         }
         if let Some(t) = self.signals.take() {
+            // Wake the signal thread out of its poll so the join does
+            // not wait out the rest of it.
+            t.thread().unpark();
             let _ = t.join();
         }
     }
@@ -339,7 +350,7 @@ impl Drop for ServeDaemon {
         }
         self.shared.shutdown.drain.cancel();
         self.shared.shutdown.abort.cancel();
-        self.shared.queue_cv.notify_all();
+        self.shared.wake_workers();
         self.join_all();
     }
 }
@@ -434,14 +445,15 @@ fn run_entry(shared: &Arc<Shared>, entry: &Arc<RequestEntry>, slot: usize) {
 
 /// Maps SIGINT counts onto the drain/abort tokens (same cadence as
 /// the batch engine's in-loop polling, which has no loop to piggyback
-/// on here).
+/// on here). Parks between polls, so stopping the daemon unparks it
+/// and the thread exits at once.
 fn signal_loop(shared: &Arc<Shared>) {
     while !shared.stop.load(Ordering::SeqCst) {
         shared.shutdown.poll_signals();
         if shared.draining() {
             shared.queue_cv.notify_all();
         }
-        std::thread::sleep(Duration::from_millis(20));
+        std::thread::park_timeout(Duration::from_millis(20));
     }
 }
 
